@@ -242,34 +242,6 @@ impl<'g, B: OsnBackend + Sync> Engine<'g, B> {
         })
     }
 
-    /// Serves a [`Workload`](crate::Workload) of independent queries over
-    /// this engine's graph on up to `workers` threads.
-    ///
-    /// Unlike [`Engine::estimate_replicated`] (replicates of one query
-    /// through the engine's *shared* cache), a workload gives every query
-    /// its **own** cache-plus-fault-model stack, so per-query budgets and
-    /// retry charges are attributable and the report is bit-identical at
-    /// any worker count even against a faulty backend. The engine's shared
-    /// cache and its [`CallStats`] are untouched by workload runs.
-    pub fn run_workload(
-        &self,
-        workload: &crate::Workload,
-        workers: usize,
-    ) -> crate::WorkloadReport {
-        crate::workload::run_workload_on(self.backend(), workload, workers)
-    }
-
-    /// [`Engine::run_workload`] with a caller-owned progress tracker for
-    /// anytime partial estimates.
-    pub fn run_workload_observed(
-        &self,
-        workload: &crate::Workload,
-        workers: usize,
-        progress: &crate::WorkloadProgress,
-    ) -> crate::WorkloadReport {
-        crate::workload::run_workload_observed_on(self.backend(), workload, workers, progress)
-    }
-
     /// Shared-cache call accounting aggregated over every query served so
     /// far: logical calls vs backend misses (the paper's distinct-call
     /// metric).

@@ -38,7 +38,8 @@
 //! [`workload`] turns it into a multi-query service: N concurrent
 //! mixed-algorithm queries with seeded arrival order, per-query budgets,
 //! and (optionally) a hostile, fault-injecting API between the estimators
-//! and the graph, deterministic at any worker count.
+//! and the graph, deterministic at any worker count. Every executor builds
+//! a query's access stack through [`stack::QueryStack`].
 
 #![warn(missing_docs)]
 
@@ -52,6 +53,7 @@ pub mod neighbor_exploration;
 pub mod neighbor_sample;
 pub mod request;
 pub mod size;
+pub mod stack;
 pub mod workload;
 
 pub use algorithm::{algorithms, Algorithm, RunConfig};
@@ -62,7 +64,7 @@ pub use error::EstimateError;
 pub use neighbor_exploration::{NeHansenHurwitz, NeHorvitzThompson, NeReweighted};
 pub use neighbor_sample::{NsHansenHurwitz, NsHorvitzThompson};
 pub use request::{Priority, QueryOutcome, QuerySpec, Schedule};
+pub use stack::{QueryStack, Slice, SliceOutcome};
 pub use workload::{
-    run_workload, run_workload_observed, ProgressSnapshot, Workload, WorkloadBuilder,
-    WorkloadProgress, WorkloadReport,
+    run_workload, ProgressSnapshot, Workload, WorkloadBuilder, WorkloadProgress, WorkloadReport,
 };

@@ -13,9 +13,9 @@
 //!   of the query list under the workload seed);
 //! * a pool of `workers` threads pops queries off the arrival queue
 //!   dynamically (stragglers never idle a whole worker);
-//! * every query gets its **own access stack** —
-//!   `CachedOsn<AdversarialOsn<&GraphOsn>>` over the shared graph view —
-//!   so per-query budgets, retry charges, and fault patterns are fully
+//! * every query gets its **own access stack** — a [`QueryStack`]
+//!   (`CachedOsn<AdversarialOsn<&B>>`) over the shared backend — so
+//!   per-query budgets, retry charges, and fault patterns are fully
 //!   isolated, like one crawler client per query against the same remote
 //!   OSN;
 //! * anytime progress is observable through [`WorkloadProgress`]: a
@@ -36,11 +36,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use labelcount_graph::{LabeledGraph, TargetLabel};
-use labelcount_osn::{
-    AdversarialOsn, CacheConfig, CachedOsn, FaultConfig, GraphOsn, OsnApi, OsnBackend,
-    ResilienceConfig, RetryPolicy,
-};
+use labelcount_graph::TargetLabel;
+use labelcount_osn::{FaultConfig, OsnBackend, ResilienceConfig, RetryPolicy};
 use labelcount_stats::{replication_seed, RunningStats};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -49,6 +46,7 @@ use rand::SeedableRng;
 use crate::algorithm::{algorithms, Algorithm, RunConfig};
 use crate::request::Schedule;
 pub use crate::request::{QueryOutcome, QuerySpec};
+use crate::stack::{QueryStack, Slice};
 
 /// Stream ids for deriving the workload's internal seeds.
 mod stream {
@@ -351,8 +349,8 @@ impl WorkloadProgress {
     /// Records one finished query: `Some(estimate)` on success (only
     /// finite values enter the statistics), `None` for a query that
     /// finished without an estimate. Called by the runners
-    /// ([`run_workload_observed`] and the serving layer's scheduler);
-    /// pollers only read.
+    /// ([`run_workload`] and the serving layer's scheduler); pollers only
+    /// read.
     pub fn record(&self, estimate: Option<f64>) {
         // Same filter as the deterministic summary: only finite estimates
         // enter the statistics (an HT estimator can return a non-finite
@@ -371,93 +369,44 @@ impl WorkloadProgress {
     }
 }
 
-/// Runs `workload` over `graph` on up to `workers` threads. See the
-/// [module docs](self) for the execution and determinism model.
-pub fn run_workload(graph: &LabeledGraph, workload: &Workload, workers: usize) -> WorkloadReport {
-    run_workload_observed(graph, workload, workers, &WorkloadProgress::new())
-}
-
-/// [`run_workload`] with a caller-owned [`WorkloadProgress`] that another
-/// thread can poll for anytime partial estimates.
-pub fn run_workload_observed(
-    graph: &LabeledGraph,
-    workload: &Workload,
-    workers: usize,
-    progress: &WorkloadProgress,
-) -> WorkloadReport {
-    run_workload_observed_on(&GraphOsn::new(graph), workload, workers, progress)
-}
-
 /// Runs `workload` over any shared [`OsnBackend`] — the in-RAM
-/// [`GraphOsn`] or the out-of-core `labelcount_osn::PagedGraphOsn` — on up
-/// to `workers` threads.
+/// [`GraphOsn`](labelcount_osn::GraphOsn), the out-of-core
+/// `labelcount_osn::PagedGraphOsn`, or any decorator over them — on up to
+/// `workers` threads, recording each finished query into `progress` when
+/// one is given. See the [module docs](self) for the execution and
+/// determinism model.
 ///
-/// Per-query access stacks (`CachedOsn<AdversarialOsn<&B>>`) are built over
-/// `backend` exactly as [`run_workload`] builds them over its `GraphOsn`,
-/// so a backend that serves identical bytes yields a bit-identical report.
-pub fn run_workload_on<B: OsnBackend + Sync>(
+/// Every query runs once through its own [`QueryStack`] over `backend`, so
+/// a backend that serves identical bytes yields a bit-identical report.
+pub fn run_workload<B: OsnBackend + Sync>(
     backend: &B,
     workload: &Workload,
     workers: usize,
-) -> WorkloadReport {
-    run_workload_observed_on(backend, workload, workers, &WorkloadProgress::new())
-}
-
-/// [`run_workload_on`] with a caller-owned [`WorkloadProgress`].
-pub fn run_workload_observed_on<B: OsnBackend + Sync>(
-    shared: &B,
-    workload: &Workload,
-    workers: usize,
-    progress: &WorkloadProgress,
+    progress: Option<&WorkloadProgress>,
 ) -> WorkloadReport {
     let order = workload.arrival_order();
     let n = order.len();
     let workers = workers.max(1).min(n.max(1));
+    let stack = QueryStack {
+        run_config: workload.run_config,
+        faults: workload.faults,
+        retry: workload.retry,
+        resilience: workload.resilience,
+    };
+    let fault_root = replication_seed(workload.seed, stream::QUERY_FAULT);
 
     let run_one = |qi: usize| -> QueryOutcome {
         let q = &workload.queries[qi];
-        let fault_cfg = FaultConfig {
-            seed: replication_seed(replication_seed(workload.seed, stream::QUERY_FAULT), q.id),
-            ..workload.faults
+        let slice = Slice {
+            fault_seed: replication_seed(fault_root, q.id),
+            rng_seed: q.seed,
+            ..Slice::default()
         };
-        let backend =
-            AdversarialOsn::with_resilience(shared, fault_cfg, workload.retry, workload.resilience);
-        let cache = CachedOsn::with_config(
-            backend,
-            CacheConfig::builder()
-                .serve_stale(workload.resilience.serve_stale)
-                .build(),
-        );
-        let session = cache.session();
-        if let Some(b) = q.hard_budget {
-            session.set_budget(b);
+        let outcome = stack.run(backend, q, slice).outcome;
+        if let Some(p) = progress {
+            p.record(outcome.estimate.as_ref().ok().copied());
         }
-        let mut rng = StdRng::seed_from_u64(q.seed);
-        let estimate =
-            q.algorithm
-                .estimate(&session, q.target, q.budget, &workload.run_config, &mut rng);
-        let budget_exhausted = session.budget_exhausted();
-        let logical_calls = session.api_calls();
-        let retry_charges = session.retry_charges();
-        let stale_served = session.stale_served();
-        drop(session);
-        let faults = cache.backend().fault_stats();
-        progress.record(estimate.as_ref().ok().copied());
-        QueryOutcome {
-            id: q.id,
-            abbrev: q.algorithm.abbrev(),
-            estimate,
-            logical_calls,
-            retry_charges,
-            backend_attempts: faults.attempts,
-            rate_limited: faults.rate_limited,
-            transient_errors: faults.transient_errors,
-            latency_ticks: faults.latency_ticks,
-            budget_exhausted,
-            bursts: faults.bursts,
-            breaker_opens: faults.breaker_opens,
-            stale_served,
-        }
+        outcome
     };
 
     let mut outcomes: Vec<QueryOutcome> = if workers == 1 || n <= 1 {
@@ -503,6 +452,8 @@ mod tests {
     use crate::error::EstimateError;
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
+    use labelcount_graph::LabeledGraph;
+    use labelcount_osn::GraphOsn;
 
     fn fixture(seed: u64) -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -570,7 +521,7 @@ mod tests {
     #[test]
     fn report_is_in_id_order_with_sound_accounting() {
         let g = fixture(1);
-        let report = run_workload(&g, &mixed(10, 7, 0.3), 2);
+        let report = run_workload(&GraphOsn::new(&g), &mixed(10, 7, 0.3), 2, None);
         assert_eq!(report.outcomes.len(), 10);
         for (i, o) in report.outcomes.iter().enumerate() {
             assert_eq!(o.id, i as u64);
@@ -592,7 +543,7 @@ mod tests {
     fn clean_faults_charge_nothing() {
         let g = fixture(2);
         let w = Workload::mixed(6, target(), 80, 3, cfg());
-        let report = run_workload(&g, &w, 3);
+        let report = run_workload(&GraphOsn::new(&g), &w, 3, None);
         assert_eq!(report.total_retry_charges(), 0);
         assert_eq!(report.budget_exhausted_queries(), 0);
         for o in &report.outcomes {
@@ -607,9 +558,9 @@ mod tests {
     fn worker_count_never_changes_the_report() {
         let g = fixture(3);
         let w = mixed(9, 11, 0.35);
-        let baseline = run_workload(&g, &w, 1);
+        let baseline = run_workload(&GraphOsn::new(&g), &w, 1, None);
         for workers in [2usize, 4, 8] {
-            let r = run_workload(&g, &w, workers);
+            let r = run_workload(&GraphOsn::new(&g), &w, workers, None);
             assert_eq!(r.outcomes.len(), baseline.outcomes.len());
             for (a, b) in baseline.outcomes.iter().zip(&r.outcomes) {
                 assert_eq!(a.id, b.id);
@@ -640,7 +591,7 @@ mod tests {
             q.hard_budget = Some(60); // far below the 100-call sample budget
             q.budget = 1_000;
         }
-        let report = run_workload(&g, &w, 2);
+        let report = run_workload(&GraphOsn::new(&g), &w, 2, None);
         assert!(
             report.budget_exhausted_queries() > 0,
             "a 0.5-fault-rate API under a 60-call budget must exhaust"
@@ -661,7 +612,7 @@ mod tests {
         let g = fixture(5);
         let w = mixed(7, 17, 0.2);
         let progress = WorkloadProgress::new();
-        let report = run_workload_observed(&g, &w, 4, &progress);
+        let report = run_workload(&GraphOsn::new(&g), &w, 4, Some(&progress));
         assert_eq!(progress.completed(), 7);
         // The anytime view saw every successful estimate (order may
         // differ; count and extremes cannot).
@@ -701,8 +652,8 @@ mod tests {
     #[test]
     fn fault_rate_raises_realized_cost() {
         let g = fixture(6);
-        let clean = run_workload(&g, &mixed(8, 19, 0.0), 2);
-        let hostile = run_workload(&g, &mixed(8, 19, 0.4), 2);
+        let clean = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.0), 2, None);
+        let hostile = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.4), 2, None);
         assert!(
             hostile.total_backend_attempts() > clean.total_backend_attempts(),
             "faults must raise the realized API cost: {} vs {}",

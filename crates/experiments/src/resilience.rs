@@ -17,7 +17,7 @@
 
 use labelcount_core::workload::{run_workload, Workload};
 use labelcount_core::RunConfig;
-use labelcount_osn::{FaultConfig, RetryPolicy};
+use labelcount_osn::{FaultConfig, GraphOsn, RetryPolicy};
 use labelcount_stats::nrmse;
 
 use crate::datasets::Dataset;
@@ -98,7 +98,7 @@ pub fn resilience_sweep(
                     RetryPolicy::default(),
                 )
                 .build();
-            let report = run_workload(&dataset.graph, &workload, workers);
+            let report = run_workload(&GraphOsn::new(&dataset.graph), &workload, workers, None);
             let estimates: Vec<f64> = report
                 .outcomes
                 .iter()

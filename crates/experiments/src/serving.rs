@@ -142,7 +142,7 @@ pub fn serving_sweep(
                 for &k in &keys {
                     svc.register(k, &dataset.graph);
                 }
-                svc.run(build(), workers)
+                svc.run_scheduled(build(), workers)
             };
             let reference = run(shard_counts[0]);
             let shard_invariant = shard_counts[1..].iter().all(|&s| {

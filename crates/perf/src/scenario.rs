@@ -11,9 +11,7 @@
 use std::time::Instant;
 
 use labelcount_core::{
-    algorithms, motifs, size,
-    workload::{run_workload, run_workload_on},
-    Engine, NsHansenHurwitz, RunConfig, Workload,
+    algorithms, motifs, run_workload, size, Engine, NsHansenHurwitz, RunConfig, Workload,
 };
 use labelcount_graph::churn::ChurnConfig;
 use labelcount_graph::components::largest_component;
@@ -26,7 +24,8 @@ use labelcount_graph::paged::{
 use labelcount_graph::{GroundTruth, LabeledGraph, NodeId, TargetLabel};
 use labelcount_osn::{
     AdversarialOsn, BreakerConfig, BurstConfig, CacheConfig, CachedOsn, ChurnOsn, FaultConfig,
-    LineGraphView, OsnApi, OsnApiExt, PagedGraphOsn, ResilienceConfig, RetryPolicy, SimulatedOsn,
+    GraphOsn, LineGraphView, OsnApi, OsnApiExt, PagedGraphOsn, ResilienceConfig, RetryPolicy,
+    SimulatedOsn,
 };
 use labelcount_serve::{
     AdmissionConfig, GraphKey, QuotaPolicy, RateLimit, RateLimitPolicy, SchedulePolicy,
@@ -838,11 +837,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             RetryPolicy::default(),
         )
         .build();
+    let g_osn = GraphOsn::new(&g);
     let t0 = Instant::now();
-    let wl_serial = run_workload(&g, &wl, 1);
+    let wl_serial = run_workload(&g_osn, &wl, 1, None);
     let workload_serial_ms = ms(t0);
     let t0 = Instant::now();
-    let wl_parallel = run_workload(&g, &wl, threads);
+    let wl_parallel = run_workload(&g_osn, &wl, threads, None);
     let workload_parallel_ms = ms(t0);
     let serial_bits: Vec<Option<u64>> = wl_serial
         .outcomes
@@ -888,7 +888,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     // submit through a tight modelled admission queue per graph, and the
     // heavy-hitter tenant carries a quota sized for exactly three
     // fully-budgeted requests — so every committed baseline has nonzero
-    // admitted, shed, and quota_exhausted counters. The phase runs once on
+    // admitted, shed, and quota_exhausted counters. The stream carries no
+    // schedule, so the service runs it as a plain batch (every request at
+    // tick 0, one slice per admitted query). The phase runs once on
     // a single-shard single-worker service (the deterministic reference)
     // and once on a four-shard fleet across all cores; the two reports
     // must match bit for bit, which is the serving layer's headline
@@ -939,7 +941,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             svc.register(k, &g);
         }
         let t0 = Instant::now();
-        let report = svc.run(serving_wl(), workers);
+        let report = svc.run_scheduled(serving_wl(), workers);
         (report, ms(t0))
     };
     let (serving_serial, serving_serial_ms) = run_service(1, 1);
@@ -1158,7 +1160,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
 
         // Adversarial workload, serial.
         let wl_backend = open(pool_cfg);
-        let wl_paged = run_workload_on(&wl_backend, &wl, 1);
+        let wl_paged = run_workload(&wl_backend, &wl, 1, None);
         let paged_bits: Vec<Option<u64>> = wl_paged
             .outcomes
             .iter()
@@ -1179,7 +1181,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         for &k in &serving_keys {
             svc.register_paged(k, open(pool_cfg), paged_cache);
         }
-        let serving_paged = svc.run(serving_wl(), 1);
+        let serving_paged = svc.run_scheduled(serving_wl(), 1);
         assert_eq!(
             service_bits(&serving_serial),
             service_bits(&serving_paged),

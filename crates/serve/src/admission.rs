@@ -3,9 +3,10 @@
 //!
 //! A real server sheds load based on wall-clock queue depth — which makes
 //! every run irreproducible. This module instead decides admission
-//! **serially, in the seeded arrival order, against a modelled queue**:
+//! **serially, in virtual-time arrival order, against a modelled queue**:
 //! each queue's backlog grows by one per arrival routed to it and drains
-//! one item every [`AdmissionConfig::drain_every`] arrivals to that queue.
+//! one item every [`AdmissionConfig::drain_every`] arrivals to that queue,
+//! or one per [`AdmissionConfig::service_ticks_per_item`] elapsed ticks.
 //! The model is a deterministic function of (config, seed, arrival
 //! sequence), so the same workload sheds the same requests at any shard
 //! count, worker count, or machine speed. Execution happens *after* the
@@ -53,19 +54,16 @@ pub struct AdmissionConfig {
     /// A modelled queue drains one item every `drain_every` arrivals
     /// routed to it. `1` keeps pace with arrivals (backlog never grows);
     /// larger values model overload building at rate `1 − 1/drain_every`
-    /// per arrival. Used by the arrival-count model
-    /// ([`AdmissionState::decide`]); the virtual-time model ignores it
-    /// when [`AdmissionConfig::service_ticks_per_item`] is set.
+    /// per arrival. The virtual-time model ignores it when
+    /// [`AdmissionConfig::service_ticks_per_item`] is set.
     pub drain_every: usize,
     /// Occupancy fraction (`backlog / queue_capacity`) at which
     /// probabilistic shedding begins. `1.0` disables the probabilistic
     /// band, leaving only the hard capacity limit.
     pub shed_start: f64,
-    /// Virtual-time service rate for scheduled runs: the modelled queue
-    /// drains one item per this many latency ticks
-    /// ([`AdmissionState::decide_scheduled`]). `0` (the default) keeps the
-    /// arrival-count drain model even on the scheduled path, preserving
-    /// pre-scheduler behavior.
+    /// Virtual-time service rate: the modelled queue drains one item per
+    /// this many latency ticks ([`AdmissionState::decide_scheduled`]). `0`
+    /// (the default) keeps the arrival-count drain model.
     pub service_ticks_per_item: u64,
     /// Maximum modelled queue **wait** (in latency ticks) an arrival will
     /// tolerate: a request whose modelled wait
@@ -157,9 +155,9 @@ impl QuotaPolicy {
 /// the effective session budget at the tokens available.
 ///
 /// Refill is driven by the arrival ticks handed to
-/// [`AdmissionState::decide_scheduled`]; the arrival-count model
-/// ([`AdmissionState::decide`]) has no clock, so there the bucket never
-/// refills and acts as a plain shared cap.
+/// [`AdmissionState::decide_scheduled`]; when every arrival sits at tick 0
+/// (an unstamped workload) the bucket never refills and acts as a plain
+/// shared cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RateLimit {
     /// Maximum tokens the bucket holds (and its initial fill).
@@ -233,8 +231,9 @@ pub enum AdmissionDecision {
 /// Mutable state of the admission pass: modelled per-queue backlogs and
 /// per-tenant remaining quota.
 ///
-/// Drive it by calling [`AdmissionState::decide`] once per request **in
-/// the seeded arrival order** — the order is part of the model.
+/// Drive it by calling [`AdmissionState::decide_scheduled`] once per
+/// request **in `(arrival_tick, request_id)` order** — the order is part
+/// of the model.
 #[derive(Clone, Debug)]
 pub struct AdmissionState {
     config: AdmissionConfig,
@@ -311,56 +310,29 @@ impl AdmissionState {
         }
     }
 
-    /// Decides one arrival: `request_id` must be unique per request (it
-    /// salts the shed coin), `queue` is the modelled queue the request
-    /// targets, `hard_budget` the query's own cap (if any).
-    ///
-    /// Quota is checked first — a quota rejection must not depend on queue
-    /// luck — then the modelled queue. Admission reserves the effective
-    /// budget against the tenant's quota immediately.
-    pub fn decide(
-        &mut self,
-        request_id: u64,
-        tenant: TenantId,
-        queue: usize,
-        hard_budget: Option<u64>,
-    ) -> AdmissionDecision {
-        // --- quota, then token bucket (no clock here: tick 0) ---
-        let effective = match self
-            .quota_effective(tenant, hard_budget)
-            .and_then(|e| self.rate_effective(tenant, e, 0))
-        {
-            Ok(e) => e,
-            Err(rejected) => return rejected,
-        };
-
-        // --- modelled queue (arrival-count drain) ---
-        let q = &mut self.queues[queue];
-        q.since_drain += 1;
-        if q.since_drain >= self.config.drain_every {
-            q.since_drain = 0;
-            q.backlog = q.backlog.saturating_sub(1);
-        }
-        if let Some(rejected) = self.queue_shed(request_id, queue, None) {
-            return rejected;
-        }
-        self.admit(tenant, queue, effective)
-    }
-
-    /// [`AdmissionState::decide`] for the **virtual-time** model of
-    /// scheduled runs: drive it once per request in ascending
+    /// Decides one arrival at virtual tick `arrival_tick`: `request_id`
+    /// must be unique per request (it salts the shed coin), `queue` is the
+    /// modelled queue the request targets, `hard_budget` the query's own
+    /// cap (if any). Drive it once per request in ascending
     /// `(arrival_tick, request_id)` order.
     ///
-    /// Differences from the arrival-count model:
+    /// Quota is checked first — a quota rejection must not depend on queue
+    /// luck — then the tenant's token bucket, then the modelled queue.
+    /// Admission reserves the effective budget against the tenant's quota
+    /// and bucket immediately.
     ///
-    /// * when [`AdmissionConfig::service_ticks_per_item`] is positive, the
-    ///   queue drains one item per that many elapsed virtual ticks instead
-    ///   of one per [`AdmissionConfig::drain_every`] arrivals — backlog is
-    ///   a function of *time*, not arrival cadence;
-    /// * when [`AdmissionConfig::max_wait_ticks`] is set, an arrival whose
-    ///   modelled wait (`backlog × service_ticks_per_item`) exceeds it is
-    ///   shed: the queue is deep enough that the request would blow its
-    ///   useful lifetime just waiting.
+    /// The queue drains one of two ways:
+    ///
+    /// * when [`AdmissionConfig::service_ticks_per_item`] is positive, one
+    ///   item per that many elapsed virtual ticks — backlog is a function
+    ///   of *time*, not arrival cadence;
+    /// * otherwise one item per [`AdmissionConfig::drain_every`] arrivals,
+    ///   whatever the arrival ticks say.
+    ///
+    /// When [`AdmissionConfig::max_wait_ticks`] is set, an arrival whose
+    /// modelled wait (`backlog × service_ticks_per_item`) exceeds it is
+    /// shed: the queue is deep enough that the request would blow its
+    /// useful lifetime just waiting.
     ///
     /// Everything is a pure function of (config, seed, ordered arrival
     /// sequence) — no wall clock — so scheduled admission is bit-identical
@@ -406,7 +378,7 @@ impl AdmissionState {
             }
         }
         let wait = q.backlog as u64 * ticks_per_item;
-        if let Some(rejected) = self.queue_shed(request_id, queue, Some(wait)) {
+        if let Some(rejected) = self.queue_shed(request_id, queue, wait) {
             return rejected;
         }
         self.admit(tenant, queue, effective)
@@ -480,16 +452,17 @@ impl AdmissionState {
     }
 
     /// The shedding gates against an already-drained queue: modelled wait
-    /// (if provided), hard capacity, then the probabilistic band.
+    /// (when a maximum is configured), hard capacity, then the
+    /// probabilistic band.
     fn queue_shed(
         &mut self,
         request_id: u64,
         queue: usize,
-        wait_ticks: Option<u64>,
+        wait_ticks: u64,
     ) -> Option<AdmissionDecision> {
         let backlog_seen = self.queues[queue].backlog;
-        if let (Some(wait), Some(max)) = (wait_ticks, self.config.max_wait_ticks) {
-            if wait > max {
+        if let Some(max) = self.config.max_wait_ticks {
+            if wait_ticks > max {
                 return Some(AdmissionDecision::Shed {
                     backlog: backlog_seen,
                 });
@@ -575,7 +548,7 @@ mod tests {
         let mut st =
             AdmissionState::new(2, AdmissionConfig::default(), QuotaPolicy::unmetered(), 7);
         for id in 0..500u64 {
-            let d = st.decide(id, T0, (id % 2) as usize, None);
+            let d = st.decide_scheduled(id, T0, (id % 2) as usize, None, 0);
             assert_eq!(
                 d,
                 AdmissionDecision::Admitted {
@@ -593,7 +566,7 @@ mod tests {
         let mut shed = 0;
         let mut admitted = 0;
         for id in 0..64u64 {
-            match st.decide(id, T0, 0, None) {
+            match st.decide_scheduled(id, T0, 0, None, 0) {
                 AdmissionDecision::Admitted { .. } => admitted += 1,
                 AdmissionDecision::Shed { backlog } => {
                     assert!(backlog <= 4);
@@ -611,7 +584,7 @@ mod tests {
         let run = || {
             let mut st = AdmissionState::new(2, tight(), QuotaPolicy::unmetered(), 99);
             (0..128u64)
-                .map(|id| st.decide(id, TenantId(id % 3), (id % 2) as usize, Some(50)))
+                .map(|id| st.decide_scheduled(id, TenantId(id % 3), (id % 2) as usize, Some(50), 0))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -623,27 +596,30 @@ mod tests {
         let mut st = AdmissionState::new(1, AdmissionConfig::default(), policy, 5);
         // First budgeted query reserves 60 of the 100.
         assert_eq!(
-            st.decide(0, T0, 0, Some(60)),
+            st.decide_scheduled(0, T0, 0, Some(60), 0),
             AdmissionDecision::Admitted {
                 effective_budget: Some(60)
             }
         );
         // Second wants 60 but only 40 remain: capped, not rejected.
         assert_eq!(
-            st.decide(1, T0, 0, Some(60)),
+            st.decide_scheduled(1, T0, 0, Some(60), 0),
             AdmissionDecision::Admitted {
                 effective_budget: Some(40)
             }
         );
         // Quota now zero: rejected outright, independent of queue state.
         assert_eq!(
-            st.decide(2, T0, 0, Some(1)),
+            st.decide_scheduled(2, T0, 0, Some(1), 0),
             AdmissionDecision::QuotaExhausted
         );
-        assert_eq!(st.decide(3, T0, 0, None), AdmissionDecision::QuotaExhausted);
+        assert_eq!(
+            st.decide_scheduled(3, T0, 0, None, 0),
+            AdmissionDecision::QuotaExhausted
+        );
         // Another tenant is unaffected.
         assert_eq!(
-            st.decide(4, T1, 0, Some(10)),
+            st.decide_scheduled(4, T1, 0, Some(10), 0),
             AdmissionDecision::Admitted {
                 effective_budget: Some(10)
             }
@@ -655,12 +631,15 @@ mod tests {
         let mut st =
             AdmissionState::new(1, AdmissionConfig::default(), QuotaPolicy::uniform(25), 5);
         assert_eq!(
-            st.decide(0, T0, 0, None),
+            st.decide_scheduled(0, T0, 0, None, 0),
             AdmissionDecision::Admitted {
                 effective_budget: Some(25)
             }
         );
-        assert_eq!(st.decide(1, T0, 0, None), AdmissionDecision::QuotaExhausted);
+        assert_eq!(
+            st.decide_scheduled(1, T0, 0, None, 0),
+            AdmissionDecision::QuotaExhausted
+        );
     }
 
     #[test]
@@ -676,12 +655,11 @@ mod tests {
     #[test]
     fn scheduled_with_zero_service_rate_matches_the_count_model() {
         // service_ticks_per_item = 0 keeps the arrival-count drain, so the
-        // scheduled entry point decides exactly like `decide` whatever the
-        // arrival ticks say.
+        // decisions are the same whatever the arrival ticks say.
         let mut count = AdmissionState::new(1, tight(), QuotaPolicy::unmetered(), 21);
         let mut sched = AdmissionState::new(1, tight(), QuotaPolicy::unmetered(), 21);
         for id in 0..64u64 {
-            let a = count.decide(id, T0, 0, Some(40));
+            let a = count.decide_scheduled(id, T0, 0, Some(40), 0);
             let b = sched.decide_scheduled(id, T0, 0, Some(40), id * 17);
             assert_eq!(a, b, "request {id} diverged");
         }

@@ -17,11 +17,15 @@
 //!   never touches a lock, an atomic, or a cache line owned by shard 5;
 //! * [`ServiceWorkload`] is the multi-tenant request stream: every request
 //!   names a tenant, a graph, and a query, and the service runs an
-//!   **admission pass** (in the seeded arrival order) before any query
+//!   **admission pass** (in virtual-time arrival order) before any query
 //!   executes — per-tenant quotas charged against the same
 //!   budget/`retry_charges` machinery that bills individual sessions, and
 //!   a bounded modelled submission queue per served graph with seeded
 //!   load shedding ([`AdmissionConfig`]);
+//! * [`ShardedService::run_scheduled`] is the one executor: a serial
+//!   virtual-time loop per graph ([`scheduler`]), which an unstamped
+//!   workload runs as a plain batch and a [`SchedulePolicy`] turns
+//!   deadline-aware;
 //! * shed and quota-rejected queries receive **anytime answers**: the
 //!   deterministic report answers them from the running summary of their
 //!   graph's completed queries, and the live [`ServiceProgress`] view
@@ -33,13 +37,14 @@
 //! **bit-identical at any shard count and any worker count**. Three design
 //! rules make that true:
 //!
-//! 1. admission decisions are made serially in the seeded arrival order
+//! 1. admission decisions are made serially in `(arrival tick, id)` order
 //!    against a *modelled* queue (arrivals and a fixed drain rate), never
 //!    against wall-clock execution state;
-//! 2. every admitted query runs in its own
-//!    `CachedOsn<AdversarialOsn<&GraphOsn>>` stack with seeds derived from
-//!    (service seed, graph key, query id) — the shard that hosts it only
-//!    decides *where* the work runs;
+//! 2. every slice of an admitted query runs in its own
+//!    [`QueryStack`](labelcount_core::QueryStack) with seeds derived from
+//!    (service seed, graph key, query id, replicate) on its graph's
+//!    virtual clock — the shard that hosts it only decides *where* the
+//!    work runs;
 //! 3. the report aggregates in query-id order; only the live
 //!    [`ServiceProgress`] view is interleaving-dependent, which is the
 //!    point of an anytime estimate.

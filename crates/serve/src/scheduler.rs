@@ -1,24 +1,22 @@
-//! Deadline-aware scheduled serving: a deterministic discrete-event loop
-//! over **virtual latency ticks**, with cancellation, priorities, and
-//! anytime answers.
-//!
-//! The plain service path ([`ShardedService::run`]) executes every
-//! admitted request to completion — a deadline can only be observed, never
-//! enforced. This module adds the enforcing path,
-//! [`ShardedService::run_scheduled`]:
+//! The service's one executor, [`ShardedService::run_scheduled`]: a
+//! deterministic discrete-event loop over **virtual latency ticks**, with
+//! cancellation, priorities, and anytime answers.
 //!
 //! * every request carries a [`Schedule`] — an `arrival_tick`, an optional
 //!   relative deadline, and a [`Priority`] — stamped by a seeded
-//!   [`SchedulePolicy`] through the workload builder;
+//!   [`SchedulePolicy`] through the workload builder; a workload with no
+//!   policy stamped runs as [`SchedulePolicy::batch`] (every request at
+//!   tick 0, no deadline, one slice per admitted query);
 //! * each registered graph runs a **serial discrete-event loop**: a
 //!   virtual clock advances by exactly the latency ticks the adversarial
 //!   backend bills each execution slice ([`labelcount_osn::FetchCost`]),
 //!   never by wall time;
 //! * an admitted query executes as [`SchedulePolicy::replicates`]
-//!   replicate slices; before each slice the scheduler sets the session's
-//!   **tick ceiling** to `deadline − clock`, so the estimator's existing
-//!   step-boundary budget poll doubles as the cancellation yield point —
-//!   no estimator changes, no preemption;
+//!   replicate slices, each one run of the query's [`QueryStack`]; before
+//!   each slice the scheduler sets the session's **tick ceiling** to
+//!   `deadline − clock`, so the estimator's existing step-boundary budget
+//!   poll doubles as the cancellation yield point — no estimator changes,
+//!   no preemption;
 //! * when a deadline passes, the query is cancelled into an **anytime
 //!   answer** ([`ServiceStatus::DeadlineAnytime`]): the running mean ± a
 //!   95% CI over the replicates that finished, falling back to the graph's
@@ -37,15 +35,11 @@
 use std::sync::Mutex;
 
 use labelcount_core::{
-    EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, Schedule, WorkloadProgress,
+    EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, QueryStack, Schedule,
+    Slice, SliceOutcome, WorkloadProgress,
 };
-use labelcount_osn::{
-    AdversarialOsn, CacheConfig, CachedOsn, ChurnOsn, FaultConfig, GraphOsn, OsnApi, OsnBackend,
-    ResilienceConfig, RetryPolicy,
-};
+use labelcount_osn::{ChurnOsn, GraphOsn, OsnBackend};
 use labelcount_stats::{replication_seed, RunningStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
 use crate::router::{GraphKey, TenantId};
@@ -66,6 +60,7 @@ mod stream {
 ///
 /// The default policy is the degenerate schedule: everything arrives at
 /// tick 0, no deadlines, all-normal priority, four replicates per query.
+/// A workload with no policy stamped runs as [`SchedulePolicy::batch`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchedulePolicy {
     /// Mean virtual-tick gap between consecutive arrivals (in id order).
@@ -99,6 +94,13 @@ impl Default for SchedulePolicy {
 }
 
 impl SchedulePolicy {
+    /// The plain batch run of an unstamped workload: every request at
+    /// tick 0, no deadlines, one slice per admitted query — each query's
+    /// stack runs exactly once, within the budget admission reserved.
+    pub fn batch() -> SchedulePolicy {
+        SchedulePolicy::default().with_replicates(1)
+    }
+
     /// Sets the mean interarrival gap.
     #[must_use = "returns the modified policy"]
     pub fn with_interarrival(mut self, mean_ticks: u64) -> SchedulePolicy {
@@ -222,9 +224,11 @@ impl LoopCounters {
     }
 }
 
-/// What one graph's event loop decided for one admitted query.
+/// What one graph's event loop decided for one admitted query. The
+/// outcome is boxed, as is a running task's total: the loop scans every
+/// task each slice, and small task states keep those scans in cache.
 enum TaskStatus {
-    Done(QueryOutcome),
+    Done(Box<QueryOutcome>),
     Cancelled {
         completed_replicates: u64,
         anytime: Option<f64>,
@@ -259,16 +263,10 @@ struct TaskState {
     next_rep: u64,
     stats: RunningStats,
     last_err: Option<EstimateError>,
-    logical_calls: u64,
-    retry_charges: u64,
-    backend_attempts: u64,
-    rate_limited: u64,
-    transient_errors: u64,
-    latency_ticks: u64,
     budget_exhausted: bool,
-    bursts: u64,
-    breaker_opens: u64,
-    stale_served: u64,
+    /// The slices run so far, summed: costs add up, `estimate` is the
+    /// latest slice's. `None` before the first slice.
+    spent: Option<Box<QueryOutcome>>,
     finished: Option<TaskStatus>,
 }
 
@@ -279,18 +277,74 @@ impl TaskState {
             next_rep: 0,
             stats: RunningStats::new(),
             last_err: None,
-            logical_calls: 0,
-            retry_charges: 0,
-            backend_attempts: 0,
-            rate_limited: 0,
-            transient_errors: 0,
-            latency_ticks: 0,
             budget_exhausted: false,
-            bursts: 0,
-            breaker_opens: 0,
-            stale_served: 0,
+            spent: None,
             finished: None,
         }
+    }
+
+    /// Folds one slice into the task: a finished replicate adds its
+    /// estimate (or error), and every slice adds its costs. Returns the
+    /// ticks the slice billed and whether its deadline cut it.
+    fn absorb(&mut self, slice: SliceOutcome) -> (u64, bool) {
+        let SliceOutcome {
+            outcome,
+            ticks_exceeded,
+        } = slice;
+        let ticks_cut = ticks_exceeded && outcome.estimate.is_err();
+        match &outcome.estimate {
+            Ok(e) => {
+                if e.is_finite() {
+                    self.stats.push(*e);
+                }
+                self.next_rep += 1;
+            }
+            Err(err) if !ticks_cut => {
+                // An ordinary failure (e.g. the call budget ran out): the
+                // replicate is spent, the query keeps its slot.
+                self.budget_exhausted |= outcome.budget_exhausted;
+                self.last_err = Some(err.clone());
+                self.next_rep += 1;
+            }
+            Err(_) => {
+                // The deadline fired mid-slice; the loop's sweep converts
+                // the task once the clock has advanced past its deadline.
+            }
+        }
+        let ticks = outcome.latency_ticks;
+        match &mut self.spent {
+            None => self.spent = Some(Box::new(outcome)),
+            Some(spent) => {
+                spent.estimate = outcome.estimate;
+                spent.logical_calls += outcome.logical_calls;
+                spent.retry_charges += outcome.retry_charges;
+                spent.backend_attempts += outcome.backend_attempts;
+                spent.rate_limited += outcome.rate_limited;
+                spent.transient_errors += outcome.transient_errors;
+                spent.latency_ticks += outcome.latency_ticks;
+                spent.bursts += outcome.bursts;
+                spent.breaker_opens += outcome.breaker_opens;
+                spent.stale_served += outcome.stale_served;
+            }
+        }
+        (ticks, ticks_cut)
+    }
+
+    /// The completed query's outcome: the slices' summed costs, and the
+    /// mean over the finite replicate estimates — failing that the last
+    /// error, failing that the last slice's own (non-finite) answer.
+    fn complete(&mut self) -> Box<QueryOutcome> {
+        let mut outcome = self
+            .spent
+            .take()
+            .expect("a query that ran its replicates ran a slice");
+        if self.stats.count() > 0 {
+            outcome.estimate = Ok(self.stats.mean());
+        } else if let Some(err) = self.last_err.take() {
+            outcome.estimate = Err(err);
+        }
+        outcome.budget_exhausted = self.budget_exhausted;
+        outcome
     }
 
     fn arrival(&self) -> u64 {
@@ -325,7 +379,7 @@ fn run_graph_loop<B: OsnBackend>(
     shared: &B,
     churn: Option<&ChurnOsn>,
     tasks: Vec<QuerySpec>,
-    workload: &WorkloadKnobs,
+    stack: &QueryStack,
     fault_base: u64,
     replicates: u64,
     progress: &WorkloadProgress,
@@ -404,82 +458,28 @@ fn run_graph_loop<B: OsnBackend>(
         // yield point. The sweep above guarantees `clock < deadline` here.
         let (slice_ticks, ticks_cut) = {
             let t = &mut tasks[ti];
-            let fault_cfg = FaultConfig {
-                seed: replication_seed(replication_seed(fault_base, t.spec.id), t.next_rep),
-                ..workload.faults
-            };
-            let backend = AdversarialOsn::with_resilience(
+            let slice = stack.run(
                 shared,
-                fault_cfg,
-                workload.retry,
-                workload.resilience,
+                &t.spec,
+                Slice {
+                    fault_seed: replication_seed(
+                        replication_seed(fault_base, t.spec.id),
+                        t.next_rep,
+                    ),
+                    rng_seed: replication_seed(t.spec.seed, t.next_rep),
+                    // The burst process and breaker run on the loop's
+                    // virtual clock: a burst raging at tick 10_000 must
+                    // hit the slice that runs there.
+                    start_tick: clock,
+                    // Allowance is slack + 1: `ticks_exceeded` is `>=`,
+                    // and a slice that bills *exactly* the remaining slack
+                    // ends ON the deadline — a hit with zero slack, not a
+                    // miss. Only going strictly past the deadline cuts the
+                    // slice.
+                    tick_ceiling: t.deadline().map(|d| d - clock + 1),
+                },
             );
-            // The burst process and breaker run on the loop's virtual
-            // clock, not each slice's private tick 0: a burst raging at
-            // tick 10_000 must hit the slice that runs there.
-            backend.set_clock_base(clock);
-            let cache = CachedOsn::with_config(
-                backend,
-                CacheConfig::builder()
-                    .serve_stale(workload.resilience.serve_stale)
-                    .build(),
-            );
-            let session = cache.session();
-            if let Some(b) = t.spec.hard_budget {
-                session.set_budget(b);
-            }
-            if let Some(d) = t.deadline() {
-                // Allowance is slack + 1: `ticks_exceeded` is `>=`, and a
-                // slice that bills *exactly* the remaining slack ends ON
-                // the deadline — a hit with zero slack, not a miss. Only
-                // going strictly past the deadline cuts the slice.
-                session.set_tick_ceiling(d - clock + 1);
-            }
-            let mut rng = StdRng::seed_from_u64(replication_seed(t.spec.seed, t.next_rep));
-            let estimate = t.spec.algorithm.estimate(
-                &session,
-                t.spec.target,
-                t.spec.budget,
-                &workload.run_config,
-                &mut rng,
-            );
-            let slice_ticks = session.latency_ticks();
-            let ticks_cut = session.ticks_exceeded() && estimate.is_err();
-            let calls_out = session.budget_remaining() == Some(0);
-            t.logical_calls += session.api_calls();
-            t.retry_charges += session.retry_charges();
-            let stale_served = session.stale_served();
-            drop(session);
-            let faults = cache.backend().fault_stats();
-            t.backend_attempts += faults.attempts;
-            t.rate_limited += faults.rate_limited;
-            t.transient_errors += faults.transient_errors;
-            t.latency_ticks += slice_ticks;
-            t.bursts += faults.bursts;
-            t.breaker_opens += faults.breaker_opens;
-            t.stale_served += stale_served;
-
-            match estimate {
-                Ok(e) => {
-                    if e.is_finite() {
-                        t.stats.push(e);
-                    }
-                    t.next_rep += 1;
-                }
-                Err(err) if !ticks_cut => {
-                    // An ordinary failure (e.g. the call budget ran out):
-                    // the replicate is spent, the query keeps its slot.
-                    t.budget_exhausted |= calls_out;
-                    t.last_err = Some(err);
-                    t.next_rep += 1;
-                }
-                Err(_) => {
-                    // The deadline fired mid-slice; the sweep at the top
-                    // of the next iteration converts the task, after the
-                    // clock has advanced past its deadline below.
-                }
-            }
-            (slice_ticks, ticks_cut)
+            t.absorb(slice)
         };
 
         // Advance virtual time by exactly what the slice billed, and
@@ -520,30 +520,9 @@ fn run_graph_loop<B: OsnBackend>(
                     counters.slack_sum += d - clock;
                 }
             }
-            let estimate = if t.stats.count() > 0 {
-                Ok(t.stats.mean())
-            } else {
-                Err(t
-                    .last_err
-                    .clone()
-                    .expect("a no-estimate query recorded an error"))
-            };
-            progress.record(estimate.as_ref().ok().copied());
-            t.finished = Some(TaskStatus::Done(QueryOutcome {
-                id: t.spec.id,
-                abbrev: t.spec.algorithm.abbrev(),
-                estimate,
-                logical_calls: t.logical_calls,
-                retry_charges: t.retry_charges,
-                backend_attempts: t.backend_attempts,
-                rate_limited: t.rate_limited,
-                transient_errors: t.transient_errors,
-                latency_ticks: t.latency_ticks,
-                budget_exhausted: t.budget_exhausted,
-                bursts: t.bursts,
-                breaker_opens: t.breaker_opens,
-                stale_served: t.stale_served,
-            }));
+            let outcome = t.complete();
+            progress.record(outcome.estimate.as_ref().ok().copied());
+            t.finished = Some(TaskStatus::Done(outcome));
         }
     }
 
@@ -574,24 +553,16 @@ fn run_graph_loop<B: OsnBackend>(
     }
 }
 
-/// The service-level knobs a graph loop needs (borrowed out of the
-/// [`ServiceWorkload`] once, so loops never touch the request list).
-struct WorkloadKnobs {
-    faults: FaultConfig,
-    retry: RetryPolicy,
-    resilience: ResilienceConfig,
-    run_config: labelcount_core::RunConfig,
-}
-
 impl<'g> ShardedService<'g> {
-    /// Runs a **deadline-aware scheduled** workload: virtual-time
-    /// admission in `(arrival_tick, id)` order, then one serial
-    /// discrete-event loop per graph (distributed over shard threads and
-    /// up to `workers` threads per shard), then assembly in request-id
-    /// order with [`SchedulingCounters`] attached.
+    /// Runs a multi-tenant workload: virtual-time admission in
+    /// `(arrival_tick, id)` order, then one serial discrete-event loop per
+    /// graph (distributed over shard threads and up to `workers` threads
+    /// per shard), then assembly in request-id order with
+    /// [`SchedulingCounters`] attached.
     ///
     /// Requests carry their [`Schedule`]s; stamp them with
-    /// [`crate::ServiceWorkloadBuilder::schedule`]. The returned
+    /// [`crate::ServiceWorkloadBuilder::schedule`]. An unstamped workload
+    /// runs under [`SchedulePolicy::batch`]. The returned
     /// [`ServiceReport`] is bit-identical at any shard count and any
     /// worker count.
     pub fn run_scheduled(&self, workload: ServiceWorkload, workers: usize) -> ServiceReport {
@@ -621,7 +592,10 @@ impl<'g> ShardedService<'g> {
                 "request ids must be strictly increasing"
             );
         }
-        let policy = workload.scheduling.clone().unwrap_or_default();
+        let policy = workload
+            .scheduling
+            .clone()
+            .unwrap_or_else(SchedulePolicy::batch);
         policy.validate();
 
         // Phase 1 — virtual-time admission, serially in ascending
@@ -667,11 +641,11 @@ impl<'g> ShardedService<'g> {
             resilience,
             ..
         } = workload;
-        let knobs = WorkloadKnobs {
+        let stack = QueryStack {
+            run_config,
             faults,
             retry,
             resilience,
-            run_config,
         };
         let mut graph_tasks: Vec<Vec<QuerySpec>> =
             (0..self.graphs.len()).map(|_| Vec::new()).collect();
@@ -736,7 +710,7 @@ impl<'g> ShardedService<'g> {
                     let mine: Vec<usize> = gis.iter().copied().skip(b).step_by(buckets).collect();
                     let slots = &slots;
                     let task_slots = &task_slots;
-                    let knobs = &knobs;
+                    let stack = &stack;
                     scope.spawn(move || {
                         for gi in mine {
                             let tasks = task_slots[gi]
@@ -750,7 +724,7 @@ impl<'g> ShardedService<'g> {
                                     &GraphOsn::new(e.graph()),
                                     None,
                                     tasks,
-                                    knobs,
+                                    stack,
                                     fault_base,
                                     replicates,
                                     &progress.slots[gi].1,
@@ -759,7 +733,7 @@ impl<'g> ShardedService<'g> {
                                     e.backend(),
                                     None,
                                     tasks,
-                                    knobs,
+                                    stack,
                                     fault_base,
                                     replicates,
                                     &progress.slots[gi].1,
@@ -768,7 +742,7 @@ impl<'g> ShardedService<'g> {
                                     e.backend(),
                                     Some(e.backend()),
                                     tasks,
-                                    knobs,
+                                    stack,
                                     fault_base,
                                     replicates,
                                     &progress.slots[gi].1,
@@ -817,7 +791,7 @@ impl<'g> ShardedService<'g> {
                                     summary.push(e);
                                 }
                             }
-                            ServiceStatus::Completed(q.clone())
+                            ServiceStatus::Completed(QueryOutcome::clone(q))
                         }
                         TaskStatus::Cancelled {
                             completed_replicates,
@@ -896,8 +870,52 @@ impl<'g> ShardedService<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use labelcount_core::RunConfig;
-    use labelcount_graph::TargetLabel;
+    use labelcount_core::{Algorithm, RunConfig};
+    use labelcount_graph::gen::barabasi_albert;
+    use labelcount_graph::labels::{assign_binary_labels, with_labels};
+    use labelcount_graph::{LabeledGraph, NodeId, TargetLabel};
+    use labelcount_osn::{FaultConfig, OsnApi, RetryPolicy};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    fn fixture() -> LabeledGraph {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = barabasi_albert(200, 3, &mut rng);
+        let mut labels = vec![Vec::new(); g.num_nodes()];
+        assign_binary_labels(&mut labels, 0.4, &mut rng);
+        with_labels(&g, &labels)
+    }
+
+    /// An unstamped hostile stream over one graph.
+    fn batch(n: usize) -> ServiceWorkload {
+        ServiceWorkload::mixed_multi_tenant(
+            n,
+            &[GraphKey(0)],
+            2,
+            0.3,
+            TargetLabel::new(1.into(), 2.into()),
+            40,
+            11,
+            RunConfig {
+                burn_in: 20,
+                thinning_frac: 0.0,
+            },
+        )
+        .builder()
+        .faults(FaultConfig::hostile(11, 0.2), RetryPolicy::default())
+        .build()
+    }
+
+    fn completed(report: &ServiceReport) -> Vec<&QueryOutcome> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| match &o.status {
+                ServiceStatus::Completed(q) => q,
+                other => panic!("request {} not completed: {other:?}", o.id),
+            })
+            .collect()
+    }
 
     fn stamped(policy: SchedulePolicy) -> ServiceWorkload {
         ServiceWorkload::mixed_multi_tenant(
@@ -961,5 +979,107 @@ mod tests {
             }));
             assert!(caught.is_err(), "policy {bad:?} must be rejected");
         }
+    }
+
+    /// The one-stack contract: an unstamped workload runs as a batch, and
+    /// a batch query's outcome is exactly one [`QueryStack::run`] with the
+    /// loop's seeds, started at the virtual tick the queries before it
+    /// billed up to.
+    #[test]
+    fn a_batch_query_is_one_plain_stack_run() {
+        let g = fixture();
+        let mut svc = ShardedService::new(1, 3);
+        svc.register(GraphKey(0), &g);
+        let report = svc.run_scheduled(batch(6), 1);
+        let wl = batch(6);
+        let stack = QueryStack {
+            run_config: wl.run_config,
+            faults: wl.faults,
+            retry: wl.retry,
+            resilience: wl.resilience,
+        };
+        let fault_base = replication_seed(
+            replication_seed(wl.seed, stream::GRAPH_FAULT),
+            GraphKey(0).0,
+        );
+        let osn = GraphOsn::new(&g);
+        let mut clock = 0;
+        for (got, req) in completed(&report).into_iter().zip(&wl.requests) {
+            let q = &req.query;
+            let want = stack
+                .run(
+                    &osn,
+                    q,
+                    Slice {
+                        fault_seed: replication_seed(replication_seed(fault_base, q.id), 0),
+                        rng_seed: replication_seed(q.seed, 0),
+                        start_tick: clock,
+                        tick_ceiling: None,
+                    },
+                )
+                .outcome;
+            clock += want.latency_ticks;
+            assert_eq!(
+                got.estimate.as_ref().map(|e| e.to_bits()).ok(),
+                want.estimate.as_ref().map(|e| e.to_bits()).ok(),
+                "query {}",
+                q.id
+            );
+            assert_eq!(
+                (got.logical_calls, got.retry_charges, got.backend_attempts),
+                (
+                    want.logical_calls,
+                    want.retry_charges,
+                    want.backend_attempts
+                ),
+                "query {}",
+                q.id
+            );
+            assert_eq!(got.latency_ticks, want.latency_ticks, "query {}", q.id);
+            assert_eq!(got.stale_served, want.stale_served, "query {}", q.id);
+        }
+        assert!(clock > 0, "a hostile API must bill ticks");
+        let sched = report.scheduling.expect("every run reports scheduling");
+        assert_eq!((sched.cancellations, sched.deadline_hits), (0, 0));
+    }
+
+    /// An estimator whose every answer is non-finite (an HT estimator on a
+    /// degenerate sample can do this).
+    struct Degenerate;
+
+    impl Algorithm for Degenerate {
+        fn abbrev(&self) -> &'static str {
+            "degenerate"
+        }
+
+        fn estimate(
+            &self,
+            osn: &dyn OsnApi,
+            _: TargetLabel,
+            _: usize,
+            _: &RunConfig,
+            _: &mut dyn RngCore,
+        ) -> Result<f64, EstimateError> {
+            osn.neighbors(NodeId(0));
+            Ok(f64::INFINITY)
+        }
+    }
+
+    #[test]
+    fn non_finite_replicates_complete_with_their_own_answer() {
+        let g = fixture();
+        let mut svc = ShardedService::new(1, 3);
+        svc.register(GraphKey(0), &g);
+        let mut wl = batch(2)
+            .builder()
+            .schedule(SchedulePolicy::default())
+            .build();
+        wl.requests[1].query.algorithm = Box::new(Degenerate);
+        let report = svc.run_scheduled(wl, 1);
+        let outcomes = completed(&report);
+        assert_eq!(outcomes[1].estimate, Ok(f64::INFINITY));
+        assert_eq!(outcomes[1].logical_calls, 4, "one call per replicate");
+        // Non-finite answers stay out of the summary.
+        assert_eq!(report.summary.count(), 1);
     }
 }

@@ -7,44 +7,33 @@
 //! per graph inside its owning shard. Shards share nothing at run time:
 //! a shard thread only ever touches the engines of its own graphs.
 //!
-//! [`ServiceWorkload`] is the multi-tenant request stream. Running it has
+//! [`ServiceWorkload`] is the multi-tenant request stream. Running it
+//! ([`ShardedService::run_scheduled`], the service's one executor) has
 //! three phases:
 //!
-//! 1. **admission** — serial, in the seeded arrival order, against one
-//!    modelled queue per registered graph plus per-tenant quotas
-//!    ([`crate::admission`]);
-//! 2. **execution** — admitted requests become per-graph
-//!    [`Workload`]s; one thread per shard runs its graphs' workloads over
-//!    the shard's engines (per-graph worker pools inside);
+//! 1. **admission** — serial, in `(arrival tick, id)` order, against one
+//!    modelled queue per registered graph plus per-tenant quotas and rate
+//!    limits ([`crate::admission`]);
+//! 2. **execution** — admitted requests become per-graph task lists; each
+//!    graph runs one serial virtual-time loop ([`crate::scheduler`]) over
+//!    its engine's backend, loops spread over the shard threads;
 //! 3. **report** — outcomes re-assembled in request-id order, with
 //!    **anytime answers** for shed / quota-rejected requests taken from
 //!    their graph's deterministic summary.
 
-use std::sync::Mutex;
-
-use labelcount_core::{
-    Engine, QueryOutcome, QuerySpec, RunConfig, Schedule, Workload, WorkloadProgress,
-    WorkloadReport,
-};
+use labelcount_core::{Engine, QueryOutcome, QuerySpec, RunConfig, Schedule, WorkloadProgress};
 use labelcount_graph::{LabeledGraph, TargetLabel};
 use labelcount_osn::{
     CacheConfig, ChurnOsn, FaultConfig, PagedGraphOsn, ResilienceConfig, RetryPolicy,
 };
 use labelcount_stats::{replication_seed, RunningStats};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-use crate::admission::{
-    unit_hash, AdmissionConfig, AdmissionDecision, AdmissionState, QuotaPolicy, RateLimitPolicy,
-};
+use crate::admission::{unit_hash, AdmissionConfig, QuotaPolicy, RateLimitPolicy};
 use crate::router::{GraphKey, ShardRouter, TenantId};
 use crate::scheduler::{SchedulePolicy, SchedulingCounters};
 
 /// Stream ids for the service's internal seed derivations.
 mod stream {
-    pub const ARRIVAL: u64 = 0x5e11;
-    pub const GRAPH_WL: u64 = 0x5e12;
     pub const TENANT_COIN: u64 = 0x5e13;
     pub const TENANT_PICK: u64 = 0x5e14;
     pub const REQUEST_RNG: u64 = 0x5e15;
@@ -101,13 +90,12 @@ impl From<ServiceRequest> for QuerySpec {
 pub struct ServiceWorkload {
     /// The requests, in strictly increasing id order.
     pub requests: Vec<ServiceRequest>,
-    /// Base seed: arrival order, shed coins, and per-graph workload seeds
-    /// derive from it.
+    /// Base seed: shed coins and per-graph fault seeds derive from it.
     pub seed: u64,
     /// Shared run parameters (burn-in, thinning).
     pub run_config: RunConfig,
     /// Fault model decorating every query's backend stack (seed re-derived
-    /// per query, as in [`Workload`]).
+    /// per query slice).
     pub faults: FaultConfig,
     /// Retry policy for fault recovery.
     pub retry: RetryPolicy,
@@ -121,9 +109,9 @@ pub struct ServiceWorkload {
     /// Reactive resilience knobs (circuit breaker, retry budget, stale
     /// serving) decorating every admitted query's stack.
     pub resilience: ResilienceConfig,
-    /// Scheduling policy for deadline-aware runs
-    /// ([`ShardedService::run_scheduled`]); `None` until
-    /// [`ServiceWorkloadBuilder::schedule`] stamps one.
+    /// Scheduling policy of the run ([`ShardedService::run_scheduled`]);
+    /// `None` until [`ServiceWorkloadBuilder::schedule`] stamps one. An
+    /// unstamped workload runs as [`SchedulePolicy::batch`].
     pub scheduling: Option<SchedulePolicy>,
 }
 
@@ -134,7 +122,7 @@ impl ServiceWorkload {
     /// with probability `tenant_skew` the request belongs to tenant 0
     /// (the heavy hitter), otherwise to a uniformly drawn tenant. Every
     /// request is hard-budgeted at `6 × (budget + burn-in)` charged calls,
-    /// mirroring [`Workload::mixed`].
+    /// mirroring [`labelcount_core::Workload::mixed`].
     #[allow(clippy::too_many_arguments)] // mirrors Workload::mixed plus the tenancy axes
     pub fn mixed_multi_tenant(
         n: usize,
@@ -203,19 +191,9 @@ impl ServiceWorkload {
         ServiceWorkloadBuilder { inner: self }
     }
 
-    /// The seeded arrival order: request indices shuffled under the
-    /// workload seed. Deterministic, independent of shard and worker
-    /// counts.
-    pub fn arrival_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.requests.len()).collect();
-        let mut rng = StdRng::seed_from_u64(replication_seed(self.seed, stream::ARRIVAL));
-        order.shuffle(&mut rng);
-        order
-    }
-
-    /// The virtual-time arrival order for scheduled runs: request indices
-    /// sorted by `(arrival_tick, id)`. With unstamped schedules (all
-    /// arrivals at tick 0) this degenerates to id order.
+    /// The virtual-time arrival order admission decides in: request
+    /// indices sorted by `(arrival_tick, id)`. With unstamped schedules
+    /// (all arrivals at tick 0) this degenerates to id order.
     pub fn scheduled_arrival_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.requests.len()).collect();
         order.sort_by_key(|&i| {
@@ -383,8 +361,8 @@ pub struct ServiceReport {
     pub summary: RunningStats,
     /// Admission and fairness counters.
     pub serving: ServingCounters,
-    /// Deadline-scheduler counters; `Some` only for
-    /// [`ShardedService::run_scheduled`] runs.
+    /// Deadline-scheduler counters; every [`ShardedService::run_scheduled`]
+    /// report carries them.
     pub scheduling: Option<SchedulingCounters>,
 }
 
@@ -424,8 +402,8 @@ pub struct ServiceProgress {
 
 impl ServiceProgress {
     /// A progress view shaped for `service` (one slot per registered
-    /// graph). [`ShardedService::run_observed`] requires the view to be
-    /// built from the same service.
+    /// graph). [`ShardedService::run_scheduled_observed`] requires the view
+    /// to be built from the same service.
     pub fn for_service(service: &ShardedService<'_>) -> ServiceProgress {
         ServiceProgress {
             slots: service
@@ -456,10 +434,10 @@ impl ServiceProgress {
 }
 
 /// One registered graph's engine: in-RAM (borrowing the caller's
-/// [`LabeledGraph`]) or out-of-core (owning a [`PagedGraphOsn`] whose
-/// residency the buffer pool bounds). Both run the identical query stack;
-/// the serving layer only dispatches on the variant where it must hand
-/// the scheduler a concrete backend.
+/// [`LabeledGraph`]), out-of-core (owning a [`PagedGraphOsn`] whose
+/// residency the buffer pool bounds), or churned. All run the identical
+/// query stack; the serving layer only dispatches on the variant where it
+/// must hand the scheduler a concrete backend.
 pub(crate) enum AnyEngine<'g> {
     /// In-RAM backend over a borrowed graph.
     Ram(Engine<'g>),
@@ -472,21 +450,6 @@ pub(crate) enum AnyEngine<'g> {
     /// schedule on the virtual clock between slices. Boxed for the same
     /// size reason as `Paged`.
     Churn(Box<Engine<'g, ChurnOsn>>),
-}
-
-impl AnyEngine<'_> {
-    fn run_workload_observed(
-        &self,
-        workload: &Workload,
-        workers: usize,
-        progress: &WorkloadProgress,
-    ) -> WorkloadReport {
-        match self {
-            AnyEngine::Ram(e) => e.run_workload_observed(workload, workers, progress),
-            AnyEngine::Paged(e) => e.run_workload_observed(workload, workers, progress),
-            AnyEngine::Churn(e) => e.run_workload_observed(workload, workers, progress),
-        }
-    }
 }
 
 /// A long-lived multi-graph service: consistent-hash routing to
@@ -645,255 +608,6 @@ impl<'g> ShardedService<'g> {
     pub(crate) fn graph_index(&self, key: GraphKey) -> Option<usize> {
         self.graphs.iter().position(|(k, _, _)| *k == key)
     }
-
-    /// Runs a multi-tenant workload: admission in the seeded arrival
-    /// order, then execution with one thread per shard and up to
-    /// `workers` worker threads per graph workload.
-    ///
-    /// The returned [`ServiceReport`] is bit-identical at any shard count
-    /// and any worker count.
-    pub fn run(&self, workload: ServiceWorkload, workers: usize) -> ServiceReport {
-        let progress = ServiceProgress::for_service(self);
-        self.run_observed(workload, workers, &progress)
-    }
-
-    /// [`ShardedService::run`] with a caller-owned [`ServiceProgress`]
-    /// (built by [`ServiceProgress::for_service`] on this service) that
-    /// another thread can poll for live anytime estimates.
-    pub fn run_observed(
-        &self,
-        workload: ServiceWorkload,
-        workers: usize,
-        progress: &ServiceProgress,
-    ) -> ServiceReport {
-        assert_eq!(
-            progress.slots.len(),
-            self.graphs.len(),
-            "progress view was not built for this service"
-        );
-        let n = workload.requests.len();
-        for w in workload.requests.windows(2) {
-            assert!(
-                w[0].id() < w[1].id(),
-                "request ids must be strictly increasing"
-            );
-        }
-
-        // Phase 1 — admission, serially in the seeded arrival order,
-        // against one modelled queue per registered graph. Placement-
-        // independent: the shard only decides where admitted work runs.
-        let order = workload.arrival_order();
-        let mut admission = AdmissionState::with_rate_limits(
-            self.graphs.len(),
-            workload.admission,
-            workload.quotas.clone(),
-            workload.rate_limits.clone(),
-            workload.seed,
-        );
-        enum Decided {
-            Known(usize, AdmissionDecision),
-            Unknown,
-        }
-        let mut decisions: Vec<Option<Decided>> = (0..n).map(|_| None).collect();
-        for &ri in &order {
-            let req = &workload.requests[ri];
-            decisions[ri] = Some(match self.graph_index(req.graph) {
-                Some(gi) => Decided::Known(
-                    gi,
-                    admission.decide(req.id(), req.tenant, gi, req.query.hard_budget),
-                ),
-                None => Decided::Unknown,
-            });
-        }
-
-        // Phase 2 — build per-graph workloads from the admitted requests
-        // (in id order) and execute them, one thread per shard. The
-        // per-graph workload seed derives from the graph key alone, so
-        // per-query fault seeds and arrival shuffles are placement-
-        // independent too.
-        let ServiceWorkload {
-            requests,
-            seed,
-            run_config,
-            faults,
-            retry,
-            resilience,
-            ..
-        } = workload;
-        let mut graph_queries: Vec<Vec<QuerySpec>> =
-            (0..self.graphs.len()).map(|_| Vec::new()).collect();
-        struct Pending {
-            id: u64,
-            tenant: TenantId,
-            graph: GraphKey,
-            shard: usize,
-            decided: Decided,
-        }
-        let mut pending: Vec<Pending> = Vec::with_capacity(n);
-        for (ri, req) in requests.into_iter().enumerate() {
-            let decided = decisions[ri].take().expect("every request was decided");
-            let shard = self.shard_of(req.graph);
-            let id = req.id();
-            let ServiceRequest {
-                tenant,
-                graph,
-                query,
-            } = req;
-            if let Decided::Known(gi, AdmissionDecision::Admitted { effective_budget }) = decided {
-                graph_queries[gi].push(QuerySpec {
-                    hard_budget: effective_budget,
-                    ..query
-                });
-            }
-            pending.push(Pending {
-                id,
-                tenant,
-                graph,
-                shard,
-                decided,
-            });
-        }
-        let graph_workloads: Vec<Workload> = graph_queries
-            .into_iter()
-            .enumerate()
-            .map(|(gi, queries)| Workload {
-                queries,
-                seed: replication_seed(
-                    replication_seed(seed, stream::GRAPH_WL),
-                    self.graphs[gi].0 .0,
-                ),
-                run_config,
-                faults,
-                retry,
-                resilience,
-            })
-            .collect();
-
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.router.shards()];
-        for (gi, wl) in graph_workloads.iter().enumerate() {
-            if !wl.queries.is_empty() {
-                by_shard[self.graphs[gi].1].push(gi);
-            }
-        }
-        let slots: Vec<Mutex<Option<WorkloadReport>>> =
-            (0..self.graphs.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for gis in &by_shard {
-                if gis.is_empty() {
-                    continue;
-                }
-                let graph_workloads = &graph_workloads;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // This thread IS the shard: it serves only its own
-                    // graphs' engines and writes only its own slots.
-                    for &gi in gis {
-                        let report = self.graphs[gi].2.run_workload_observed(
-                            &graph_workloads[gi],
-                            workers,
-                            &progress.slots[gi].1,
-                        );
-                        *slots[gi].lock().unwrap() = Some(report);
-                    }
-                });
-            }
-        });
-        let reports: Vec<Option<WorkloadReport>> =
-            slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
-
-        // Phase 3 — assemble the deterministic report in request-id order.
-        let anytime = |gi: usize| -> Option<f64> {
-            let r = reports[gi].as_ref()?;
-            (r.summary.count() > 0).then(|| r.summary.mean())
-        };
-        let mut outcomes = Vec::with_capacity(n);
-        let mut admitted = 0u64;
-        let mut shed = 0u64;
-        let mut quota_exhausted = 0u64;
-        let mut quota_throttled = 0u64;
-        let mut per_tenant: Vec<(TenantId, u64)> = Vec::new();
-        let mut summary = RunningStats::new();
-        for p in pending {
-            let status = match p.decided {
-                Decided::Unknown => ServiceStatus::UnknownGraph,
-                Decided::Known(gi, AdmissionDecision::Admitted { .. }) => {
-                    admitted += 1;
-                    match per_tenant.iter_mut().find(|(t, _)| *t == p.tenant) {
-                        Some((_, c)) => *c += 1,
-                        None => per_tenant.push((p.tenant, 1)),
-                    }
-                    let report = reports[gi].as_ref().expect("admitted graph ran");
-                    let qi = report
-                        .outcomes
-                        .binary_search_by_key(&p.id, |o| o.id)
-                        .expect("admitted query has an outcome");
-                    let outcome = report.outcomes[qi].clone();
-                    if let Ok(e) = outcome.estimate {
-                        if e.is_finite() {
-                            summary.push(e);
-                        }
-                    }
-                    ServiceStatus::Completed(outcome)
-                }
-                Decided::Known(gi, AdmissionDecision::Shed { backlog }) => {
-                    shed += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Shed {
-                        backlog,
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::QuotaExhausted) => {
-                    quota_exhausted += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::QuotaExhausted {
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::Throttled) => {
-                    quota_throttled += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Throttled {
-                        anytime: anytime(gi),
-                    }
-                }
-            };
-            outcomes.push(ServiceOutcome {
-                id: p.id,
-                tenant: p.tenant,
-                graph: p.graph,
-                shard: p.shard,
-                status,
-            });
-        }
-        let tenant_fairness = if per_tenant.is_empty() {
-            1.0
-        } else {
-            let max = per_tenant.iter().map(|(_, c)| *c).max().unwrap_or(0);
-            let min = per_tenant.iter().map(|(_, c)| *c).min().unwrap_or(0);
-            max as f64 / min.max(1) as f64
-        };
-        ServiceReport {
-            outcomes,
-            summary,
-            serving: ServingCounters {
-                shards: self.router.shards() as u64,
-                submitted: n as u64,
-                admitted,
-                shed,
-                quota_exhausted,
-                quota_throttled,
-                tenant_fairness,
-            },
-            scheduling: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -901,6 +615,8 @@ mod tests {
     use super::*;
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn fixture(seed: u64) -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -952,7 +668,7 @@ mod tests {
             svc.register(k, &g);
         }
         let wl = ServiceWorkload::mixed_multi_tenant(12, &gks, 3, 0.3, target(), 60, 11, cfg());
-        let report = svc.run(wl, 2);
+        let report = svc.run_scheduled(wl, 2);
         assert_eq!(report.outcomes.len(), 12);
         assert_eq!(report.serving.submitted, 12);
         assert_eq!(report.serving.admitted, 12);
@@ -982,7 +698,7 @@ mod tests {
         let mut wl =
             ServiceWorkload::mixed_multi_tenant(4, &keys(1), 1, 0.0, target(), 40, 13, cfg());
         wl.requests[2].graph = GraphKey(77); // never registered
-        let report = svc.run(wl, 1);
+        let report = svc.run_scheduled(wl, 1);
         assert!(matches!(
             report.outcomes[2].status,
             ServiceStatus::UnknownGraph
@@ -1008,7 +724,7 @@ mod tests {
                 ..AdmissionConfig::default()
             })
             .build();
-        let report = svc.run(wl, 2);
+        let report = svc.run_scheduled(wl, 2);
         assert!(report.serving.shed > 0, "tight queue never shed");
         assert!(report.serving.admitted > 0, "tight queue admitted nothing");
         for o in &report.outcomes {
@@ -1034,7 +750,7 @@ mod tests {
             .builder()
             .quotas(QuotaPolicy::uniform(900))
             .build();
-        let report = svc.run(wl, 1);
+        let report = svc.run_scheduled(wl, 1);
         assert!(report.serving.quota_exhausted > 0, "quota never exhausted");
         assert!(report.serving.admitted > 0);
         assert!(report.serving.tenant_fairness >= 1.0);
@@ -1060,7 +776,7 @@ mod tests {
         }
         let wl = ServiceWorkload::mixed_multi_tenant(8, &gks, 2, 0.2, target(), 40, 23, cfg());
         let progress = ServiceProgress::for_service(&svc);
-        let report = svc.run_observed(wl, 2, &progress);
+        let report = svc.run_scheduled_observed(wl, 2, &progress);
         assert_eq!(progress.completed() as u64, report.serving.admitted);
         for &k in &gks {
             let live = progress.anytime_estimate(k);
@@ -1088,8 +804,8 @@ mod tests {
         for &k in &keys(2) {
             svc.register(k, &g);
         }
-        let a = svc.run(build(), 2);
-        let b = svc.run(build(), 4);
+        let a = svc.run_scheduled(build(), 2);
+        let b = svc.run_scheduled(build(), 4);
         assert_eq!(a.serving, b.serving);
         assert_eq!(a.summary.mean().to_bits(), b.summary.mean().to_bits());
     }

@@ -3,7 +3,7 @@
 //! count** — sharding and parallelism decide *where* and *when* work
 //! runs, never *what* it answers — and admission (shedding + quotas)
 //! decides identically across interleavings because it is a pure function
-//! of the seeded arrival sequence.
+//! of the virtual-time arrival sequence.
 
 use labelcount_core::{Priority, RunConfig};
 use labelcount_graph::churn::{ChurnConfig, ChurnSchedule, ChurnStats, MutableGraph};
@@ -247,7 +247,7 @@ fn report_is_bit_identical_across_shard_and_worker_counts() {
         for (i, &k) in gks.iter().enumerate() {
             svc.register(k, graphs[i]);
         }
-        svc.run(contested(31, 30, &gks), workers)
+        svc.run_scheduled(contested(31, 30, &gks), workers)
     };
 
     let baseline = run(1, 1);
@@ -270,7 +270,7 @@ fn report_is_bit_identical_across_shard_and_worker_counts() {
 fn quota_exhaustion_sheds_identically_across_interleavings() {
     // A hog tenant under a tight quota: the set of quota-rejected request
     // ids must be identical at every shard/worker combination — the
-    // reservation order is the seeded arrival order, not execution order.
+    // reservation order is the arrival order, not execution order.
     let g = fixture(4);
     let gks = graph_keys(2);
     let build = || {
@@ -284,7 +284,7 @@ fn quota_exhaustion_sheds_identically_across_interleavings() {
         for &k in &gks {
             svc.register(k, &g);
         }
-        svc.run(build(), workers)
+        svc.run_scheduled(build(), workers)
             .outcomes
             .iter()
             .filter(|o| matches!(o.status, ServiceStatus::QuotaExhausted { .. }))
@@ -304,7 +304,7 @@ fn quota_exhaustion_sheds_identically_across_interleavings() {
 
 #[test]
 fn shards_share_nothing_through_workload_runs() {
-    // Workload execution gives every query its own access stack; the
+    // Service runs give every query slice its own access stack; the
     // per-graph engines' shared caches stay untouched, so one shard's
     // traffic is invisible in another shard's accounting.
     let g0 = fixture(5);
@@ -313,7 +313,7 @@ fn shards_share_nothing_through_workload_runs() {
     let mut svc = ShardedService::new(2, 13);
     svc.register(gks[0], &g0);
     svc.register(gks[1], &g1);
-    let report = svc.run(
+    let report = svc.run_scheduled(
         ServiceWorkload::mixed_multi_tenant(8, &gks, 2, 0.3, target(), 40, 43, cfg()),
         4,
     );
@@ -342,7 +342,7 @@ fn anytime_answers_equal_the_graph_summary_mean() {
     let gks = graph_keys(1);
     let mut svc = ShardedService::new(1, 3);
     svc.register(gks[0], &g);
-    let report = svc.run(contested(53, 20, &gks), 2);
+    let report = svc.run_scheduled(contested(53, 20, &gks), 2);
     assert!(report.serving.shed + report.serving.quota_exhausted > 0);
     // One graph: the deterministic summary over completed estimates IS
     // the anytime answer every rejected request received.
@@ -765,7 +765,7 @@ fn shared_rate_limit_throttles_concurrent_tenant_queries() {
     let gks = graph_keys(1);
     let mut svc = ShardedService::new(1, 9);
     svc.register(gks[0], &g);
-    // All arrivals share tick 0 on the unscheduled path, so the bucket
+    // An unstamped workload puts every arrival at tick 0, so the bucket
     // never refills: each tenant's queries drain one shared bucket until
     // it runs dry and the rest are throttled.
     let wl = ServiceWorkload::mixed_multi_tenant(12, &gks, 3, 0.3, target(), 40, 23, cfg())
@@ -775,7 +775,7 @@ fn shared_rate_limit_throttles_concurrent_tenant_queries() {
             refill_interval_ticks: 1_000_000,
         }))
         .build();
-    let report = svc.run(wl, 2);
+    let report = svc.run_scheduled(wl, 2);
     assert!(report.serving.quota_throttled > 0, "bucket never ran dry");
     assert!(report.serving.admitted > 0, "nothing admitted");
     assert_eq!(report.serving.shed, 0);
@@ -881,7 +881,7 @@ proptest! {
             for &k in &gks {
                 svc.register(k, &g);
             }
-            svc.run(contested(seed, 12, &gks), workers)
+            svc.run_scheduled(contested(seed, 12, &gks), workers)
         };
         let a = run();
         let b = run();

@@ -243,8 +243,8 @@ fn engine_replication_is_bit_identical_with_l1_on_and_off() {
 /// replicated estimation, now with faults in the loop.
 #[test]
 fn workload_over_adversarial_osn_is_bit_identical_across_worker_counts() {
-    use labelcount::core::Workload;
-    use labelcount::osn::{FaultConfig, RetryPolicy};
+    use labelcount::core::{run_workload, Workload};
+    use labelcount::osn::{FaultConfig, GraphOsn, RetryPolicy};
 
     let d = build(DatasetKind::FacebookLike, 0.05, 41);
     let target = d.targets[0].label;
@@ -256,15 +256,15 @@ fn workload_over_adversarial_osn_is_bit_identical_across_worker_counts() {
         .builder()
         .faults(FaultConfig::hostile(0xFA17, 0.3), RetryPolicy::default())
         .build();
-    let engine = Engine::new(&d.graph);
+    let osn = GraphOsn::new(&d.graph);
 
-    let reference = engine.run_workload(&workload, 1);
+    let reference = run_workload(&osn, &workload, 1, None);
     assert!(
         reference.total_retry_charges() > 0,
         "a 0.3 fault rate must charge retries, or this test is vacuous"
     );
     for workers in [2usize, 8] {
-        let run = engine.run_workload(&workload, workers);
+        let run = run_workload(&osn, &workload, workers, None);
         assert_eq!(run.outcomes.len(), reference.outcomes.len());
         for (a, b) in reference.outcomes.iter().zip(&run.outcomes) {
             assert_eq!(a.id, b.id);
