@@ -24,8 +24,18 @@ use rand::SeedableRng;
 use crate::algorithm::RunConfig;
 use crate::request::{QueryOutcome, QuerySpec};
 
+/// Lock shards of each run's private cache (see [`QueryStack`]).
+const SLICE_CACHE_SHARDS: usize = 1;
+
 /// The knobs every query's access stack is built from — shared by every
 /// query of a workload.
+///
+/// The stack's cache has one lock shard, not [`CacheConfig`]'s default
+/// 64. It is unbounded and read by one session on one thread, so there is
+/// no contention to spread; more shards would only add allocations to
+/// every build and drop of the stack and scatter its entries. For an
+/// unbounded cache the shard count changes no estimate, RNG stream, or
+/// miss count (`crates/core/tests/proptest_cached.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct QueryStack {
     /// Run parameters (burn-in, thinning) handed to the estimator.
@@ -85,6 +95,7 @@ impl QueryStack {
         let cache = CachedOsn::with_config(
             backend,
             CacheConfig::builder()
+                .shards(SLICE_CACHE_SHARDS)
                 .serve_stale(self.resilience.serve_stale)
                 .build(),
         );

@@ -11,7 +11,9 @@
 //! * `CallStats` invariants hold: `misses <= logical_calls`, and with
 //!   unbounded capacity the misses per endpoint equal the number of
 //!   *distinct* `(node, endpoint)` requests — which the wrapped
-//!   simulation's own distinct-call counters certify independently.
+//!   simulation's own distinct-call counters certify independently;
+//! * for an unbounded cache none of this depends on the lock-shard count
+//!   (1, as in each query's private stack, or the default 64).
 
 use labelcount_core::{algorithms, RunConfig};
 use labelcount_graph::gen::barabasi_albert;
@@ -40,6 +42,7 @@ proptest! {
         g in arb_labeled_ba(),
         seed in any::<u64>(),
         budget in 30usize..150,
+        shards in (0usize..2).prop_map(|i| [1, 64][i]),
     ) {
         let target = TargetLabel::new(1.into(), 2.into());
         let cfg = RunConfig { burn_in: 25, ..RunConfig::default() };
@@ -50,14 +53,17 @@ proptest! {
             let mut rng_u = StdRng::seed_from_u64(alg_seed);
             let est_u = alg.estimate(&uncached, target, budget, &cfg, &mut rng_u).unwrap();
 
-            let cache = CachedOsn::new(SimulatedOsn::new(&g));
+            let cache = CachedOsn::with_config(
+                SimulatedOsn::new(&g),
+                CacheConfig::builder().shards(shards).build(),
+            );
             let session = cache.session();
             let mut rng_c = StdRng::seed_from_u64(alg_seed);
             let est_c = alg.estimate(&session, target, budget, &cfg, &mut rng_c).unwrap();
 
             prop_assert_eq!(
                 est_u.to_bits(), est_c.to_bits(),
-                "{}: cached {} vs uncached {}", alg.abbrev(), est_c, est_u
+                "{} at {} shards: cached {} vs uncached {}", alg.abbrev(), shards, est_c, est_u
             );
             // Identical next draws certify the two runs consumed the RNG
             // streams identically (same draw count, same positions).

@@ -22,6 +22,17 @@
 //!   95% CI over the replicates that finished, falling back to the graph's
 //!   live partial estimate when none did.
 //!
+//! # Cost per event
+//!
+//! A graph loop sorts its tasks once by `(arrival_tick, id)` and once by
+//! `(deadline_tick, id)`, O(n log n) for n admitted tasks. After that every
+//! event costs O(1) amortized: an arrival is one cursor step and one push
+//! onto its class's FIFO ready queue, a deadline is one cursor step, a pick
+//! is the front of the best non-empty queue (finished tasks are dropped
+//! from the front lazily, each once), and a slice's priority inversions
+//! are counted as the arrival cursor passes the tasks that landed during
+//! it. No event scans the task list.
+//!
 //! # Determinism
 //!
 //! The event order inside a graph loop is a pure function of `(workload
@@ -32,6 +43,7 @@
 //! **bit-identical at any shard count and any worker count**; shards and
 //! workers only decide which OS thread hosts which graph's loop.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use labelcount_core::{
@@ -66,6 +78,7 @@ pub struct SchedulePolicy {
     /// Mean virtual-tick gap between consecutive arrivals (in id order).
     /// `0` makes every request arrive at tick 0; a positive mean draws
     /// each gap uniformly from `[1, 2·mean − 1]` under a seeded hash.
+    /// At most `u64::MAX / 2`; arrival ticks saturate at `u64::MAX`.
     pub mean_interarrival_ticks: u64,
     /// Relative deadline stamped on every request (`None` = no
     /// deadlines). `Some(0)` is the degenerate ask-only-what-you-know
@@ -134,6 +147,10 @@ impl SchedulePolicy {
     fn validate(&self) {
         assert!(self.replicates >= 1, "replicates must be >= 1");
         assert!(
+            self.mean_interarrival_ticks <= u64::MAX / 2,
+            "mean interarrival gap must be at most u64::MAX / 2"
+        );
+        assert!(
             (0.0..=1.0).contains(&self.high_frac)
                 && (0.0..=1.0).contains(&self.low_frac)
                 && self.high_frac + self.low_frac <= 1.0,
@@ -155,7 +172,7 @@ impl SchedulePolicy {
             let id = req.query.id;
             if self.mean_interarrival_ticks > 0 {
                 let span = 2 * self.mean_interarrival_ticks - 1;
-                clock += 1 + (unit_hash(gap_seed, id) * span as f64) as u64;
+                clock = clock.saturating_add(1 + (unit_hash(gap_seed, id) * span as f64) as u64);
             }
             let u = unit_hash(prio_seed, id);
             let priority = if u < self.high_frac {
@@ -193,12 +210,12 @@ pub struct SchedulingCounters {
 }
 
 /// Per-loop counter accumulator (slack kept as a sum until the final
-/// merge).
-#[derive(Clone, Copy, Debug, Default)]
+/// merge; wide enough for any number of `u64::MAX` slacks).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct LoopCounters {
     deadline_hits: u64,
     cancellations: u64,
-    slack_sum: u64,
+    slack_sum: u128,
     priority_inversions: u64,
 }
 
@@ -225,8 +242,10 @@ impl LoopCounters {
 }
 
 /// What one graph's event loop decided for one admitted query. The
-/// outcome is boxed, as is a running task's total: the loop scans every
-/// task each slice, and small task states keep those scans in cache.
+/// outcome is boxed, as is a running task's total: a loop keeps every
+/// admitted task's state until it ends, many tasks of a deep queue are
+/// cancelled before their first slice and never fill either, and inline
+/// outcomes would nearly double the size of every task state.
 enum TaskStatus {
     Done(Box<QueryOutcome>),
     Cancelled {
@@ -248,6 +267,35 @@ struct GraphLoopResult {
 }
 
 impl GraphLoopResult {
+    /// Assembles a finished loop's tasks in id order, with the
+    /// deterministic graph summary over completed finite estimates that
+    /// shed requests get as their anytime answer.
+    fn collect(tasks: Vec<TaskState>, counters: LoopCounters) -> GraphLoopResult {
+        let mut results: Vec<(u64, TaskStatus)> = tasks
+            .into_iter()
+            .map(|t| {
+                let id = t.spec.id;
+                (id, t.finished.expect("event loop finished every task"))
+            })
+            .collect();
+        results.sort_by_key(|(id, _)| *id);
+        let mut summary = RunningStats::new();
+        for (_, st) in &results {
+            if let TaskStatus::Done(q) = st {
+                if let Ok(e) = q.estimate {
+                    if e.is_finite() {
+                        summary.push(e);
+                    }
+                }
+            }
+        }
+        GraphLoopResult {
+            results,
+            summary,
+            counters,
+        }
+    }
+
     fn status_of(&self, id: u64) -> &TaskStatus {
         let i = self
             .results
@@ -330,10 +378,73 @@ impl TaskState {
         (ticks, ticks_cut)
     }
 
-    /// The completed query's outcome: the slices' summed costs, and the
-    /// mean over the finite replicate estimates — failing that the last
-    /// error, failing that the last slice's own (non-finite) answer.
-    fn complete(&mut self) -> Box<QueryOutcome> {
+    /// Runs the task's next replicate slice at `clock` and folds it in
+    /// ([`TaskState::absorb`]). The slice's tick allowance is whatever
+    /// remains until the deadline; the session's tick ceiling turns the
+    /// estimator's step-boundary budget poll into the cancellation yield
+    /// point. The loop's sweep guarantees `clock < deadline` here.
+    fn run_slice<B: OsnBackend>(
+        &mut self,
+        shared: &B,
+        stack: &QueryStack,
+        fault_base: u64,
+        clock: u64,
+    ) -> (u64, bool) {
+        let slice = stack.run(
+            shared,
+            &self.spec,
+            Slice {
+                fault_seed: replication_seed(
+                    replication_seed(fault_base, self.spec.id),
+                    self.next_rep,
+                ),
+                rng_seed: replication_seed(self.spec.seed, self.next_rep),
+                // The burst process and breaker run on the loop's virtual
+                // clock: a burst raging at tick 10_000 must hit the slice
+                // that runs there.
+                start_tick: clock,
+                // Allowance is slack + 1: `ticks_exceeded` is `>=`, and a
+                // slice that bills *exactly* the remaining slack ends ON
+                // the deadline — a hit with zero slack, not a miss. Only
+                // going strictly past the deadline cuts the slice. A
+                // `u64::MAX` deadline saturates to a ceiling never reached.
+                tick_ceiling: self.deadline().map(|d| (d - clock).saturating_add(1)),
+            },
+        );
+        self.absorb(slice)
+    }
+
+    /// Cancels the task into an anytime answer at the deadline tick it
+    /// missed: the running mean ± CI over its finished replicates, falling
+    /// back to the graph's live partial estimate when none finished.
+    fn cancel(&mut self, deadline: u64, counters: &mut LoopCounters, progress: &WorkloadProgress) {
+        counters.cancellations += 1;
+        let own = ProgressSnapshot::from(self.stats);
+        let (anytime, ci) = if !own.is_empty() {
+            (Some(own.mean()), own.ci_halfwidth())
+        } else {
+            let graph = progress.partial_estimates();
+            ((!graph.is_empty()).then(|| graph.mean()), 0.0)
+        };
+        self.finished = Some(TaskStatus::Cancelled {
+            completed_replicates: self.next_rep,
+            anytime,
+            ci_halfwidth: ci,
+            cancelled_at_tick: deadline,
+        });
+        progress.record(None);
+    }
+
+    /// Completes the task at `clock`, counting a deadline hit if `clock`
+    /// is at or before its deadline. The outcome is the slices' summed
+    /// costs and the mean over the finite replicate estimates — failing
+    /// that the last error, failing that the last slice's own
+    /// (non-finite) answer.
+    fn complete(&mut self, clock: u64, counters: &mut LoopCounters, progress: &WorkloadProgress) {
+        if let Some(d) = self.deadline().filter(|&d| clock <= d) {
+            counters.deadline_hits += 1;
+            counters.slack_sum += u128::from(d - clock);
+        }
         let mut outcome = self
             .spent
             .take()
@@ -344,7 +455,8 @@ impl TaskState {
             outcome.estimate = Err(err);
         }
         outcome.budget_exhausted = self.budget_exhausted;
-        outcome
+        progress.record(outcome.estimate.as_ref().ok().copied());
+        self.finished = Some(TaskStatus::Done(outcome));
     }
 
     fn arrival(&self) -> u64 {
@@ -357,6 +469,86 @@ impl TaskState {
 
     fn rank(&self) -> u8 {
         self.spec.schedule.priority.rank()
+    }
+}
+
+/// A graph loop's event index, built once per loop so that no event scans
+/// the task list (see the module docs' cost per event).
+struct EventIndex {
+    /// Task indices in `(arrival_tick, id)` order; the first `arrived` of
+    /// them have arrived.
+    by_arrival: Vec<usize>,
+    arrived: usize,
+    /// Deadline-carrying task indices in `(deadline_tick, id)` order; the
+    /// first `expired` deadlines have been swept.
+    by_deadline: Vec<usize>,
+    expired: usize,
+    /// One FIFO ready queue per [`Priority`], indexed by rank. Tasks enter
+    /// in `(arrival_tick, id)` order, so each queue is already in pick
+    /// order; finished tasks are dropped lazily from the front.
+    ready: [VecDeque<usize>; 3],
+}
+
+impl EventIndex {
+    fn new(tasks: &[TaskState]) -> EventIndex {
+        let mut by_arrival: Vec<usize> = (0..tasks.len()).collect();
+        by_arrival.sort_unstable_by_key(|&i| (tasks[i].arrival(), tasks[i].spec.id));
+        let mut by_deadline: Vec<usize> = (0..tasks.len())
+            .filter(|&i| tasks[i].deadline().is_some())
+            .collect();
+        by_deadline.sort_unstable_by_key(|&i| (tasks[i].deadline(), tasks[i].spec.id));
+        EventIndex {
+            by_arrival,
+            arrived: 0,
+            by_deadline,
+            expired: 0,
+            ready: Default::default(),
+        }
+    }
+
+    /// Moves every task that has arrived by `clock` onto its class's ready
+    /// queue, and returns how many of them outrank `running_rank`.
+    fn arrive(&mut self, tasks: &[TaskState], clock: u64, running_rank: u8) -> u64 {
+        let mut outranking = 0;
+        while let Some(&i) = self.by_arrival.get(self.arrived) {
+            let t = &tasks[i];
+            if t.arrival() > clock {
+                break;
+            }
+            outranking += u64::from(t.rank() < running_rank);
+            self.ready[usize::from(t.rank())].push_back(i);
+            self.arrived += 1;
+        }
+        outranking
+    }
+
+    /// The next task whose deadline the clock has reached, finished or
+    /// not, with that deadline.
+    fn expire(&mut self, tasks: &[TaskState], clock: u64) -> Option<(usize, u64)> {
+        let &i = self.by_deadline.get(self.expired)?;
+        let d = tasks[i].deadline().filter(|&d| d <= clock)?;
+        self.expired += 1;
+        Some((i, d))
+    }
+
+    /// The runnable task: the front of the best class with an unfinished
+    /// arrived task.
+    fn pick(&mut self, tasks: &[TaskState]) -> Option<usize> {
+        for queue in &mut self.ready {
+            while let Some(&i) = queue.front() {
+                if tasks[i].finished.is_none() {
+                    return Some(i);
+                }
+                queue.pop_front();
+            }
+        }
+        None
+    }
+
+    /// The arrival tick of the next task still to arrive.
+    fn next_arrival(&self, tasks: &[TaskState]) -> Option<u64> {
+        let &i = self.by_arrival.get(self.arrived)?;
+        Some(tasks[i].arrival())
     }
 }
 
@@ -385,8 +577,11 @@ fn run_graph_loop<B: OsnBackend>(
     progress: &WorkloadProgress,
 ) -> GraphLoopResult {
     let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
+    let mut index = EventIndex::new(&tasks);
     let mut counters = LoopCounters::default();
     let mut clock = 0u64;
+    // No slice has held the loop yet, so no tick-0 arrival is an inversion.
+    index.arrive(&tasks, clock, Priority::High.rank());
 
     loop {
         // Dynamic graphs: drain the churn schedule up to the current
@@ -399,106 +594,35 @@ fn run_graph_loop<B: OsnBackend>(
         // Cancellation sweep: any unfinished task whose absolute deadline
         // the clock has reached can no longer produce a timely answer —
         // convert it to an anytime answer NOW, at the deadline tick it
-        // missed, before any further slice runs.
-        for t in tasks.iter_mut().filter(|t| t.finished.is_none()) {
-            if let Some(d) = t.deadline() {
-                if clock >= d {
-                    counters.cancellations += 1;
-                    let own = ProgressSnapshot::from(t.stats);
-                    let (anytime, ci) = if !own.is_empty() {
-                        (Some(own.mean()), own.ci_halfwidth())
-                    } else {
-                        let graph = progress.partial_estimates();
-                        ((!graph.is_empty()).then(|| graph.mean()), 0.0)
-                    };
-                    t.finished = Some(TaskStatus::Cancelled {
-                        completed_replicates: t.next_rep,
-                        anytime,
-                        ci_halfwidth: ci,
-                        cancelled_at_tick: d,
-                    });
-                    progress.record(None);
-                }
+        // missed, before any further slice runs. Deadline order, not id
+        // order, changes no answer: a cancellation records no estimate.
+        while let Some((ti, d)) = index.expire(&tasks, clock) {
+            if tasks[ti].finished.is_none() {
+                tasks[ti].cancel(d, &mut counters, progress);
             }
         }
 
         // Pick the runnable task: arrived, unfinished, best
         // (priority rank, arrival tick, id) — FIFO within a class,
-        // non-preemptive.
-        let running = tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.finished.is_none() && t.arrival() <= clock)
-            .min_by_key(|(_, t)| (t.rank(), t.arrival(), t.spec.id))
-            .map(|(i, _)| i);
-        let ti = match running {
-            Some(ti) => ti,
-            None => {
-                // Idle: jump the clock to the next arrival, or stop when
-                // every task is finished.
-                match tasks
-                    .iter()
-                    .filter(|t| t.finished.is_none())
-                    .map(|t| t.arrival())
-                    .min()
-                {
-                    Some(next) => {
-                        debug_assert!(next > clock, "unfinished arrival in the past");
-                        clock = next;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
+        // non-preemptive. Idle: jump the clock to the next arrival, or
+        // stop when every task is finished.
+        let Some(ti) = index.pick(&tasks) else {
+            let Some(next) = index.next_arrival(&tasks) else {
+                break;
+            };
+            debug_assert!(next > clock, "unfinished arrival in the past");
+            clock = next;
+            // Nothing held the loop, so no arrival is an inversion.
+            index.arrive(&tasks, clock, Priority::High.rank());
+            continue;
         };
 
-        // One replicate slice. The slice's tick allowance is whatever
-        // remains until the deadline; the session's tick ceiling turns the
-        // estimator's step-boundary budget poll into the cancellation
-        // yield point. The sweep above guarantees `clock < deadline` here.
-        let (slice_ticks, ticks_cut) = {
-            let t = &mut tasks[ti];
-            let slice = stack.run(
-                shared,
-                &t.spec,
-                Slice {
-                    fault_seed: replication_seed(
-                        replication_seed(fault_base, t.spec.id),
-                        t.next_rep,
-                    ),
-                    rng_seed: replication_seed(t.spec.seed, t.next_rep),
-                    // The burst process and breaker run on the loop's
-                    // virtual clock: a burst raging at tick 10_000 must
-                    // hit the slice that runs there.
-                    start_tick: clock,
-                    // Allowance is slack + 1: `ticks_exceeded` is `>=`,
-                    // and a slice that bills *exactly* the remaining slack
-                    // ends ON the deadline — a hit with zero slack, not a
-                    // miss. Only going strictly past the deadline cuts the
-                    // slice.
-                    tick_ceiling: t.deadline().map(|d| d - clock + 1),
-                },
-            );
-            t.absorb(slice)
-        };
-
-        // Advance virtual time by exactly what the slice billed, and
-        // charge priority inversions: higher-priority arrivals that landed
-        // while this (lower-priority) slice held the loop.
-        let before = clock;
-        clock += slice_ticks;
-        let running_rank = tasks[ti].rank();
-        counters.priority_inversions += tasks
-            .iter()
-            .enumerate()
-            .filter(|&(i, t)| {
-                i != ti
-                    && t.finished.is_none()
-                    && t.rank() < running_rank
-                    && t.arrival() > before
-                    && t.arrival() <= clock
-            })
-            .count() as u64;
+        // One replicate slice. Advance virtual time by exactly what it
+        // billed, and charge priority inversions: higher-priority arrivals
+        // that landed while this (lower-priority) slice held the loop.
+        let (slice_ticks, ticks_cut) = tasks[ti].run_slice(shared, stack, fault_base, clock);
+        clock = clock.saturating_add(slice_ticks);
+        counters.priority_inversions += index.arrive(&tasks, clock, tasks[ti].rank());
 
         // A deadline cut consumes the slice but can complete nothing; make
         // sure the clock reached the deadline so the sweep fires (the
@@ -510,47 +634,11 @@ fn run_graph_loop<B: OsnBackend>(
             );
             continue;
         }
-
-        // Completion check.
-        let t = &mut tasks[ti];
-        if t.finished.is_none() && t.next_rep >= replicates {
-            if let Some(d) = t.deadline() {
-                if clock <= d {
-                    counters.deadline_hits += 1;
-                    counters.slack_sum += d - clock;
-                }
-            }
-            let outcome = t.complete();
-            progress.record(outcome.estimate.as_ref().ok().copied());
-            t.finished = Some(TaskStatus::Done(outcome));
+        if tasks[ti].next_rep >= replicates {
+            tasks[ti].complete(clock, &mut counters, progress);
         }
     }
-
-    // Assemble in id order; the deterministic graph summary over completed
-    // finite estimates is the anytime answer for shed requests.
-    let mut results: Vec<(u64, TaskStatus)> = tasks
-        .into_iter()
-        .map(|t| {
-            let id = t.spec.id;
-            (id, t.finished.expect("event loop finished every task"))
-        })
-        .collect();
-    results.sort_by_key(|(id, _)| *id);
-    let mut summary = RunningStats::new();
-    for (_, st) in &results {
-        if let TaskStatus::Done(q) = st {
-            if let Ok(e) = q.estimate {
-                if e.is_finite() {
-                    summary.push(e);
-                }
-            }
-        }
-    }
-    GraphLoopResult {
-        results,
-        summary,
-        counters,
-    }
+    GraphLoopResult::collect(tasks, counters)
 }
 
 impl<'g> ShardedService<'g> {
@@ -874,7 +962,8 @@ mod tests {
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
     use labelcount_graph::{LabeledGraph, NodeId, TargetLabel};
-    use labelcount_osn::{FaultConfig, OsnApi, RetryPolicy};
+    use labelcount_osn::{FaultConfig, OsnApi, ResilienceConfig, RetryPolicy};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
@@ -973,12 +1062,72 @@ mod tests {
             SchedulePolicy::default().with_replicates(0),
             SchedulePolicy::default().with_priorities(0.8, 0.8),
             SchedulePolicy::default().with_priorities(-0.1, 0.0),
+            SchedulePolicy::default().with_interarrival(u64::MAX / 2 + 1),
         ] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 bad.stamp(&mut stamped(SchedulePolicy::default()))
             }));
             assert!(caught.is_err(), "policy {bad:?} must be rejected");
         }
+    }
+
+    /// `wl`'s requests run as plain [`QueryStack::run`]s, one after
+    /// another on one virtual clock from tick 0, with the loop's seeds for
+    /// graph 0 and no tick ceiling.
+    fn plain_runs(g: &LabeledGraph, wl: &ServiceWorkload) -> Vec<QueryOutcome> {
+        let stack = QueryStack {
+            run_config: wl.run_config,
+            faults: wl.faults,
+            retry: wl.retry,
+            resilience: wl.resilience,
+        };
+        let fault_base = replication_seed(
+            replication_seed(wl.seed, stream::GRAPH_FAULT),
+            GraphKey(0).0,
+        );
+        let osn = GraphOsn::new(g);
+        let mut clock = 0;
+        wl.requests
+            .iter()
+            .map(|req| {
+                let q = &req.query;
+                let want = stack
+                    .run(
+                        &osn,
+                        q,
+                        Slice {
+                            fault_seed: replication_seed(replication_seed(fault_base, q.id), 0),
+                            rng_seed: replication_seed(q.seed, 0),
+                            start_tick: clock,
+                            tick_ceiling: None,
+                        },
+                    )
+                    .outcome;
+                clock += want.latency_ticks;
+                want
+            })
+            .collect()
+    }
+
+    fn assert_same_outcome(got: &QueryOutcome, want: &QueryOutcome) {
+        assert_eq!(
+            got.estimate.as_ref().map(|e| e.to_bits()).ok(),
+            want.estimate.as_ref().map(|e| e.to_bits()).ok(),
+            "query {}",
+            want.id
+        );
+        assert_eq!(
+            (got.logical_calls, got.retry_charges, got.backend_attempts),
+            (
+                want.logical_calls,
+                want.retry_charges,
+                want.backend_attempts
+            ),
+            "query {}",
+            want.id
+        );
+        assert_eq!(got.latency_ticks, want.latency_ticks, "query {}", want.id);
+        assert_eq!(got.stale_served, want.stale_served, "query {}", want.id);
     }
 
     /// The one-stack contract: an unstamped workload runs as a batch, and
@@ -991,56 +1140,220 @@ mod tests {
         let mut svc = ShardedService::new(1, 3);
         svc.register(GraphKey(0), &g);
         let report = svc.run_scheduled(batch(6), 1);
-        let wl = batch(6);
-        let stack = QueryStack {
-            run_config: wl.run_config,
-            faults: wl.faults,
-            retry: wl.retry,
-            resilience: wl.resilience,
-        };
-        let fault_base = replication_seed(
-            replication_seed(wl.seed, stream::GRAPH_FAULT),
-            GraphKey(0).0,
-        );
-        let osn = GraphOsn::new(&g);
-        let mut clock = 0;
-        for (got, req) in completed(&report).into_iter().zip(&wl.requests) {
-            let q = &req.query;
-            let want = stack
-                .run(
-                    &osn,
-                    q,
-                    Slice {
-                        fault_seed: replication_seed(replication_seed(fault_base, q.id), 0),
-                        rng_seed: replication_seed(q.seed, 0),
-                        start_tick: clock,
-                        tick_ceiling: None,
-                    },
-                )
-                .outcome;
-            clock += want.latency_ticks;
-            assert_eq!(
-                got.estimate.as_ref().map(|e| e.to_bits()).ok(),
-                want.estimate.as_ref().map(|e| e.to_bits()).ok(),
-                "query {}",
-                q.id
-            );
-            assert_eq!(
-                (got.logical_calls, got.retry_charges, got.backend_attempts),
-                (
-                    want.logical_calls,
-                    want.retry_charges,
-                    want.backend_attempts
-                ),
-                "query {}",
-                q.id
-            );
-            assert_eq!(got.latency_ticks, want.latency_ticks, "query {}", q.id);
-            assert_eq!(got.stale_served, want.stale_served, "query {}", q.id);
+        let want = plain_runs(&g, &batch(6));
+        for (got, want) in completed(&report).into_iter().zip(&want) {
+            assert_same_outcome(got, want);
         }
-        assert!(clock > 0, "a hostile API must bill ticks");
+        assert!(
+            want.iter().any(|q| q.latency_ticks > 0),
+            "a hostile API must bill ticks"
+        );
         let sched = report.scheduling.expect("every run reports scheduling");
         assert_eq!((sched.cancellations, sched.deadline_hits), (0, 0));
+    }
+
+    /// A tick-0 request with a `u64::MAX` relative deadline has an
+    /// absolute deadline of `u64::MAX`. Its slack + 1 tick ceiling
+    /// saturates instead of overflowing, so it completes as exactly one
+    /// plain stack run: a deadline hit with all that slack.
+    #[test]
+    fn a_max_deadline_query_is_one_plain_stack_run() {
+        let g = fixture();
+        let mut svc = ShardedService::new(1, 3);
+        svc.register(GraphKey(0), &g);
+        let mut wl = batch(1);
+        wl.requests[0].query.schedule = Schedule::immediate().with_deadline(u64::MAX);
+        let report = svc.run_scheduled(wl, 1);
+        let want = &plain_runs(&g, &batch(1))[0];
+        assert_same_outcome(completed(&report)[0], want);
+        let sched = report.scheduling.expect("every run reports scheduling");
+        assert_eq!((sched.cancellations, sched.deadline_hits), (0, 1));
+        assert_eq!(
+            sched.mean_slack_ticks,
+            (u64::MAX - want.latency_ticks) as f64
+        );
+    }
+
+    #[test]
+    fn huge_interarrival_gaps_saturate_at_the_last_tick() {
+        let wl = stamped(SchedulePolicy::default().with_interarrival(u64::MAX / 2));
+        let arrivals: Vec<u64> = wl
+            .requests
+            .iter()
+            .map(|r| r.query.schedule.arrival_tick)
+            .collect();
+        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(arrivals.last(), Some(&u64::MAX));
+    }
+
+    /// The scan-based loop the indexed [`run_graph_loop`] replaced, kept
+    /// as its reference: every iteration scans every task to sweep passed
+    /// deadlines (in id order), to pick the runnable task, to count the
+    /// slice's priority inversions, and, when idle, to find the next
+    /// arrival.
+    fn scanning_graph_loop<B: OsnBackend>(
+        shared: &B,
+        tasks: Vec<QuerySpec>,
+        stack: &QueryStack,
+        fault_base: u64,
+        replicates: u64,
+        progress: &WorkloadProgress,
+    ) -> GraphLoopResult {
+        let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
+        let mut counters = LoopCounters::default();
+        let mut clock = 0u64;
+        loop {
+            for t in tasks.iter_mut().filter(|t| t.finished.is_none()) {
+                if let Some(d) = t.deadline().filter(|&d| clock >= d) {
+                    t.cancel(d, &mut counters, progress);
+                }
+            }
+            let running = tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.finished.is_none() && t.arrival() <= clock)
+                .min_by_key(|(_, t)| (t.rank(), t.arrival(), t.spec.id))
+                .map(|(i, _)| i);
+            let Some(ti) = running else {
+                let unfinished = tasks.iter().filter(|t| t.finished.is_none());
+                match unfinished.map(|t| t.arrival()).min() {
+                    Some(next) => {
+                        clock = next;
+                        continue;
+                    }
+                    None => break,
+                }
+            };
+            let (slice_ticks, ticks_cut) = tasks[ti].run_slice(shared, stack, fault_base, clock);
+            let before = clock;
+            clock = clock.saturating_add(slice_ticks);
+            let running_rank = tasks[ti].rank();
+            counters.priority_inversions += tasks
+                .iter()
+                .enumerate()
+                .filter(|&(i, t)| {
+                    i != ti
+                        && t.finished.is_none()
+                        && t.rank() < running_rank
+                        && t.arrival() > before
+                        && t.arrival() <= clock
+                })
+                .count() as u64;
+            if ticks_cut {
+                continue;
+            }
+            let t = &mut tasks[ti];
+            if t.finished.is_none() && t.next_rep >= replicates {
+                t.complete(clock, &mut counters, progress);
+            }
+        }
+        GraphLoopResult::collect(tasks, counters)
+    }
+
+    /// `schedules.len()` seeded queries over graph 0 with hand-set
+    /// schedules and hard budgets, in id order.
+    fn hand_set(seed: u64, schedules: &[(Schedule, Option<u64>)]) -> Vec<QuerySpec> {
+        let target = TargetLabel::new(1.into(), 2.into());
+        let wl = ServiceWorkload::mixed_multi_tenant(
+            schedules.len(),
+            &[GraphKey(0)],
+            2,
+            0.3,
+            target,
+            40,
+            seed,
+            RunConfig::default(),
+        );
+        wl.requests
+            .into_iter()
+            .zip(schedules)
+            .map(|(r, &(schedule, hard_budget))| QuerySpec {
+                schedule,
+                hard_budget,
+                ..r.query
+            })
+            .collect()
+    }
+
+    /// Every task's status as text, floats as bits.
+    fn fingerprints(r: &GraphLoopResult) -> Vec<String> {
+        r.results
+            .iter()
+            .map(|(id, status)| match status {
+                TaskStatus::Done(q) => format!(
+                    "{id} done {:?} {q:?}",
+                    q.estimate.as_ref().map(|e| e.to_bits())
+                ),
+                TaskStatus::Cancelled {
+                    completed_replicates,
+                    anytime,
+                    ci_halfwidth,
+                    cancelled_at_tick,
+                } => format!(
+                    "{id} cancelled {completed_replicates} {:?} {:#x} {cancelled_at_tick}",
+                    anytime.map(f64::to_bits),
+                    ci_halfwidth.to_bits()
+                ),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The indexed loop reports exactly what the scanning loop does:
+        /// statuses, estimate bits, per-query counters, the graph summary
+        /// and the scheduling counters. The schedules are hand-set, so
+        /// arrivals tie (many at tick 0) and deadlines, 0 and `u64::MAX`
+        /// among them, are not monotone in arrival order — orders a
+        /// [`SchedulePolicy`] never stamps.
+        #[test]
+        fn indexed_loop_matches_the_scanning_reference(
+            seed in any::<u64>(),
+            replicates in 1u64..5,
+            codes in proptest::collection::vec((0u64..8, 0u64..8, 0u8..3, 0u64..4), 1..16),
+        ) {
+            let schedules: Vec<(Schedule, Option<u64>)> = codes
+                .iter()
+                .map(|&(arrival, deadline, priority, budget)| {
+                    let schedule = Schedule {
+                        arrival_tick: arrival.saturating_sub(2) * 150,
+                        // Zero deadlines are common: they are how a sweep
+                        // meets a deadline exactly, at the arrival tick.
+                        deadline_ticks: match deadline {
+                            0 => None,
+                            1 | 2 => Some(0),
+                            3 => Some(u64::MAX),
+                            d => Some((d - 3) * 500),
+                        },
+                        priority: [Priority::High, Priority::Normal, Priority::Low]
+                            [usize::from(priority)],
+                    };
+                    (schedule, (budget > 0).then(|| budget * 30))
+                })
+                .collect();
+            let g = fixture();
+            let osn = GraphOsn::new(&g);
+            let stack = QueryStack {
+                run_config: RunConfig { burn_in: 20, thinning_frac: 0.0 },
+                faults: FaultConfig::hostile(seed, 0.2),
+                retry: RetryPolicy::default(),
+                resilience: ResilienceConfig::default(),
+            };
+            let tasks = || hand_set(seed, &schedules);
+            let progress = WorkloadProgress::new;
+            let indexed =
+                run_graph_loop(&osn, None, tasks(), &stack, seed, replicates, &progress());
+            let scanning =
+                scanning_graph_loop(&osn, tasks(), &stack, seed, replicates, &progress());
+            prop_assert_eq!(fingerprints(&indexed), fingerprints(&scanning));
+            prop_assert_eq!(indexed.counters, scanning.counters);
+            prop_assert_eq!(indexed.summary.count(), scanning.summary.count());
+            prop_assert_eq!(
+                indexed.summary.mean().to_bits(),
+                scanning.summary.mean().to_bits()
+            );
+        }
     }
 
     /// An estimator whose every answer is non-finite (an HT estimator on a
