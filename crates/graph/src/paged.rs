@@ -8,32 +8,51 @@
 //! database-style [`BufferPool`] — pin, copy, unpin — so residency is
 //! bounded by the configured frame budget, not by `|E|`.
 //!
-//! # File layout (version 2, all integers little-endian)
+//! # File layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! page 0            header: magic "LCPGCSR\0", version, page size,
 //!                   counts (nodes, adjacency entries, labels, label
 //!                   entries, max degree), the first page of each
-//!                   section below, and (v2) the checksum-table page
+//!                   section below, and (v2+) the checksum-table page
 //! pages 1..         neighbor offsets   (num_nodes + 1) × u64
 //! pages ..          adjacency          adjacency_len   × u32  (NodeId)
 //! pages ..          label offsets      (num_nodes + 1) × u64
 //! pages ..          label data         label_data_len  × u32  (LabelId)
-//! pages ..          checksum table     data_pages × u64 FNV-1a  (v2 only)
+//! pages ..          checksum table     data_pages × u64  (v2+; XXH64 in v3)
 //! ```
 //!
 //! Each section starts on a page boundary and is zero-padded to one; an
 //! individual neighbor (or label) list may straddle any number of pages.
 //!
-//! Version 2 appends a **checksum table**: one FNV-1a-64 per *data* page
-//! (header page included, the table's own pages excluded), loaded whole at
-//! open time. The pool verifies every page read against it, which is what
-//! lets a faulty store ([`FaultyStorage`]) be survived: a failed or torn
-//! read is retried up to [`PageStore::max_retries`] times, and a page
-//! whose retries are exhausted is recovered through the store's
-//! fault-free path and **quarantined** (counted once per page in
-//! [`PagingStats`]). Version-1 files still open — with no table, the
-//! verification layer is simply inert.
+//! The **checksum table** holds one sum per *data* page (header page
+//! included, the table's own pages excluded) and is loaded whole at open
+//! time, when the header page is checked against its entry. The pool
+//! verifies every page read against it, which is what lets a faulty store
+//! ([`FaultyStorage`]) be survived: a failed or torn read is retried up to
+//! [`PageStore::max_retries`] times, and a page whose retries are
+//! exhausted is recovered through the store's fault-free path and
+//! **quarantined** (counted once per page in [`PagingStats`]). The sums
+//! catch torn and misdirected reads; they are no defence against
+//! tampering.
+//!
+//! # Version history
+//!
+//! The header's version field picks the kernel a file is verified with.
+//! Only the current version is written; older ones still open.
+//!
+//! - **v1**: no checksum table; opens with verification inert.
+//! - **v2**: the table holds FNV-1a-64 sums.
+//! - **v3** (current): same layout as v2, the table holds XXH64 (seed 0)
+//!   sums — [`page_checksum`].
+//!
+//! v3 exists for speed. FNV-1a folds a page one byte at a time through a
+//! single xor–multiply chain, so every multiply waits on the one before
+//! it: 4 096 dependent steps per 4 KiB page. XXH64 reads 8-byte words
+//! into four independent lanes, 512 steps with four in flight. On a
+//! 2-vCPU Xeon VM a 4 KiB page costs ~5.8 µs under FNV-1a and ~0.45 µs
+//! under XXH64, against ~0.45 µs for a page-cache `pread` of it: under
+//! v2 the checksum was most of a buffer-pool page fault.
 //!
 //! # Determinism
 //!
@@ -58,9 +77,10 @@ use crate::{LabelId, LabeledGraph, NodeId};
 /// Versioned magic: the file type tag; the format version rides beside it.
 pub const PAGED_MAGIC: [u8; 8] = *b"LCPGCSR\0";
 
-/// Current on-disk format version (v2 = per-page checksum table; v1
-/// files, without one, still open).
-pub const PAGED_FORMAT_VERSION: u32 = 2;
+/// Current on-disk format version (v3 = XXH64 per-page checksum table;
+/// v2 files, with an FNV-1a table, and v1 files, without one, still
+/// open).
+pub const PAGED_FORMAT_VERSION: u32 = 3;
 
 /// Default page size: 4 KiB, the common filesystem block size.
 pub const DEFAULT_PAGE_SIZE: u32 = 4096;
@@ -72,16 +92,103 @@ pub const MIN_PAGE_SIZE: u32 = 128;
 /// v2 appends the checksum-table page pointer).
 pub const HEADER_BYTES: usize = 104;
 
-/// FNV-1a 64-bit over a whole page — the v2 per-page checksum. Chosen for
-/// being dependency-free and byte-order independent; this guards against
-/// torn and misdirected reads, not adversarial tampering.
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0 over a whole page — the v3 per-page checksum (the
+/// published algorithm, tail included, so any length hashes). It guards
+/// against torn and misdirected reads, not adversarial tampering.
 pub fn page_checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for s in &mut stripes {
+            v[0] = xxh64_round(v[0], le_u64(&s[0..]));
+            v[1] = xxh64_round(v[1], le_u64(&s[8..]));
+            v[2] = xxh64_round(v[2], le_u64(&s[16..]));
+            v[3] = xxh64_round(v[3], le_u64(&s[24..]));
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ xxh64_round(0, lane))
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        h
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ xxh64_round(0, le_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(word).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(PRIME64_2);
+    h = (h ^ (h >> 29)).wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
+}
+
+/// FNV-1a 64-bit over a whole page — the v2 per-page checksum, kept only
+/// so v2 files stay readable; nothing writes it any more.
+fn fnv1a_page(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// A per-page checksum kernel.
+type ChecksumFn = fn(&[u8]) -> u64;
+
+/// The kernel a file's format version verifies pages with (`None` for
+/// v1, which carries no table).
+fn checksum_kernel(version: u32) -> Option<ChecksumFn> {
+    match version {
+        2 => Some(fnv1a_page),
+        PAGED_FORMAT_VERSION => Some(page_checksum),
+        _ => None,
+    }
 }
 
 /// Errors produced when opening or validating a paged CSR file.
@@ -196,15 +303,21 @@ impl PagedCsrWriter {
         let adjacency_page = neighbor_offsets_page + offsets_pages;
         let label_offsets_page = adjacency_page + adjacency_pages;
         let label_data_page = label_offsets_page + label_offsets_pages;
-        // v2: the checksum table starts right after the data pages and is
+        // The checksum table starts right after the data pages and is
         // itself excluded from checksumming (a torn table read surfaces as
         // a mismatch on the data page it vouches for).
         let checksum_page = label_data_page + label_data_pages;
         let total_pages = checksum_page + pages_of(checksum_page * 8);
 
-        // Every data page streams through the checksum folder on its way
-        // to disk, so the table costs no second pass over the file.
-        let mut w = ChecksumWriter::new(BufWriter::new(File::create(path)?), ps);
+        // Every data page is summed on its way to disk, so the table costs
+        // no second pass over the file. The buffer above the summer holds
+        // a whole number of pages (both sizes are powers of two), so its
+        // flushes mostly arrive as whole pages that are hashed in place.
+        let buffer_bytes = (self.page_size as usize).max(WRITE_BUFFER_BYTES);
+        let mut w = BufWriter::with_capacity(
+            buffer_bytes,
+            ChecksumWriter::new(File::create(path)?, self.page_size as usize),
+        );
 
         // Header page.
         let mut header = vec![0u8; self.page_size as usize];
@@ -262,10 +375,14 @@ impl PagedCsrWriter {
         }
         section.finish()?;
 
-        // Checksum table — written to the *inner* writer so the table's
-        // own pages are not folded into it.
-        let (mut w, sums) = w.finish();
+        // Checksum table — written past the summer so the table's own
+        // pages are not summed into it.
+        let (file, sums) = w
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .finish();
         debug_assert_eq!(sums.len() as u64, checksum_page, "one sum per data page");
+        let mut w = BufWriter::new(file);
         let mut section = SectionWriter::new(&mut w, ps);
         for s in sums {
             section.put_u64(s)?;
@@ -281,24 +398,30 @@ impl PagedCsrWriter {
     }
 }
 
-/// Folds every byte passing through into per-page FNV-1a sums — how the
-/// writer produces the v2 checksum table in one streaming pass. The
-/// wrapped writer sees exactly the same bytes.
+/// Smallest write buffer above the [`ChecksumWriter`]: 8 KiB, the
+/// `BufWriter` default, so summing costs no buffer memory beyond one
+/// staged page.
+const WRITE_BUFFER_BYTES: usize = 8 * 1024;
+
+/// Cuts the byte stream passing through into pages and sums each
+/// completed page with [`page_checksum`] — how the writer produces the
+/// checksum table in one streaming pass. The wrapped writer sees exactly
+/// the same bytes. Meant to sit under a page-multiple `BufWriter`: whole
+/// pages are hashed straight out of each chunk it flushes, and only a
+/// page split across two chunks is staged in `partial`.
 struct ChecksumWriter<W: Write> {
     w: W,
-    page_size: u64,
-    in_page: u64,
-    cur: u64,
+    page_size: usize,
+    partial: Vec<u8>,
     sums: Vec<u64>,
 }
 
 impl<W: Write> ChecksumWriter<W> {
-    fn new(w: W, page_size: u64) -> Self {
+    fn new(w: W, page_size: usize) -> Self {
         ChecksumWriter {
             w,
             page_size,
-            in_page: 0,
-            cur: 0xcbf2_9ce4_8422_2325,
+            partial: Vec::new(),
             sums: Vec::new(),
         }
     }
@@ -307,7 +430,10 @@ impl<W: Write> ChecksumWriter<W> {
     /// page-aligned (every section zero-pads), so there is no partial sum
     /// to lose.
     fn finish(self) -> (W, Vec<u64>) {
-        debug_assert_eq!(self.in_page, 0, "checksummed writes must be page-aligned");
+        debug_assert!(
+            self.partial.is_empty(),
+            "checksummed writes must be page-aligned"
+        );
         (self.w, self.sums)
     }
 }
@@ -315,16 +441,19 @@ impl<W: Write> ChecksumWriter<W> {
 impl<W: Write> Write for ChecksumWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.w.write(buf)?;
-        for &b in &buf[..n] {
-            self.cur ^= b as u64;
-            self.cur = self.cur.wrapping_mul(0x0000_0100_0000_01B3);
-            self.in_page += 1;
-            if self.in_page == self.page_size {
-                self.sums.push(self.cur);
-                self.cur = 0xcbf2_9ce4_8422_2325;
-                self.in_page = 0;
+        let mut rest = &buf[..n];
+        if !self.partial.is_empty() {
+            let take = (self.page_size - self.partial.len()).min(rest.len());
+            self.partial.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if self.partial.len() == self.page_size {
+                self.sums.push(page_checksum(&self.partial));
+                self.partial.clear();
             }
         }
+        let mut pages = rest.chunks_exact(self.page_size);
+        self.sums.extend(pages.by_ref().map(page_checksum));
+        self.partial.extend_from_slice(pages.remainder());
         Ok(n)
     }
 
@@ -671,7 +800,7 @@ pub struct PagingStats {
     /// (bounded per read by [`PageStore::max_retries`]).
     pub storage_retries: u64,
     /// Page reads whose bytes failed checksum verification (torn pages a
-    /// v2 file's table caught; always 0 for v1 files).
+    /// v2+ file's table caught; always 0 for v1 files).
     pub checksum_failures: u64,
     /// Distinct pages whose retries were exhausted and that were
     /// recovered through the store's clean path — each counted once, on
@@ -732,9 +861,10 @@ pub struct BufferPool {
     num_pages: u64,
     budget: Option<usize>,
     policy: EvictionPolicy,
-    /// v2 checksum table (one FNV-1a per data page); `None` for v1 files
-    /// disables verification entirely.
-    checksums: Option<Arc<[u64]>>,
+    /// Checksum table (one sum per data page) and the kernel the file's
+    /// format version computes it with: [`page_checksum`] for v3, FNV-1a
+    /// for v2. `None` for v1 files disables verification entirely.
+    checksums: Option<(Arc<[u64]>, ChecksumFn)>,
     inner: Mutex<PoolInner>,
 }
 
@@ -746,13 +876,25 @@ impl BufferPool {
     }
 
     /// A pool over an arbitrary [`PageStore`], optionally verifying every
-    /// read against a per-page checksum table.
+    /// read against a per-page checksum table of [`page_checksum`] sums
+    /// (the current format's).
     pub fn with_store(
         store: Box<dyn PageStore>,
         page_size: usize,
         num_pages: u64,
         cfg: PoolConfig,
         checksums: Option<Arc<[u64]>>,
+    ) -> BufferPool {
+        let checksums = checksums.map(|t| (t, page_checksum as ChecksumFn));
+        BufferPool::with_kernel(store, page_size, num_pages, cfg, checksums)
+    }
+
+    fn with_kernel(
+        store: Box<dyn PageStore>,
+        page_size: usize,
+        num_pages: u64,
+        cfg: PoolConfig,
+        checksums: Option<(Arc<[u64]>, ChecksumFn)>,
     ) -> BufferPool {
         BufferPool {
             store,
@@ -773,7 +915,7 @@ impl BufferPool {
         }
     }
 
-    /// Whether reads are verified against a v2 checksum table.
+    /// Whether reads are verified against a checksum table (v2+ files).
     pub fn verifies_checksums(&self) -> bool {
         self.checksums.is_some()
     }
@@ -783,9 +925,9 @@ impl BufferPool {
     /// coverage).
     fn page_ok(&self, page_no: u64, buf: &[u8]) -> bool {
         match &self.checksums {
-            Some(t) => t
+            Some((t, kernel)) => t
                 .get(page_no as usize)
-                .is_none_or(|&want| page_checksum(buf) == want),
+                .is_none_or(|&want| kernel(buf) == want),
             None => true,
         }
     }
@@ -1026,7 +1168,7 @@ struct Header {
     label_offsets_page: u64,
     label_data_page: u64,
     total_pages: u64,
-    /// First page of the v2 checksum table (0 for v1 files, which have
+    /// First page of the checksum table (0 for v1 files, which have
     /// none — page 0 is always the header, so 0 is unambiguous).
     checksum_page: u64,
 }
@@ -1046,16 +1188,18 @@ pub struct PagedGraph {
 }
 
 impl PagedGraph {
-    /// Opens and validates a file written by [`PagedCsrWriter`] (current
-    /// or version-1 format; v1 files carry no checksum table, so read
-    /// verification is inert for them).
+    /// Opens and validates a file written by [`PagedCsrWriter`] in the
+    /// current format or an older one (v2 files are verified with their
+    /// FNV-1a table; v1 files carry no table, so read verification is
+    /// inert for them). A header page that fails its checksum is a
+    /// [`PagedError::Format`].
     pub fn open(path: &Path, cfg: PoolConfig) -> Result<PagedGraph, PagedError> {
         PagedGraph::open_inner(path, cfg, None)
     }
 
     /// Opens like [`PagedGraph::open`], but serves page reads through a
     /// [`FaultyStorage`] injecting the configured seeded faults. Against
-    /// a v2 file the checksum table catches torn reads; read errors and
+    /// a v2+ file the checksum table catches torn reads; read errors and
     /// mismatches are retried and, past the retry budget, recovered
     /// through the clean path and quarantined — so the *returned bytes*
     /// are identical to a fault-free open, with the damage visible only
@@ -1082,11 +1226,12 @@ impl PagedGraph {
             return Err(PagedError::Format("bad magic".into()));
         }
         let version = u32_at(8);
-        if version != 1 && version != PAGED_FORMAT_VERSION {
+        if !(1..=PAGED_FORMAT_VERSION).contains(&version) {
             return Err(PagedError::Format(format!(
-                "unsupported format version {version} (expected 1 or {PAGED_FORMAT_VERSION})"
+                "unsupported format version {version} (expected 1 to {PAGED_FORMAT_VERSION})"
             )));
         }
+        let kernel = checksum_kernel(version);
         let page_size = u32_at(12);
         if !page_size.is_power_of_two() || page_size < MIN_PAGE_SIZE {
             return Err(PagedError::Format(format!("bad page size {page_size}")));
@@ -1103,55 +1248,71 @@ impl PagedGraph {
             label_offsets_page: u64_at(72),
             label_data_page: u64_at(80),
             total_pages: u64_at(88),
-            checksum_page: if version >= 2 { u64_at(96) } else { 0 },
+            checksum_page: if kernel.is_some() { u64_at(96) } else { 0 },
         };
         if header.num_nodes > 0 && u32::try_from(header.num_nodes - 1).is_err() {
             return Err(PagedError::Format("node count exceeds u32 id space".into()));
         }
         let actual = file.metadata()?.len();
-        let expect = header.total_pages * header.page_size;
-        if actual != expect {
+        let expect = header.total_pages.checked_mul(header.page_size);
+        if expect != Some(actual) {
             return Err(PagedError::Format(format!(
-                "file is {actual} bytes, header declares {expect}"
+                "file is {actual} bytes, header declares {} pages of {}",
+                header.total_pages, header.page_size
             )));
         }
-        let pages_of = |bytes: u64| bytes.div_ceil(header.page_size).max(1);
-        let want_adj = header.neighbor_offsets_page + pages_of((header.num_nodes + 1) * 8);
-        let data_pages = header.label_data_page + pages_of(header.label_data_len * 4);
+        // Every header field is untrusted, so the layout arithmetic is
+        // checked: an overflow is a corrupt file, never a wrapped value
+        // that happens to line up.
+        let pages_of = |entries: u64, width: u64| {
+            entries
+                .checked_mul(width)
+                .map(|bytes| bytes.div_ceil(header.page_size).max(1))
+        };
+        let follows = |start: u64, entries: u64, width: u64| {
+            pages_of(entries, width).and_then(|pages| start.checked_add(pages))
+        };
+        let data_pages = follows(header.label_data_page, header.label_data_len, 4);
         let layout_ok = header.neighbor_offsets_page == 1
-            && header.adjacency_page == want_adj
-            && header.label_offsets_page
-                == header.adjacency_page + pages_of(header.adjacency_len * 4)
-            && header.label_data_page
-                == header.label_offsets_page + pages_of((header.num_nodes + 1) * 8)
-            && if version >= 2 {
-                header.checksum_page == data_pages
-                    && header.total_pages == data_pages + pages_of(data_pages * 8)
+            && Some(header.adjacency_page) == follows(1, header.num_nodes + 1, 8)
+            && Some(header.label_offsets_page)
+                == follows(header.adjacency_page, header.adjacency_len, 4)
+            && Some(header.label_data_page)
+                == follows(header.label_offsets_page, header.num_nodes + 1, 8)
+            && if kernel.is_some() {
+                data_pages == Some(header.checksum_page)
+                    && Some(header.total_pages)
+                        == follows(header.checksum_page, header.checksum_page, 8)
             } else {
-                header.total_pages == data_pages
+                data_pages == Some(header.total_pages)
             };
         if !layout_ok {
             return Err(PagedError::Format("inconsistent section layout".into()));
         }
-        // v2: load the whole checksum table up front (8 bytes per data
+        // v2+: load the whole checksum table up front (8 bytes per data
         // page — a 0.2% overhead at the default page size) through plain
-        // reads, outside any fault injection.
-        let checksums: Option<Arc<[u64]>> = if version >= 2 {
-            let mut raw = vec![0u8; (header.checksum_page * 8) as usize];
-            file.read_exact_at(&mut raw, header.checksum_page * header.page_size)?;
-            Some(
-                raw.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            )
-        } else {
-            None
+        // reads, outside any fault injection, and check the header page
+        // against its entry: the header was read before the table could
+        // vouch for it.
+        let checksums = match kernel {
+            Some(kernel) => {
+                let mut raw = vec![0u8; (header.checksum_page * 8) as usize];
+                file.read_exact_at(&mut raw, header.checksum_page * header.page_size)?;
+                let table: Arc<[u64]> = raw.chunks_exact(8).map(le_u64).collect();
+                let mut page0 = vec![0u8; page_size as usize];
+                file.read_exact_at(&mut page0, 0)?;
+                if table.first() != Some(&kernel(&page0)) {
+                    return Err(PagedError::Format("header page fails its checksum".into()));
+                }
+                Some((table, kernel))
+            }
+            None => None,
         };
         let store: Box<dyn PageStore> = match faults {
             Some(f) => Box::new(FaultyStorage::new(file, f)),
             None => Box::new(file),
         };
-        let pool = BufferPool::with_store(
+        let pool = BufferPool::with_kernel(
             store,
             page_size as usize,
             header.total_pages,
@@ -1483,6 +1644,104 @@ mod tests {
             PagedGraph::open(&bad, PoolConfig::unbounded()),
             Err(PagedError::Format(_))
         ));
+
+        // Header fields whose layout arithmetic overflows, in the current
+        // format and in v1 (whose header no checksum covers). 2^62 + the
+        // real adjacency length wraps back onto the real layout when
+        // multiplied by the 4-byte entry width.
+        let adjacency_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        let huge = [1u64 << 62, (1 << 63) - 1, u64::MAX];
+        let mut fields: Vec<(usize, u64)> = Vec::new();
+        for offset in [24, 40, 88] {
+            fields.extend(huge.map(|v| (offset, v)));
+        }
+        fields.extend([
+            (24, (1 << 62) + adjacency_len),
+            (56, u64::MAX),
+            (80, u64::MAX),
+        ]);
+        for source in [path.clone(), downgrade_to_v1(&path, "overflow_v1")] {
+            for &(offset, value) in &fields {
+                let mut bytes = std::fs::read(&source).unwrap();
+                bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+                let bad = temp_file("overflow");
+                std::fs::write(&bad, &bytes).unwrap();
+                assert!(
+                    matches!(
+                        PagedGraph::open(&bad, PoolConfig::unbounded()),
+                        Err(PagedError::Format(_))
+                    ),
+                    "header field at {offset} = {value} must be rejected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn header_page_is_verified_at_open() {
+        let g = fixture();
+        let path = temp_file("header_sum");
+        PagedCsrWriter::with_page_size(128)
+            .write(&g, &path)
+            .unwrap();
+        let flip_max_degree = |src: &PathBuf, tag: &str| {
+            let mut bytes = std::fs::read(src).unwrap();
+            bytes[48] ^= 0x40;
+            let out = temp_file(tag);
+            std::fs::write(&out, &bytes).unwrap();
+            out
+        };
+        assert!(matches!(
+            PagedGraph::open(
+                &flip_max_degree(&path, "header_flip"),
+                PoolConfig::unbounded()
+            ),
+            Err(PagedError::Format(_))
+        ));
+        // v1 files carry no table, so their header still opens unverified.
+        let v1 = downgrade_to_v1(&path, "header_v1");
+        let p = PagedGraph::open(
+            &flip_max_degree(&v1, "header_v1_flip"),
+            PoolConfig::unbounded(),
+        )
+        .unwrap();
+        assert_eq!(p.max_degree(), 3 ^ 0x40);
+    }
+
+    #[test]
+    fn page_checksum_matches_the_published_xxh64_vectors() {
+        let counting = |n: usize| (0..n).map(|i| i as u8).collect::<Vec<u8>>();
+        for (input, want) in [
+            (Vec::new(), 0xef46_db37_51d8_e999u64),
+            (b"abc".to_vec(), 0x44bc_2cf5_ad77_0999),
+            (counting(128), 0x7a7f_e146_47b9_ab92),
+            (counting(4096), 0x0f6e_64be_186a_f6a4),
+            (vec![0u8; 4096], 0xac86_9b6f_32d8_bbdb),
+        ] {
+            assert_eq!(
+                page_checksum(&input),
+                want,
+                "XXH64 of a {}-byte input",
+                input.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_single_byte_change_changes_both_kernels(
+            page in proptest::collection::vec(proptest::prelude::any::<u8>(), 128..4097),
+            at in proptest::prelude::any::<usize>(),
+            delta in 1u8..=255,
+        ) {
+            let mut changed = page.clone();
+            changed[at % page.len()] ^= delta;
+            for kernel in [page_checksum as ChecksumFn, fnv1a_page] {
+                proptest::prop_assert_ne!(kernel(&page), kernel(&changed));
+            }
+        }
     }
 
     #[test]
@@ -1501,9 +1760,9 @@ mod tests {
         assert_eq!(EvictionPolicy::parse("fifo"), None);
     }
 
-    /// Rewrites a v2 file as its v1 equivalent: drop the checksum table,
-    /// stamp version 1, and shrink `total_pages` back to the data pages —
-    /// exactly what a file written before the format bump looks like.
+    /// Rewrites a current-format file as its v1 equivalent: drop the
+    /// checksum table, stamp version 1, and shrink `total_pages` back to
+    /// the data pages — exactly what a file written before v2 looks like.
     fn downgrade_to_v1(path: &PathBuf, tag: &str) -> PathBuf {
         let mut bytes = std::fs::read(path).unwrap();
         let page_size = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as u64;
@@ -1539,14 +1798,81 @@ mod tests {
         assert_matches(&g, &p);
     }
 
+    /// The bytes of a current-format file restamped as `version`, with
+    /// its checksum table recomputed by `kernel` — with version 2 and
+    /// FNV-1a, exactly what a file written before v3 looks like.
+    fn restamp(path: &PathBuf, version: u32, kernel: ChecksumFn) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).unwrap();
+        let page_size = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap()) as usize;
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        for page in 0..checksum_page {
+            let sum = kernel(&bytes[page * page_size..][..page_size]);
+            let entry = checksum_page * page_size + page * 8;
+            bytes[entry..entry + 8].copy_from_slice(&sum.to_le_bytes());
+        }
+        bytes
+    }
+
     #[test]
-    fn v2_files_carry_a_checksum_per_data_page() {
+    fn v2_files_verify_with_fnv_and_the_version_picks_the_kernel() {
         let g = fixture();
-        let path = temp_file("v2_sums");
+        let path = temp_file("v2_src");
+        PagedCsrWriter::with_page_size(128)
+            .write(&g, &path)
+            .unwrap();
+        let v2 = temp_file("v2");
+        std::fs::write(&v2, restamp(&path, 2, fnv1a_page)).unwrap();
+        let p = PagedGraph::open(&v2, PoolConfig::bounded(2, EvictionPolicy::Lru)).unwrap();
+        assert!(p.pool().verifies_checksums());
+        assert_matches(&g, &p);
+        assert_eq!(p.paging_stats().checksum_failures, 0);
+
+        // The same FNV-1a table under version 3 fails: at open on the
+        // header page, and — once the header's entry is made to pass — on
+        // every data page read.
+        let mut bytes = restamp(&path, 3, fnv1a_page);
+        let fnv_v3 = temp_file("v3_fnv");
+        std::fs::write(&fnv_v3, &bytes).unwrap();
+        assert!(matches!(
+            PagedGraph::open(&fnv_v3, PoolConfig::unbounded()),
+            Err(PagedError::Format(_))
+        ));
+        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap()) as usize;
+        let header_sum = page_checksum(&bytes[..128]);
+        bytes[checksum_page * 128..][..8].copy_from_slice(&header_sum.to_le_bytes());
+        std::fs::write(&fnv_v3, &bytes).unwrap();
+        let p = PagedGraph::open(&fnv_v3, PoolConfig::bounded(2, EvictionPolicy::Lru)).unwrap();
+        assert_matches(&g, &p);
+        let s = p.paging_stats();
+        assert!(s.page_reads > 0);
+        assert_eq!(s.checksum_failures, s.page_reads, "{s:?}");
+    }
+
+    #[test]
+    fn checksum_writer_sums_pages_split_across_writes() {
+        let data: Vec<u8> = (0..128 * 9).map(|i| (i * 7 % 251) as u8).collect();
+        let want: Vec<u64> = data.chunks(128).map(page_checksum).collect();
+        for chunk in [1, 5, 127, 128, 129, 300, data.len()] {
+            let mut w = ChecksumWriter::new(Vec::new(), 128);
+            for c in data.chunks(chunk) {
+                w.write_all(c).unwrap();
+            }
+            let (out, sums) = w.finish();
+            assert_eq!(out, data, "chunk size {chunk}");
+            assert_eq!(sums, want, "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn v3_files_carry_a_checksum_per_data_page() {
+        let g = fixture();
+        let path = temp_file("v3_sums");
         let meta = PagedCsrWriter::with_page_size(128)
             .write(&g, &path)
             .unwrap();
         let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
         let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap());
         assert!(checksum_page > 0 && checksum_page < meta.total_pages);
         for page in 0..checksum_page {
