@@ -118,8 +118,9 @@ fn bench_walks(c: &mut Criterion) {
 
     // Per-step dispatch vs the batched `steps_into` path, on identical RNG
     // streams — the comparison the perf harness (`labelcount-perf`) records
-    // as `per_step_ns` / `batched_ns` in every BENCH_*.json. Setup (fresh
-    // OSN wrapper, seeded RNG, output buffer) is excluded via iter_batched.
+    // as `measured.per_step_steps_per_sec` / `measured.batched_steps_per_sec`
+    // in every BENCH_*.json. Setup (fresh OSN wrapper, seeded RNG, output
+    // buffer) is excluded via iter_batched.
     let mut group = c.benchmark_group("walks/batched_vs_per_step");
     group
         .sample_size(20)

@@ -1,8 +1,9 @@
 //! The perf-regression gate: compares freshly produced BENCH_*.json files
 //! against the committed baselines.
 //!
-//! Only the machine-dependent `measured` section gates. Before
-//! thresholding, every timing metric is **normalized by the run's
+//! Only the machine-dependent `measured` section gates, path by path, by
+//! one policy table (`POLICY`) that names each gated path and its rule.
+//! Before thresholding, every timing metric is **normalized by the run's
 //! calibration score** (`measured.calibration_ops_per_sec`, a fixed
 //! pointer-chasing workload measured alongside each scenario): a uniformly
 //! slower machine scores proportionally lower on the calibration too, so
@@ -16,13 +17,16 @@
 //! accidentally quadratic hot path, a debug assert in a loop), not 10%
 //! noise.
 //!
-//! Deterministic `counters` drift (different estimates, API-call counts,
-//! step counts) is reported as a **warning**, not a failure: algorithmic
-//! changes legitimately move counters, and the PR that moves them is
-//! expected to regenerate the baselines it changes.
+//! Deterministic `counters` are compared as one tree, numbers by their
+//! bits. Drift (different estimates, API-call counts, step counts, or a
+//! counter added or removed) is reported as a **warning** naming the first
+//! differing path, not a failure: algorithmic changes legitimately move
+//! counters, and the PR that moves them is expected to regenerate the
+//! baselines it changes.
 
 use std::path::Path;
 
+use crate::json::Json;
 use crate::report::{Report, ReportError};
 
 /// Outcome of comparing one metric.
@@ -58,42 +62,67 @@ impl Comparison {
     }
 }
 
-/// Higher-is-better throughput metrics of the `measured` section.
-fn throughput_metrics(r: &Report) -> [(&'static str, f64); 3] {
-    [
-        (
-            "measured.per_step_steps_per_sec",
-            r.measured.per_step_steps_per_sec,
-        ),
-        (
-            "measured.batched_steps_per_sec",
-            r.measured.batched_steps_per_sec,
-        ),
-        ("measured.line_steps_per_sec", r.measured.line_steps_per_sec),
-    ]
+/// How the gate judges one `measured` path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Higher is better. Normalized by calibration; fails beyond the
+    /// threshold unless the ratio is degenerate (see `metric_floor`).
+    Throughput,
+    /// Lower is better, and serial, so calibration can normalize it.
+    /// Fails like [`Rule::Throughput`].
+    WallTime,
+    /// Allocator peak bytes: machine-independent, so compared raw, and
+    /// gated only when both runs measured it and the baseline is positive.
+    AllocPeak,
+    /// Lower is better, but it scales with the runner's core count, which
+    /// calibration (a serial workload) cannot correct for: a 2-core runner
+    /// legitimately takes longer than an 8-core baseline. Warns only.
+    ParallelWallTime,
+    /// Higher is better, compared raw. Fails only when the baseline is
+    /// multi-core and the current runner has at least as many cores
+    /// (`scenario.threads`): there a collapsing speedup is a real
+    /// scalability regression, while a laptop, a 1-core container, or a
+    /// core-count downgrade of the CI pool keeps the warning.
+    Speedup,
 }
 
-/// Lower-is-better wall-time metrics of the `measured` section.
-/// `engine_parallel_ms`/`workload_parallel_ms`/`serving_parallel_ms` are
-/// deliberately absent: they scale with the runner's core count, which
-/// calibration (a serial workload) cannot correct for — they are compared
-/// warning-only, with the speedup. `hit_path_ns` (the warm-cache per-call
-/// cost) is serial and machine-normalizable, so it gates like the wall
-/// times: a cliff there means the hot 97% of logical calls got slower.
-/// `page_fault_ns` (the paged scenario's cold-pool fault cost) gates the
-/// same way for the out-of-core miss path; in-RAM scenarios report it as
-/// `0.0`, which sits below the `_ns` floor and therefore never gates.
-fn walltime_metrics(r: &Report) -> [(&'static str, f64); 7] {
-    [
-        ("measured.total_ms", r.measured.total_ms),
-        ("measured.engine_serial_ms", r.measured.engine_serial_ms),
-        ("measured.workload_serial_ms", r.measured.workload_serial_ms),
-        ("measured.serving_serial_ms", r.measured.serving_serial_ms),
-        ("measured.scheduler_ms", r.measured.scheduler_ms),
-        ("measured.hit_path_ns", r.measured.hit_path_ns),
-        ("measured.page_fault_ns", r.measured.page_fault_ns),
-    ]
-}
+/// The engine's parallel speedup, read by the baseline-relative rule and
+/// by the baseline-free [`min_speedup_findings`] floor.
+const SPEEDUP: &str = "engine_parallel_speedup";
+
+/// The gate's policy: each gated path under `measured`, with its rule, in
+/// the order findings are reported. Reports missing any of these paths
+/// fail to parse.
+///
+/// `hit_path_ns` (the warm-cache per-call cost) is serial and
+/// machine-normalizable, so it gates like the wall times: a cliff there
+/// means the hot 97% of logical calls got slower. `page_fault_ns` (the
+/// paged scenario's cold-pool fault cost) gates the same way for the
+/// out-of-core miss path; in-RAM scenarios report it as `0.0`, which sits
+/// below the `_ns` floor and therefore never gates.
+///
+/// Recorded but not gated: `gt_serial_ms` and `gt_parallel_ms`
+/// (sub-millisecond windows at smoke scale), `workload_queries_per_sec`
+/// (exactly `queries / workload_parallel_ms`, whose warning already
+/// covers any slowdown), `calibration_ops_per_sec` (the machine scale
+/// itself), and `alloc.allocs` / `alloc.measured`.
+pub(crate) const POLICY: [(&str, Rule); 15] = [
+    ("per_step_steps_per_sec", Rule::Throughput),
+    ("batched_steps_per_sec", Rule::Throughput),
+    ("line_steps_per_sec", Rule::Throughput),
+    ("total_ms", Rule::WallTime),
+    ("engine_serial_ms", Rule::WallTime),
+    ("workload_serial_ms", Rule::WallTime),
+    ("serving_serial_ms", Rule::WallTime),
+    ("scheduler_ms", Rule::WallTime),
+    ("hit_path_ns", Rule::WallTime),
+    ("page_fault_ns", Rule::WallTime),
+    ("alloc.peak_bytes", Rule::AllocPeak),
+    ("engine_parallel_ms", Rule::ParallelWallTime),
+    ("workload_parallel_ms", Rule::ParallelWallTime),
+    ("serving_parallel_ms", Rule::ParallelWallTime),
+    (SPEEDUP, Rule::Speedup),
+];
 
 /// The absolute floor below which a metric's value cannot support a ratio
 /// verdict. A baseline of `0.0` (a sub-resolution `hit_path_ns` rounding
@@ -122,178 +151,112 @@ fn metric_floor(metric: &str) -> f64 {
 /// baseline machine's units. Falls back to 1 (raw comparison) when either
 /// side lacks a positive calibration score.
 fn machine_scale(baseline: &Report, current: &Report) -> f64 {
-    let (b, c) = (
-        baseline.measured.calibration_ops_per_sec,
-        current.measured.calibration_ops_per_sec,
-    );
-    if b > 0.0 && c > 0.0 {
-        b / c
-    } else {
-        1.0
+    match (
+        baseline.metric("calibration_ops_per_sec"),
+        current.metric("calibration_ops_per_sec"),
+    ) {
+        (Some(b), Some(c)) if b > 0.0 && c > 0.0 => b / c,
+        _ => 1.0,
     }
+}
+
+/// A gated `measured` value; [`Report::from_json_text`] rejects reports
+/// without one.
+fn gated(r: &Report, path: &str) -> f64 {
+    r.metric(path)
+        .expect("reports carry every gated measured path")
 }
 
 /// Compares one current report against its baseline.
 pub fn compare_reports(baseline: &Report, current: &Report, max_regression: f64) -> Vec<Finding> {
     assert!(max_regression >= 1.0, "threshold must be >= 1");
-    let scenario = current.meta.name.clone();
     let scale = machine_scale(baseline, current);
-    let mut findings = Vec::new();
-
-    for ((metric, base), (_, cur)) in throughput_metrics(baseline)
-        .into_iter()
-        .zip(throughput_metrics(current))
-    {
-        let cur_scaled = cur * scale;
-        let floor = metric_floor(metric);
-        let degenerate = base < floor || cur_scaled < floor;
-        let ratio = base.max(floor) / cur_scaled.max(floor);
-        if ratio > max_regression {
-            findings.push(Finding {
-                scenario: scenario.clone(),
-                metric: metric.to_string(),
-                baseline: base,
-                current: cur,
-                fatal: !degenerate,
-                message: if degenerate {
-                    format!(
-                        "throughput ratio {ratio:.2}x is degenerate (baseline or current below the {floor:.0e} floor) — warning only"
-                    )
-                } else {
-                    format!(
-                        "throughput regressed {ratio:.2}x machine-normalized (scale {scale:.2}, limit {max_regression}x)"
-                    )
-                },
-            });
-        }
-    }
-    for ((metric, base), (_, cur)) in walltime_metrics(baseline)
-        .into_iter()
-        .zip(walltime_metrics(current))
-    {
-        let cur_scaled = cur / scale;
-        let floor = metric_floor(metric);
-        let degenerate = base < floor || cur_scaled < floor;
-        let ratio = cur_scaled.max(floor) / base.max(floor);
-        if ratio > max_regression {
-            findings.push(Finding {
-                scenario: scenario.clone(),
-                metric: metric.to_string(),
-                baseline: base,
-                current: cur,
-                fatal: !degenerate,
-                message: if degenerate {
-                    format!(
-                        "wall-time ratio {ratio:.2}x is degenerate (baseline or current below the {floor:.0e} floor) — warning only"
-                    )
-                } else {
-                    format!(
-                        "wall time regressed {ratio:.2}x machine-normalized (scale {scale:.2}, limit {max_regression}x)"
-                    )
-                },
-            });
-        }
-    }
-    // The allocation proxy is byte-denominated, hence machine-independent:
-    // no normalization, but only gate when both runs actually measured it.
-    let (ba, ca) = (&baseline.measured.alloc, &current.measured.alloc);
-    if ba.measured && ca.measured && ba.peak_bytes > 0 {
-        let ratio = ca.peak_bytes as f64 / ba.peak_bytes as f64;
-        if ratio > max_regression {
-            findings.push(Finding {
-                scenario: scenario.clone(),
-                metric: "measured.alloc.peak_bytes".to_string(),
-                baseline: ba.peak_bytes as f64,
-                current: ca.peak_bytes as f64,
-                fatal: true,
-                message: format!("allocator peak regressed {ratio:.2}x (limit {max_regression}x)"),
-            });
-        }
-    }
-
-    // The parallel metrics depend on the runner's core count, which
-    // calibration (a serial workload) cannot correct for: a 2-core runner
-    // legitimately takes longer than an 8-core baseline, and a single-core
-    // runner legitimately reports ~1x speedup. Wall times are compared
-    // warning-only; the *speedup* gates fatally exactly when the baseline
-    // is multi-core and the current runner has at least as many cores
-    // (`scenario.threads`) — there, a collapsing speedup is a real
-    // scalability regression, while a laptop, a 1-core container, or a
-    // core-count downgrade of the CI pool keeps the warning.
+    let alloc_measured =
+        |r: &Report| matches!(r.measured.at("alloc.measured"), Some(Json::Bool(true)));
     let speedup_gateable =
         baseline.meta.threads > 1 && current.meta.threads >= baseline.meta.threads;
-    let scale_parallel = |metric: &str, base: f64, cur: f64, fatal: bool, ratio: f64| Finding {
-        scenario: scenario.clone(),
-        metric: metric.to_string(),
-        baseline: base,
-        current: cur,
-        fatal,
-        message: if fatal {
-            format!(
-                    "parallel speedup regressed {ratio:.2}x with {} baseline / {} current cores (limit {max_regression}x)",
-                    baseline.meta.threads, current.meta.threads
+    let informational =
+        |ratio: f64| format!("regressed {ratio:.2}x (core-count dependent; informational)");
+    let mut findings = Vec::new();
+
+    for (path, rule) in POLICY {
+        let (base, cur) = (gated(baseline, path), gated(current, path));
+        let floor = metric_floor(path);
+        // The calibration-scaled rules: a ratio over floored values, which
+        // only warns when either side sits below the floor.
+        let scaled = |ratio: f64, cur_scaled: f64, [adjective, noun]: [&str; 2]| {
+            (ratio > max_regression).then(|| {
+                if base < floor || cur_scaled < floor {
+                    (false, format!(
+                        "{adjective} ratio {ratio:.2}x is degenerate (baseline or current below the {floor:.0e} floor) — warning only"
+                    ))
+                } else {
+                    (true, format!(
+                        "{noun} regressed {ratio:.2}x machine-normalized (scale {scale:.2}, limit {max_regression}x)"
+                    ))
+                }
+            })
+        };
+        // `Some((fatal, message))` when the metric regressed past the limit.
+        let verdict = match rule {
+            Rule::Throughput => {
+                let c = cur * scale;
+                scaled(base.max(floor) / c.max(floor), c, ["throughput"; 2])
+            }
+            Rule::WallTime => {
+                let c = cur / scale;
+                scaled(
+                    c.max(floor) / base.max(floor),
+                    c,
+                    ["wall-time", "wall time"],
                 )
-        } else {
-            format!("regressed {ratio:.2}x (core-count dependent; informational)")
-        },
-    };
-    for (metric, bp, cp) in [
-        (
-            "measured.engine_parallel_ms",
-            baseline.measured.engine_parallel_ms,
-            current.measured.engine_parallel_ms,
-        ),
-        (
-            "measured.workload_parallel_ms",
-            baseline.measured.workload_parallel_ms,
-            current.measured.workload_parallel_ms,
-        ),
-        (
-            "measured.serving_parallel_ms",
-            baseline.measured.serving_parallel_ms,
-            current.measured.serving_parallel_ms,
-        ),
-    ] {
-        let floor = metric_floor(metric);
-        let ratio = (cp / scale).max(floor) / bp.max(floor);
-        if ratio > max_regression {
-            findings.push(scale_parallel(metric, bp, cp, false, ratio));
+            }
+            Rule::AllocPeak => {
+                let ratio = cur / base;
+                let gateable = alloc_measured(baseline) && alloc_measured(current) && base > 0.0;
+                (gateable && ratio > max_regression).then(|| {
+                    (
+                        true,
+                        format!("allocator peak regressed {ratio:.2}x (limit {max_regression}x)"),
+                    )
+                })
+            }
+            Rule::ParallelWallTime => {
+                let ratio = (cur / scale).max(floor) / base.max(floor);
+                (ratio > max_regression).then(|| (false, informational(ratio)))
+            }
+            Rule::Speedup => {
+                let ratio = base / cur;
+                (base > 0.0 && cur > 0.0 && cur < base / max_regression).then(|| {
+                    if speedup_gateable {
+                        (true, format!(
+                            "parallel speedup regressed {ratio:.2}x with {} baseline / {} current cores (limit {max_regression}x)",
+                            baseline.meta.threads, current.meta.threads
+                        ))
+                    } else {
+                        (false, informational(ratio))
+                    }
+                })
+            }
+        };
+        if let Some((fatal, message)) = verdict {
+            findings.push(Finding {
+                scenario: current.meta.name.clone(),
+                metric: format!("measured.{path}"),
+                baseline: base,
+                current: cur,
+                fatal,
+                message,
+            });
         }
-    }
-    // Workload throughput (queries/sec) is deliberately not compared: it
-    // is exactly `queries / workload_parallel_ms`, so the parallel-ms
-    // warning above already covers any slowdown — a second finding for
-    // the reciprocal would be noise.
-    let (bs, cs) = (
-        baseline.measured.engine_parallel_speedup,
-        current.measured.engine_parallel_speedup,
-    );
-    if bs > 0.0 && cs > 0.0 && cs < bs / max_regression {
-        findings.push(scale_parallel(
-            "measured.engine_parallel_speedup",
-            bs,
-            cs,
-            speedup_gateable,
-            bs / cs,
-        ));
     }
 
     // Counter drift: warn so reviewers notice baselines that need
     // regeneration, but do not fail the gate.
-    if baseline.walk != current.walk
-        || baseline.algorithms != current.algorithms
-        || baseline.engine != current.engine
-        || baseline.workload != current.workload
-        || baseline.serving != current.serving
-        || baseline.scheduling != current.scheduling
-        || baseline.paging != current.paging
-        || baseline.invalidation != current.invalidation
-        || baseline.faults != current.faults
-        || baseline.ground_truth_f != current.ground_truth_f
-    {
+    if let Some(path) = baseline.counters.first_difference(&current.counters) {
         findings.push(Finding {
-            scenario: scenario.clone(),
-            metric: "counters".to_string(),
+            scenario: current.meta.name.clone(),
+            metric: format!("counters{path}"),
             baseline: f64::NAN,
             current: f64::NAN,
             fatal: false,
@@ -437,11 +400,11 @@ pub fn min_speedup_findings(current_dir: &Path, min_speedup: f64) -> Result<Vec<
     let currents = load_reports(current_dir)?;
     let mut findings = Vec::new();
     for r in &currents {
-        let speedup = r.measured.engine_parallel_speedup;
+        let speedup = gated(r, SPEEDUP);
         if r.meta.threads <= 1 {
             findings.push(Finding {
                 scenario: r.meta.name.clone(),
-                metric: "measured.engine_parallel_speedup".into(),
+                metric: format!("measured.{SPEEDUP}"),
                 baseline: min_speedup,
                 current: speedup,
                 fatal: false,
@@ -450,7 +413,7 @@ pub fn min_speedup_findings(current_dir: &Path, min_speedup: f64) -> Result<Vec<
         } else if speedup < min_speedup {
             findings.push(Finding {
                 scenario: r.meta.name.clone(),
-                metric: "measured.engine_parallel_speedup".into(),
+                metric: format!("measured.{SPEEDUP}"),
                 baseline: min_speedup,
                 current: speedup,
                 fatal: true,
@@ -505,121 +468,8 @@ pub fn markdown_summary(cmp: &Comparison, max_regression: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc_track::AllocDelta;
-    use crate::report::{
-        AlgoCounters, EngineCounters, FaultCounters, InvalidationCounters, Measured,
-        PagingCounters, ScenarioMeta, SchedulerCounters, ServingCounters, WalkCounters,
-        WorkloadCounters, SCHEMA_VERSION,
-    };
-
-    fn report(name: &str, per_step: f64, total_ms: f64) -> Report {
-        Report {
-            schema_version: SCHEMA_VERSION,
-            meta: ScenarioMeta {
-                name: name.into(),
-                family: "ba".into(),
-                tier: "smoke".into(),
-                seed: 1,
-                nodes: 10,
-                edges: 20,
-                budget: 5,
-                burn_in: 2,
-                reps: 1,
-                threads: 1,
-            },
-            walk: WalkCounters {
-                steps: 100,
-                per_step_end: 1,
-                batched_end: 1,
-                line_end: (0, 1),
-                line_api_calls: 200,
-            },
-            algorithms: vec![AlgoCounters {
-                abbrev: "A".into(),
-                estimates: vec![1.0],
-                api_calls: 10,
-                nrmse: Some(0.1),
-            }],
-            engine: EngineCounters {
-                replicates: 4,
-                estimates: vec![1.0, 2.0],
-                logical_api_calls: 100,
-                miss_api_calls: 20,
-                l1_hits: 60,
-                hit_rate: 0.8,
-            },
-            workload: WorkloadCounters {
-                queries: 8,
-                fault_rate: 0.15,
-                estimates: vec![1.0, 2.0],
-                logical_api_calls: 50,
-                backend_attempts: 14,
-                retry_charges: 4,
-                rate_limited: 2,
-                transient_errors: 2,
-                budget_exhausted_queries: 0,
-                latency_ticks_p50: 10.0,
-                latency_ticks_p95: 40.0,
-            },
-            serving: ServingCounters {
-                shards: 4,
-                tenants: 4,
-                requests: 16,
-                admitted: 12,
-                shed: 3,
-                quota_exhausted: 1,
-                tenant_fairness: 2.0,
-            },
-            scheduling: SchedulerCounters {
-                deadline_hits: 10,
-                cancellations: 4,
-                mean_slack_ticks: 12.0,
-                priority_inversions: 1,
-            },
-            paging: PagingCounters {
-                page_reads: 64,
-                pool_hits: 900,
-                evictions: 48,
-                pinned_peak: 3,
-            },
-            invalidation: InvalidationCounters {
-                churn_batches: 8,
-                churn_events: 40,
-                l1_stale_evictions: 12,
-                l2_stale_evictions: 90,
-                avoided_invalidations: 6,
-            },
-            faults: FaultCounters {
-                bursts: 5,
-                breaker_opens: 1,
-                stale_served: 3,
-                storage_retries: 0,
-                quota_throttled: 2,
-            },
-            ground_truth_f: 7,
-            measured: Measured {
-                total_ms,
-                per_step_steps_per_sec: per_step,
-                batched_steps_per_sec: per_step * 1.2,
-                line_steps_per_sec: per_step / 2.0,
-                gt_serial_ms: 1.0,
-                gt_parallel_ms: 0.5,
-                engine_serial_ms: total_ms / 10.0,
-                engine_parallel_ms: total_ms / 30.0,
-                engine_parallel_speedup: 3.0,
-                hit_path_ns: total_ms / 10.0,
-                workload_serial_ms: total_ms / 5.0,
-                workload_parallel_ms: total_ms / 15.0,
-                workload_queries_per_sec: 120_000.0 / total_ms,
-                serving_serial_ms: total_ms / 4.0,
-                serving_parallel_ms: total_ms / 12.0,
-                scheduler_ms: total_ms / 6.0,
-                page_fault_ns: total_ms / 20.0,
-                calibration_ops_per_sec: 1.0e8,
-                alloc: AllocDelta::default(),
-            },
-        }
-    }
+    use crate::report::tests::{add, get, node, sample_report as report, set};
+    use crate::scenario::Family;
 
     #[test]
     fn within_threshold_passes() {
@@ -656,9 +506,21 @@ mod tests {
         // threshold passes.
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 0.25e6, 400.0);
-        cur.measured.batched_steps_per_sec = base.measured.batched_steps_per_sec / 4.0;
-        cur.measured.line_steps_per_sec = base.measured.line_steps_per_sec / 4.0;
-        cur.measured.calibration_ops_per_sec = base.measured.calibration_ops_per_sec / 4.0;
+        set(
+            &mut cur,
+            "measured.batched_steps_per_sec",
+            get(&base, "measured.batched_steps_per_sec") / 4.0,
+        );
+        set(
+            &mut cur,
+            "measured.line_steps_per_sec",
+            get(&base, "measured.line_steps_per_sec") / 4.0,
+        );
+        set(
+            &mut cur,
+            "measured.calibration_ops_per_sec",
+            get(&base, "measured.calibration_ops_per_sec") / 4.0,
+        );
         let findings = compare_reports(&base, &cur, 1.2);
         assert!(findings.iter().all(|f| !f.fatal), "{findings:?}");
     }
@@ -669,9 +531,21 @@ mod tests {
         // machine-normalized drop must trip the 2.5x gate.
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 0.1e6, 200.0);
-        cur.measured.batched_steps_per_sec = base.measured.batched_steps_per_sec / 2.0;
-        cur.measured.line_steps_per_sec = base.measured.line_steps_per_sec / 2.0;
-        cur.measured.calibration_ops_per_sec = base.measured.calibration_ops_per_sec / 2.0;
+        set(
+            &mut cur,
+            "measured.batched_steps_per_sec",
+            get(&base, "measured.batched_steps_per_sec") / 2.0,
+        );
+        set(
+            &mut cur,
+            "measured.line_steps_per_sec",
+            get(&base, "measured.line_steps_per_sec") / 2.0,
+        );
+        set(
+            &mut cur,
+            "measured.calibration_ops_per_sec",
+            get(&base, "measured.calibration_ops_per_sec") / 2.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(
             findings
@@ -687,7 +561,7 @@ mod tests {
     #[test]
     fn missing_calibration_falls_back_to_raw_comparison() {
         let mut base = report("ba_smoke", 1.0e6, 100.0);
-        base.measured.calibration_ops_per_sec = 0.0;
+        set(&mut base, "measured.calibration_ops_per_sec", 0.0);
         let cur = report("ba_smoke", 0.3e6, 100.0); // 3.3x down, raw
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings.iter().any(|f| f.fatal));
@@ -697,23 +571,19 @@ mod tests {
     fn alloc_peak_gates_only_when_measured_on_both_sides() {
         let mut base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        base.measured.alloc = AllocDelta {
-            peak_bytes: 1 << 20,
-            allocs: 10,
-            measured: true,
-        };
-        cur.measured.alloc = AllocDelta {
-            peak_bytes: 4 << 20, // 4x
-            allocs: 10,
-            measured: true,
-        };
+        for (r, peak_bytes) in [(&mut base, 1 << 20), (&mut cur, 4 << 20)] {
+            // 4x growth.
+            set(r, "measured.alloc.peak_bytes", f64::from(peak_bytes));
+            set(r, "measured.alloc.allocs", 10.0);
+            *node(r, "measured.alloc.measured") = Json::Bool(true);
+        }
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings
             .iter()
             .any(|f| f.fatal && f.metric == "measured.alloc.peak_bytes"));
 
         // Same blow-up but unmeasured on one side: no gate.
-        cur.measured.alloc.measured = false;
+        *node(&mut cur, "measured.alloc.measured") = Json::Bool(false);
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings.iter().all(|f| !f.fatal), "{findings:?}");
     }
@@ -722,7 +592,12 @@ mod tests {
     fn hit_path_cliff_is_fatal() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.measured.hit_path_ns = base.measured.hit_path_ns * 3.0; // 3x slower hits
+        // 3x slower hits.
+        set(
+            &mut cur,
+            "measured.hit_path_ns",
+            get(&base, "measured.hit_path_ns") * 3.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings
             .iter()
@@ -733,7 +608,12 @@ mod tests {
     fn page_fault_cliff_is_fatal_and_zero_is_exempt() {
         let base = report("loaded-paged_smoke", 1.0e6, 100.0);
         let mut cur = report("loaded-paged_smoke", 1.0e6, 100.0);
-        cur.measured.page_fault_ns = base.measured.page_fault_ns * 3.0; // 3x slower faults
+        // 3x slower faults.
+        set(
+            &mut cur,
+            "measured.page_fault_ns",
+            get(&base, "measured.page_fault_ns") * 3.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings
             .iter()
@@ -743,8 +623,8 @@ mod tests {
         // so no finding at all.
         let mut base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        base.measured.page_fault_ns = 0.0;
-        cur.measured.page_fault_ns = 0.0;
+        set(&mut base, "measured.page_fault_ns", 0.0);
+        set(&mut cur, "measured.page_fault_ns", 0.0);
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(
             !findings
@@ -758,33 +638,36 @@ mod tests {
     fn paging_counter_drift_warns_but_does_not_fail() {
         let base = report("loaded-paged_smoke", 1.0e6, 100.0);
         let mut cur = report("loaded-paged_smoke", 1.0e6, 100.0);
-        cur.paging.evictions += 7; // e.g. a different frame budget
+        add(&mut cur, "counters.paging.evictions", 7.0); // e.g. a different frame budget
         let findings = compare_reports(&base, &cur, 2.5);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].fatal);
-        assert_eq!(findings[0].metric, "counters");
+        assert_eq!(findings[0].metric, "counters.paging.evictions");
     }
 
     #[test]
     fn invalidation_counter_drift_warns_but_does_not_fail() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.invalidation.l2_stale_evictions += 5; // e.g. a different churn rate
+        add(&mut cur, "counters.invalidation.l2_stale_evictions", 5.0); // e.g. a different churn rate
         let findings = compare_reports(&base, &cur, 2.5);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].fatal);
-        assert_eq!(findings[0].metric, "counters");
+        assert_eq!(
+            findings[0].metric,
+            "counters.invalidation.l2_stale_evictions"
+        );
     }
 
     #[test]
     fn fault_counter_drift_warns_but_does_not_fail() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.faults.breaker_opens += 2; // e.g. a different burst level
+        add(&mut cur, "counters.faults.breaker_opens", 2.0); // e.g. a different burst level
         let findings = compare_reports(&base, &cur, 2.5);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].fatal);
-        assert_eq!(findings[0].metric, "counters");
+        assert_eq!(findings[0].metric, "counters.faults.breaker_opens");
     }
 
     #[test]
@@ -795,7 +678,7 @@ mod tests {
         // Multi-core runner, collapsed speedup: fatal.
         let mut bad = report("ba_smoke", 1.0e6, 100.0);
         bad.meta.threads = 4;
-        bad.measured.engine_parallel_speedup = 1.02;
+        set(&mut bad, "measured.engine_parallel_speedup", 1.02);
         std::fs::write(tmp.join(bad.file_name()), bad.to_json().to_pretty()).unwrap();
         let findings = min_speedup_findings(&tmp, 1.2).unwrap();
         assert!(findings.iter().any(|f| f.fatal), "{findings:?}");
@@ -809,7 +692,7 @@ mod tests {
 
         // Healthy multi-core speedup: no fatal finding.
         let mut good = bad.clone();
-        good.measured.engine_parallel_speedup = 2.8;
+        set(&mut good, "measured.engine_parallel_speedup", 2.8);
         std::fs::write(tmp.join(good.file_name()), good.to_json().to_pretty()).unwrap();
         let findings = min_speedup_findings(&tmp, 1.2).unwrap();
         assert!(findings.iter().all(|f| !f.fatal), "{findings:?}");
@@ -820,14 +703,26 @@ mod tests {
     fn serving_walltime_cliff_is_fatal() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.measured.serving_serial_ms = base.measured.serving_serial_ms * 3.0;
+        set(
+            &mut cur,
+            "measured.serving_serial_ms",
+            get(&base, "measured.serving_serial_ms") * 3.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings
             .iter()
             .any(|f| f.fatal && f.metric == "measured.serving_serial_ms"));
         // The parallel serving time is core-count dependent: warn only.
-        cur.measured.serving_serial_ms = base.measured.serving_serial_ms;
-        cur.measured.serving_parallel_ms = base.measured.serving_parallel_ms * 4.0;
+        set(
+            &mut cur,
+            "measured.serving_serial_ms",
+            get(&base, "measured.serving_serial_ms"),
+        );
+        set(
+            &mut cur,
+            "measured.serving_parallel_ms",
+            get(&base, "measured.serving_parallel_ms") * 4.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         let f = findings
             .iter()
@@ -840,19 +735,27 @@ mod tests {
     fn scheduler_walltime_cliff_is_fatal_and_counter_drift_warns() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.measured.scheduler_ms = base.measured.scheduler_ms * 3.0;
+        set(
+            &mut cur,
+            "measured.scheduler_ms",
+            get(&base, "measured.scheduler_ms") * 3.0,
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(findings
             .iter()
             .any(|f| f.fatal && f.metric == "measured.scheduler_ms"));
         // Scheduling-counter drift (e.g. a different deadline tightness)
         // warns like every other deterministic counter.
-        cur.measured.scheduler_ms = base.measured.scheduler_ms;
-        cur.scheduling.cancellations += 1;
+        set(
+            &mut cur,
+            "measured.scheduler_ms",
+            get(&base, "measured.scheduler_ms"),
+        );
+        add(&mut cur, "counters.scheduling.cancellations", 1.0);
         let findings = compare_reports(&base, &cur, 2.5);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].fatal);
-        assert_eq!(findings[0].metric, "counters");
+        assert_eq!(findings[0].metric, "counters.scheduling.cancellations");
     }
 
     #[test]
@@ -864,9 +767,9 @@ mod tests {
         // the degenerate comparison surfaces as a warning.
         let base0 = report("ba_smoke", 1.0e6, 100.0);
         let mut base = base0.clone();
-        base.measured.hit_path_ns = 0.0;
+        set(&mut base, "measured.hit_path_ns", 0.0);
         let mut cur = base0.clone();
-        cur.measured.hit_path_ns = 50.0;
+        set(&mut cur, "measured.hit_path_ns", 50.0);
         let findings = compare_reports(&base, &cur, 2.5);
         let f = findings
             .iter()
@@ -890,10 +793,14 @@ mod tests {
         // under the 2.5x threshold, so the gate stays silent.
         let base0 = report("ba_smoke", 1.0e6, 100.0);
         let mut base = base0.clone();
-        base.measured.workload_serial_ms = 0.0004;
+        set(&mut base, "measured.workload_serial_ms", 0.0004);
         let mut cur = base0.clone();
-        cur.measured.workload_serial_ms = 0.002;
-        cur.measured.total_ms = base.measured.total_ms;
+        set(&mut cur, "measured.workload_serial_ms", 0.002);
+        set(
+            &mut cur,
+            "measured.total_ms",
+            get(&base, "measured.total_ms"),
+        );
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(
             !findings
@@ -910,8 +817,8 @@ mod tests {
         // verdict.
         let base0 = report("ba_smoke", 1.0e6, 100.0);
         let mut base = base0.clone();
-        base.measured.hit_path_ns = -1.0;
-        base.measured.per_step_steps_per_sec = -1.0;
+        set(&mut base, "measured.hit_path_ns", -1.0);
+        set(&mut base, "measured.per_step_steps_per_sec", -1.0);
         let cur = base0.clone();
         let findings = compare_reports(&base, &cur, 2.5);
         for f in &findings {
@@ -948,11 +855,11 @@ mod tests {
     fn counter_drift_warns_but_does_not_fail() {
         let base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.ground_truth_f = 8;
+        set(&mut cur, "counters.ground_truth_f", 8.0);
         let findings = compare_reports(&base, &cur, 2.5);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].fatal);
-        assert_eq!(findings[0].metric, "counters");
+        assert_eq!(findings[0].metric, "counters.ground_truth_f");
     }
 
     #[test]
@@ -988,10 +895,26 @@ mod tests {
     }
 
     #[test]
+    fn committed_baselines_reserialize_byte_identically_and_match_themselves() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for family in Family::all() {
+            let path = root.join(format!("BENCH_{}_smoke.json", family.name()));
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let report =
+                Report::from_json_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(report.to_json().to_pretty(), text, "{}", path.display());
+        }
+        let cmp = compare_dirs(&root, &root, 2.5).unwrap();
+        assert_eq!(cmp.compared, Family::all().len());
+        assert!(cmp.findings.is_empty(), "{:?}", cmp.findings);
+    }
+
+    #[test]
     fn speedup_gates_fatally_only_when_both_sides_are_multicore() {
         let mut base = report("ba_smoke", 1.0e6, 100.0);
         let mut cur = report("ba_smoke", 1.0e6, 100.0);
-        cur.measured.engine_parallel_speedup = 1.0; // 3x collapse vs base's 3.0
+        set(&mut cur, "measured.engine_parallel_speedup", 1.0); // 3x collapse vs base's 3.0
 
         // Single-core baseline (the committed dev-container case): warn.
         base.meta.threads = 1;
@@ -1027,7 +950,7 @@ mod tests {
         cur.meta.threads = 8;
 
         // Within threshold: no finding at all.
-        cur.measured.engine_parallel_speedup = 2.0;
+        set(&mut cur, "measured.engine_parallel_speedup", 2.0);
         let findings = compare_reports(&base, &cur, 2.5);
         assert!(!findings
             .iter()

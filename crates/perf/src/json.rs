@@ -41,6 +41,22 @@ impl Json {
         }
     }
 
+    /// Follows a dot-separated path of object keys, e.g.
+    /// `"paging.page_reads"`.
+    pub fn at(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
+    /// Where `self` and `other` first differ, as a jq-style path from the
+    /// root (`.paging.page_reads`, `.algorithms[2].estimates[0]`; the root
+    /// itself is `""`), or `None` when they are equal. Numbers compare by
+    /// their bits. Object members compare by key, so member order does not
+    /// matter; a key on one side only is a difference at that key.
+    pub fn first_difference(&self, other: &Json) -> Option<String> {
+        let mut path = String::new();
+        differs(self, other, &mut path).then_some(path)
+    }
+
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -49,10 +65,12 @@ impl Json {
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integral number.
+    /// The value as `u64`, if it is a non-negative integral number below
+    /// 2^64.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, so the bound is exclusive.
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => {
                 Some(*x as u64)
             }
             _ => None,
@@ -135,12 +153,51 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after document"));
         }
         Ok(value)
+    }
+}
+
+/// [`Json::first_difference`]'s walk: appends to `path` while descending.
+/// On `false` the path is left as it came in; on `true` it names the
+/// difference.
+fn differs(a: &Json, b: &Json, path: &mut String) -> bool {
+    let len = path.len();
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() != y.to_bits(),
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+                let _ = write!(path, "[{i}]");
+                if differs(x, y, path) {
+                    return true;
+                }
+                path.truncate(len);
+            }
+            xs.len() != ys.len()
+        }
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            for (k, x) in xs {
+                path.push('.');
+                path.push_str(k);
+                if b.get(k).is_none_or(|y| differs(x, y, path)) {
+                    return true;
+                }
+                path.truncate(len);
+            }
+            match ys.iter().find(|(k, _)| a.get(k).is_none()) {
+                Some((k, _)) => {
+                    path.push('.');
+                    path.push_str(k);
+                    true
+                }
+                None => false,
+            }
+        }
+        _ => a != b,
     }
 }
 
@@ -221,8 +278,19 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest nesting of arrays and objects the parser accepts. The BENCH
+/// schema nests five levels; the limit stops hostile input from
+/// overflowing the stack through `parse_value`'s recursion.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -238,7 +306,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -263,7 +331,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -348,10 +416,16 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
+    let x: f64 = std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| JsonError::at(start, "invalid number"))
+        .ok_or_else(|| JsonError::at(start, "invalid number"))?;
+    // `1e999` parses to infinity, which the writer can only emit as `null`.
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(JsonError::at(start, "number out of range"))
+    }
 }
 
 #[cfg(test)]
@@ -416,6 +490,17 @@ mod tests {
         assert_eq!(doc.get("zzz"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-2.0).as_u64(), None);
+        // 2^64 is one past u64::MAX: out of range, not saturated.
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(
+            Json::Num(9_223_372_036_854_775_808.0).as_u64(),
+            Some(1 << 63)
+        );
+        let nested = Json::obj(vec![("outer", doc.clone())]);
+        assert_eq!(nested.at("outer.a"), Some(&Json::Num(3.0)));
+        assert_eq!(nested.at("outer"), Some(&doc));
+        assert_eq!(nested.at("outer.a.deeper"), None);
+        assert_eq!(nested.at("outer.zzz"), None);
     }
 
     #[test]
@@ -423,6 +508,53 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2", ""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+        // Infinity cannot be written back (the writer emits `null`).
+        for bad in ["1e999", "-1e999", "[0, 2e400]"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.message.contains("out of range"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        // Deep enough to overflow a test thread's stack without the limit.
+        for deep in ["[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+    }
+
+    #[test]
+    fn first_difference_names_the_differing_path() {
+        let doc = Json::parse(r#"{"a": {"b": [1, 2, {"c": null}]}, "d": 0.5}"#).unwrap();
+        assert_eq!(doc.first_difference(&doc.clone()), None);
+        // Member order is not a difference.
+        let reordered = Json::parse(r#"{"d": 0.5, "a": {"b": [1, 2, {"c": null}]}}"#).unwrap();
+        assert_eq!(doc.first_difference(&reordered), None);
+        for (other, path) in [
+            (r#"{"a": {"b": [1, 3, {"c": null}]}, "d": 0.5}"#, ".a.b[1]"),
+            (r#"{"a": {"b": [1, 2, {"c": 0}]}, "d": 0.5}"#, ".a.b[2].c"),
+            (r#"{"a": {"b": [1, 2]}, "d": 0.5}"#, ".a.b"),
+            (r#"{"a": {"b": [1, 2, {"c": null}]}}"#, ".d"),
+            (
+                r#"{"a": {"b": [1, 2, {"c": null}]}, "d": 0.5, "e": 1}"#,
+                ".e",
+            ),
+            (r#"{"a": "b", "d": 0.5}"#, ".a"),
+            ("[]", ""),
+        ] {
+            let other = Json::parse(other).unwrap();
+            assert_eq!(doc.first_difference(&other).as_deref(), Some(path));
+        }
+        // Numbers compare by their bits: -0 is not 0.
+        assert_eq!(
+            Json::Num(0.0).first_difference(&Json::Num(-0.0)).as_deref(),
+            Some("")
+        );
     }
 
     #[test]

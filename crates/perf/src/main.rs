@@ -146,50 +146,48 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         let path = out.join(report.file_name());
         std::fs::write(&path, report.to_json().to_pretty())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        let m = &report.measured;
-        let s = &report.serving;
+        let c = |path: &str| report.counter(path).unwrap_or(f64::NAN);
+        let m = |path: &str| report.metric(path).unwrap_or(f64::NAN);
         eprintln!(
             "  serving: {} requests -> {} admitted / {} shed / {} quota-exhausted ({:.1} ms serial / {:.1} ms parallel)",
-            s.requests, s.admitted, s.shed, s.quota_exhausted,
-            m.serving_serial_ms, m.serving_parallel_ms,
+            c("serving.requests"), c("serving.admitted"), c("serving.shed"),
+            c("serving.quota_exhausted"), m("serving_serial_ms"), m("serving_parallel_ms"),
         );
-        let p = &report.paging;
-        if p.page_reads > 0 {
+        let (page_reads, pool_hits) = (c("paging.page_reads"), c("paging.pool_hits"));
+        if page_reads > 0.0 {
             eprintln!(
-                "  paging ({} frames): {} page reads / {} pool hits ({:.1}% hit rate), {} evictions, pinned peak {} ({:.0} ns/fault)",
-                pool_frames.label(), p.page_reads, p.pool_hits,
-                100.0 * p.pool_hits as f64 / (p.pool_hits + p.page_reads).max(1) as f64,
-                p.evictions, p.pinned_peak, m.page_fault_ns,
+                "  paging ({} frames): {page_reads} page reads / {pool_hits} pool hits ({:.1}% hit rate), {} evictions, pinned peak {} ({:.0} ns/fault)",
+                pool_frames.label(),
+                100.0 * pool_hits / (pool_hits + page_reads).max(1.0),
+                c("paging.evictions"), c("paging.pinned_peak"), m("page_fault_ns"),
             );
         }
-        let sc = &report.scheduling;
         eprintln!(
             "  scheduler ({}): {} deadline hits / {} cancellations, mean slack {:.1} ticks, {} inversions ({:.1} ms)",
-            deadline.name(), sc.deadline_hits, sc.cancellations, sc.mean_slack_ticks,
-            sc.priority_inversions, m.scheduler_ms,
+            deadline.name(), c("scheduling.deadline_hits"), c("scheduling.cancellations"),
+            c("scheduling.mean_slack_ticks"), c("scheduling.priority_inversions"), m("scheduler_ms"),
         );
-        let iv = &report.invalidation;
         eprintln!(
             "  churn (rate {churn_rate}): {} batches / {} events -> {} L1 + {} L2 stale evictions, {} avoided",
-            iv.churn_batches, iv.churn_events, iv.l1_stale_evictions, iv.l2_stale_evictions,
-            iv.avoided_invalidations,
+            c("invalidation.churn_batches"), c("invalidation.churn_events"),
+            c("invalidation.l1_stale_evictions"), c("invalidation.l2_stale_evictions"),
+            c("invalidation.avoided_invalidations"),
         );
-        let ft = &report.faults;
         eprintln!(
             "  faults (burst {}): {} bursts -> {} breaker opens, {} stale served, {} storage retries, {} throttled",
-            burst.name(), ft.bursts, ft.breaker_opens, ft.stale_served, ft.storage_retries,
-            ft.quota_throttled,
+            burst.name(), c("faults.bursts"), c("faults.breaker_opens"), c("faults.stale_served"),
+            c("faults.storage_retries"), c("faults.quota_throttled"),
         );
         eprintln!(
             "  {:>10} nodes {:>10} edges | walk {:>12.0} steps/s per-step, {:>12.0} batched, {:>11.0} line | gt {:.1} ms serial / {:.1} ms parallel | {:.0} ms total -> {}",
             report.meta.nodes,
             report.meta.edges,
-            m.per_step_steps_per_sec,
-            m.batched_steps_per_sec,
-            m.line_steps_per_sec,
-            m.gt_serial_ms,
-            m.gt_parallel_ms,
-            m.total_ms,
+            m("per_step_steps_per_sec"),
+            m("batched_steps_per_sec"),
+            m("line_steps_per_sec"),
+            m("gt_serial_ms"),
+            m("gt_parallel_ms"),
+            m("total_ms"),
             path.display()
         );
     }

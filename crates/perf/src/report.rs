@@ -1,5 +1,5 @@
-//! The schema-versioned BENCH_*.json report: types, serialization, and
-//! parsing.
+//! The schema-versioned BENCH_*.json report: the JSON tree a scenario
+//! writes, and the checks a file must pass before it is compared.
 //!
 //! A report splits cleanly into two halves:
 //!
@@ -7,64 +7,24 @@
 //!   counts and end states, per-replication API calls, the estimates
 //!   themselves, NRMSE, exact ground truth. Two runs at the same seed must
 //!   produce identical `counters`; the harness's determinism test and CI
-//!   enforce this.
+//!   enforce this. [`crate::scenario::run_scenario`] describes each
+//!   counter where it records it.
 //! * `measured` — machine-dependent: wall times, steps/sec, allocator
 //!   traffic. The regression gate compares only these, with a generous
-//!   ratio threshold.
+//!   ratio threshold, by the policy table in [`crate::compare`].
 
-use crate::alloc_track::AllocDelta;
+use crate::compare::POLICY;
 use crate::json::{Json, JsonError};
 
-/// Version of the BENCH_*.json schema. Bump on any breaking change and
-/// regenerate the committed baselines in the same PR.
+/// Version of the BENCH_*.json schema.
 ///
-/// v2 added the `counters.engine` section (shared-cache query engine:
-/// replicated estimates, logical vs miss API calls, hit rate) and the
-/// `measured.engine_*` timings.
-///
-/// v3 added `scenario.threads` (detected available parallelism, so the
-/// compare gate can tell multi-core runners from laptops), the
-/// `counters.workload` section (mixed-algorithm workload over the
-/// adversarial fault-injecting backend: estimates, retry charges, realized
-/// backend attempts, budget overruns, latency-tick percentiles) and the
-/// `measured.workload_*` timings/throughput.
-///
-/// v4 added the cache-hierarchy fields: `counters.engine.l1_hits`
-/// (logical calls served by sessions' private lock-free L1 caches during
-/// the serial engine pass) and `measured.hit_path_ns` (steady-state
-/// wall-clock cost of one warm-cache logical call — the metric the
-/// L1/L2 hierarchy exists to shrink, gated like the other wall times).
-///
-/// v5 added the `counters.serving` section (sharded multi-graph service:
-/// requests admitted / shed / quota-rejected by deterministic admission
-/// control, and the per-tenant fairness ratio) and the
-/// `measured.serving_{serial,parallel}_ms` timings.
-///
-/// v6 added the `counters.scheduling` section (deadline-aware scheduled
-/// serving through the virtual-time event loop: deadline hits,
-/// cancellations into anytime answers, mean slack over the hits, and
-/// priority inversions charged by the non-preemptive loop) and the
-/// `measured.scheduler_ms` timing.
-///
-/// v7 added the `counters.paging` section (out-of-core paged-CSR buffer
-/// pool: page reads, pool hits, evictions, pinned-frame peak — all zero
-/// for in-RAM families) and the `measured.page_fault_ns` probe (steady
-/// cost of one pool miss on a tight frame budget, gated like the other
-/// wall times in the `loaded-paged` family).
-///
-/// v8 added the `counters.invalidation` section (dynamic graphs: churn
-/// batches and events applied by the seeded churn schedule, and L1/L2
-/// cache entries evicted as stale by epoch-stamp mismatch — all zero at
-/// churn rate 0, where the stack is bit-identical to the static one).
-///
-/// v9 added the `counters.faults` section (correlated outage bursts and
-/// the resilience layer: burst windows observed, circuit-breaker trips,
-/// stale entries served during degraded windows, storage read retries in
-/// the paged buffer pool, and requests throttled on the shared tenant
-/// rate limit — all zero with the burst knob off, where the stack is
-/// bit-identical to the fault-free one) and
-/// `counters.invalidation.avoided_invalidations` (neighbor-list
-/// invalidations the split edge/label epochs avoided on label flips).
+/// Bump it, and regenerate the committed baselines in the same PR, when
+/// what the reader checks changes: a `scenario` field, or a `measured`
+/// path that [`crate::compare`]'s policy table gates, is added, removed,
+/// renamed, or changes type. `counters` is compared as one tree, so
+/// adding or removing a counter needs no bump: `compare` reports it as
+/// drift at its path, and the PR that makes the change regenerates the
+/// baselines it moves.
 pub const SCHEMA_VERSION: u64 = 9;
 
 /// Scenario identity and workload parameters.
@@ -96,261 +56,6 @@ pub struct ScenarioMeta {
     pub threads: u64,
 }
 
-/// Deterministic walk counters (identical across same-seed runs).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WalkCounters {
-    /// Steps taken on each stepping path (per-step OSN, batched OSN,
-    /// per-step line graph).
-    pub steps: u64,
-    /// Final node index after the per-step OSN walk.
-    pub per_step_end: u64,
-    /// Final node index after the batched OSN walk (must equal
-    /// `per_step_end`: both paths consume identical RNG streams).
-    pub batched_end: u64,
-    /// Final line-node endpoints after the line-graph walk.
-    pub line_end: (u64, u64),
-    /// Raw API calls consumed by the line-graph walk (tracks the O(1)
-    /// `sample_neighbor` — exactly 2 neighbor-list calls per step).
-    pub line_api_calls: u64,
-}
-
-/// Deterministic counters of the query-engine phase: one algorithm
-/// replicated through `labelcount_core::Engine`'s shared cache, serial
-/// pass. The parallel pass must be bit-identical (asserted by the
-/// scenario runner), so only one estimate vector is stored.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EngineCounters {
-    /// Replicates fanned through the engine.
-    pub replicates: u64,
-    /// Per-replicate estimates, replication order (identical for every
-    /// thread count).
-    pub estimates: Vec<f64>,
-    /// Logical API calls issued by all replicates — exactly what the
-    /// uncached baseline pays against the backend.
-    pub logical_api_calls: u64,
-    /// Cache-miss API calls — what actually reached the backend. The
-    /// engine's raison d'être: `miss <= 0.7 * logical` on every committed
-    /// smoke baseline.
-    pub miss_api_calls: u64,
-    /// Logical calls served by sessions' private L1 caches (no lock, no
-    /// atomic refcount traffic) — the subset of hits on the de-atomized
-    /// hot path. Deterministic: each session's L1 hit count is a pure
-    /// function of its own call sequence.
-    pub l1_hits: u64,
-    /// `1 - miss/logical` (deterministic arithmetic over the two counters).
-    pub hit_rate: f64,
-}
-
-/// Deterministic counters of the workload phase: a mixed Table-2 workload
-/// served through the multi-query service over the adversarial
-/// (fault-injecting) backend. The parallel pass must be bit-identical to
-/// the serial pass (asserted by the scenario runner), so one copy of the
-/// counters is stored.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadCounters {
-    /// Queries in the workload.
-    pub queries: u64,
-    /// Per-attempt fault probability of the adversarial backend.
-    pub fault_rate: f64,
-    /// Per-query estimates in query-id order; a query that failed (e.g.
-    /// budget exhausted under fault pressure) stores the non-finite
-    /// sentinel.
-    pub estimates: Vec<f64>,
-    /// Logical API calls across all queries — the clean-world cost.
-    pub logical_api_calls: u64,
-    /// Realized backend attempts (first tries + pages + retries) — what
-    /// the hostile API billed.
-    pub backend_attempts: u64,
-    /// Retry charges billed against query budgets.
-    pub retry_charges: u64,
-    /// Rate-limit rejections absorbed.
-    pub rate_limited: u64,
-    /// Transient errors absorbed.
-    pub transient_errors: u64,
-    /// Queries whose hard budget ran out.
-    pub budget_exhausted_queries: u64,
-    /// Median per-query simulated latency, ticks.
-    pub latency_ticks_p50: f64,
-    /// 95th-percentile per-query simulated latency, ticks.
-    pub latency_ticks_p95: f64,
-}
-
-/// Deterministic counters of the serving phase: a multi-tenant request
-/// stream through `labelcount_serve::ShardedService` — consistent-hash
-/// routing, per-graph modelled admission queues, per-tenant quotas. The
-/// parallel pass must be bit-identical to the serial pass (asserted by
-/// the scenario runner), so one copy of the counters is stored.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServingCounters {
-    /// Shards the service was configured with.
-    pub shards: u64,
-    /// Tenants issuing requests.
-    pub tenants: u64,
-    /// Requests submitted.
-    pub requests: u64,
-    /// Requests admitted and executed.
-    pub admitted: u64,
-    /// Requests shed by the modelled admission queues.
-    pub shed: u64,
-    /// Requests rejected on tenant quota.
-    pub quota_exhausted: u64,
-    /// Per-tenant fairness: max admitted over min admitted (floored at 1)
-    /// across tenants with at least one submission.
-    pub tenant_fairness: f64,
-}
-
-/// Deterministic counters of the scheduler phase: the same request stream
-/// replayed through the virtual-time event loop under the scenario's
-/// deadline tightness. The sharded parallel pass must be bit-identical to
-/// the single-shard serial pass (asserted by the scenario runner), so one
-/// copy of the counters is stored.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SchedulerCounters {
-    /// Deadline-carrying requests that completed at or before their
-    /// deadline.
-    pub deadline_hits: u64,
-    /// Requests cancelled into anytime answers when their deadline passed.
-    pub cancellations: u64,
-    /// Mean slack over the deadline hits, virtual ticks.
-    pub mean_slack_ticks: f64,
-    /// Priority inversions charged by the non-preemptive loop (a
-    /// higher-priority arrival while a lower-priority slice ran).
-    pub priority_inversions: u64,
-}
-
-/// Deterministic counters of the out-of-core buffer pool, aggregated over
-/// the scenario's *serial* paged passes (parallel passes share the pool
-/// and would make the counts interleaving-dependent). All-zero for the
-/// in-RAM families, which never touch a pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PagingCounters {
-    /// Pages read from disk (pool misses).
-    pub page_reads: u64,
-    /// Pin requests served from resident frames.
-    pub pool_hits: u64,
-    /// Frames replaced to make room.
-    pub evictions: u64,
-    /// High-water mark of simultaneously pinned frames.
-    pub pinned_peak: u64,
-}
-
-/// Deterministic counters of the dynamic-graph churn phase: a replicated
-/// estimation run over a [`labelcount_osn::ChurnOsn`] whose seeded churn
-/// schedule is advanced between serial control points, with every cache
-/// layer invalidating on epoch-stamp mismatch. All zero at churn rate 0
-/// (the scenario's `--churn-rate 0` run must be bit-identical to the
-/// static stack).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct InvalidationCounters {
-    /// Churn batches applied by the schedule over the phase.
-    pub churn_batches: u64,
-    /// Individual churn events (edge inserts/deletes, label flips)
-    /// applied across those batches.
-    pub churn_events: u64,
-    /// Session-private L1 slots discarded because their fill-time epoch
-    /// went stale.
-    pub l1_stale_evictions: u64,
-    /// Shared L2 entries discarded because their fill-time epoch went
-    /// stale (counted once, by the first prober, under the shard lock).
-    pub l2_stale_evictions: u64,
-    /// Neighbor-list invalidations avoided by the split edge/label
-    /// epochs: label flips that bumped only the label epoch, leaving
-    /// cached neighbor lists warm.
-    pub avoided_invalidations: u64,
-}
-
-/// Deterministic counters of the fault/resilience phase: the scenario's
-/// workload replayed under the configured outage-burst process with the
-/// reactive resilience layer on. All zero with the burst knob off, where
-/// the scenario must be bit-identical to the fault-free stack.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultCounters {
-    /// Distinct outage bursts the queries' fetches ran into.
-    pub bursts: u64,
-    /// Circuit-breaker trips (closed → open, including re-opens).
-    pub breaker_opens: u64,
-    /// Stale cache entries served during degraded windows.
-    pub stale_served: u64,
-    /// Storage read attempts retried by the paged buffer pool (in-RAM
-    /// families never read pages, so this stays zero there).
-    pub storage_retries: u64,
-    /// Requests throttled on the shared per-tenant rate limit.
-    pub quota_throttled: u64,
-}
-
-/// One algorithm's deterministic results on a scenario.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlgoCounters {
-    /// Table 2 abbreviation, or the extension name.
-    pub abbrev: String,
-    /// The per-replication estimates, in replication order.
-    pub estimates: Vec<f64>,
-    /// Total raw API calls across all replications.
-    pub api_calls: u64,
-    /// NRMSE of the estimates against exact ground truth (`None` when the
-    /// ground truth is not computed at this tier).
-    pub nrmse: Option<f64>,
-}
-
-/// Machine-dependent timings (compared by the regression gate).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Measured {
-    /// Whole-scenario wall time, milliseconds.
-    pub total_ms: f64,
-    /// Per-step walk throughput, steps/second.
-    pub per_step_steps_per_sec: f64,
-    /// Batched (`steps_into`) walk throughput, steps/second.
-    pub batched_steps_per_sec: f64,
-    /// Line-graph walk throughput, steps/second.
-    pub line_steps_per_sec: f64,
-    /// Serial `GroundTruth::compute` wall time, milliseconds.
-    pub gt_serial_ms: f64,
-    /// `GroundTruth::compute_parallel` wall time, milliseconds.
-    pub gt_parallel_ms: f64,
-    /// Wall time of the engine's replicated estimation run on one thread,
-    /// milliseconds.
-    pub engine_serial_ms: f64,
-    /// Wall time of the same replicated run fanned across all available
-    /// threads (cold cache for both passes), milliseconds.
-    pub engine_parallel_ms: f64,
-    /// `engine_serial_ms / engine_parallel_ms` — > 1 on multi-core
-    /// runners.
-    pub engine_parallel_speedup: f64,
-    /// Steady-state cost of one logical call on a fully warm cache
-    /// (session L1 warmed over the probe set, shared L2 warmed by the
-    /// serial engine pass), nanoseconds. This is the ~97%-of-calls hot
-    /// path the L1 hierarchy optimizes; gated like the other wall times.
-    pub hit_path_ns: f64,
-    /// Wall time of the workload phase on one worker, milliseconds.
-    pub workload_serial_ms: f64,
-    /// Wall time of the same workload fanned across all available
-    /// workers, milliseconds.
-    pub workload_parallel_ms: f64,
-    /// Workload throughput of the parallel pass, queries/second.
-    pub workload_queries_per_sec: f64,
-    /// Wall time of the serving phase run on one shard with one worker,
-    /// milliseconds.
-    pub serving_serial_ms: f64,
-    /// Wall time of the same serving phase across the full shard fleet
-    /// with all available workers, milliseconds.
-    pub serving_parallel_ms: f64,
-    /// Wall time of the scheduler phase (the deadline-constrained
-    /// scheduled run) on one shard with one worker, milliseconds.
-    pub scheduler_ms: f64,
-    /// Steady cost of one buffer-pool page fault (miss + pread + frame
-    /// replacement) measured on a fresh tight-budget pool, nanoseconds.
-    /// Zero for in-RAM families, where the floor keeps the gate ratio
-    /// degenerate and the metric informational.
-    pub page_fault_ns: f64,
-    /// Machine-speed proxy measured alongside the scenario
-    /// ([`crate::scenario::calibration_ops_per_sec`]); the regression gate
-    /// normalizes timing metrics by it so baselines transfer across
-    /// machines.
-    pub calibration_ops_per_sec: f64,
-    /// Allocator traffic over the scenario.
-    pub alloc: AllocDelta,
-}
-
 /// A complete scenario report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
@@ -359,35 +64,12 @@ pub struct Report {
     pub schema_version: u64,
     /// Scenario identity.
     pub meta: ScenarioMeta,
-    /// Deterministic counters.
-    pub walk: WalkCounters,
-    /// Deterministic per-algorithm counters, Table 2 order then
-    /// extensions.
-    pub algorithms: Vec<AlgoCounters>,
-    /// Deterministic query-engine counters (shared-cache access layer).
-    pub engine: EngineCounters,
-    /// Deterministic workload counters (multi-query service over the
-    /// adversarial backend).
-    pub workload: WorkloadCounters,
-    /// Deterministic serving counters (sharded multi-graph service with
-    /// admission control).
-    pub serving: ServingCounters,
-    /// Deterministic scheduler counters (deadline-aware scheduled serving
-    /// through the virtual-time event loop).
-    pub scheduling: SchedulerCounters,
-    /// Deterministic buffer-pool counters (out-of-core paged CSR; all
-    /// zero for in-RAM families).
-    pub paging: PagingCounters,
-    /// Deterministic churn/invalidation counters (dynamic graphs; all
-    /// zero at churn rate 0).
-    pub invalidation: InvalidationCounters,
-    /// Deterministic fault/resilience counters (outage bursts, breaker,
-    /// degradation; all zero with the burst knob off).
-    pub faults: FaultCounters,
-    /// Exact target-edge count `F`.
-    pub ground_truth_f: u64,
-    /// Machine-dependent measurements.
-    pub measured: Measured,
+    /// Deterministic counters: an object with one member per phase
+    /// (`walk`, `algorithms`, `engine`, …).
+    pub counters: Json,
+    /// Machine-dependent measurements: an object holding at least every
+    /// path the gate's policy table names.
+    pub measured: Json,
 }
 
 impl Report {
@@ -396,12 +78,21 @@ impl Report {
         format!("BENCH_{}.json", self.meta.name)
     }
 
-    /// Serializes to the schema's pretty-printed JSON.
+    /// The number at a dot-separated path under `counters`, e.g.
+    /// `paging.page_reads`.
+    pub fn counter(&self, path: &str) -> Option<f64> {
+        self.counters.at(path).and_then(Json::as_f64)
+    }
+
+    /// The number at a dot-separated path under `measured`, e.g.
+    /// `alloc.peak_bytes`.
+    pub fn metric(&self, path: &str) -> Option<f64> {
+        self.measured.at(path).and_then(Json::as_f64)
+    }
+
+    /// Serializes to the schema's JSON tree.
     pub fn to_json(&self) -> Json {
         let m = &self.meta;
-        let w = &self.walk;
-        let ms = &self.measured;
-        let opt = |x: Option<f64>| x.map(Json::Num).unwrap_or(Json::Null);
         Json::obj(vec![
             ("schema_version", Json::Num(self.schema_version as f64)),
             (
@@ -419,254 +110,15 @@ impl Report {
                     ("threads", Json::Num(m.threads as f64)),
                 ]),
             ),
-            (
-                "counters",
-                Json::obj(vec![
-                    (
-                        "walk",
-                        Json::obj(vec![
-                            ("steps", Json::Num(w.steps as f64)),
-                            ("per_step_end", Json::Num(w.per_step_end as f64)),
-                            ("batched_end", Json::Num(w.batched_end as f64)),
-                            (
-                                "line_end",
-                                Json::Arr(vec![
-                                    Json::Num(w.line_end.0 as f64),
-                                    Json::Num(w.line_end.1 as f64),
-                                ]),
-                            ),
-                            ("line_api_calls", Json::Num(w.line_api_calls as f64)),
-                        ]),
-                    ),
-                    (
-                        "algorithms",
-                        Json::Arr(
-                            self.algorithms
-                                .iter()
-                                .map(|a| {
-                                    Json::obj(vec![
-                                        ("abbrev", Json::Str(a.abbrev.clone())),
-                                        (
-                                            "estimates",
-                                            Json::Arr(
-                                                a.estimates.iter().map(|&e| Json::Num(e)).collect(),
-                                            ),
-                                        ),
-                                        ("api_calls", Json::Num(a.api_calls as f64)),
-                                        ("nrmse", opt(a.nrmse)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "engine",
-                        Json::obj(vec![
-                            ("replicates", Json::Num(self.engine.replicates as f64)),
-                            (
-                                "estimates",
-                                Json::Arr(
-                                    self.engine
-                                        .estimates
-                                        .iter()
-                                        .map(|&e| Json::Num(e))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "logical_api_calls",
-                                Json::Num(self.engine.logical_api_calls as f64),
-                            ),
-                            (
-                                "miss_api_calls",
-                                Json::Num(self.engine.miss_api_calls as f64),
-                            ),
-                            ("l1_hits", Json::Num(self.engine.l1_hits as f64)),
-                            ("hit_rate", Json::Num(self.engine.hit_rate)),
-                        ]),
-                    ),
-                    (
-                        "workload",
-                        Json::obj(vec![
-                            ("queries", Json::Num(self.workload.queries as f64)),
-                            ("fault_rate", Json::Num(self.workload.fault_rate)),
-                            (
-                                "estimates",
-                                Json::Arr(
-                                    self.workload
-                                        .estimates
-                                        .iter()
-                                        .map(|&e| Json::Num(e))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "logical_api_calls",
-                                Json::Num(self.workload.logical_api_calls as f64),
-                            ),
-                            (
-                                "backend_attempts",
-                                Json::Num(self.workload.backend_attempts as f64),
-                            ),
-                            (
-                                "retry_charges",
-                                Json::Num(self.workload.retry_charges as f64),
-                            ),
-                            ("rate_limited", Json::Num(self.workload.rate_limited as f64)),
-                            (
-                                "transient_errors",
-                                Json::Num(self.workload.transient_errors as f64),
-                            ),
-                            (
-                                "budget_exhausted_queries",
-                                Json::Num(self.workload.budget_exhausted_queries as f64),
-                            ),
-                            (
-                                "latency_ticks_p50",
-                                Json::Num(self.workload.latency_ticks_p50),
-                            ),
-                            (
-                                "latency_ticks_p95",
-                                Json::Num(self.workload.latency_ticks_p95),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "serving",
-                        Json::obj(vec![
-                            ("shards", Json::Num(self.serving.shards as f64)),
-                            ("tenants", Json::Num(self.serving.tenants as f64)),
-                            ("requests", Json::Num(self.serving.requests as f64)),
-                            ("admitted", Json::Num(self.serving.admitted as f64)),
-                            ("shed", Json::Num(self.serving.shed as f64)),
-                            (
-                                "quota_exhausted",
-                                Json::Num(self.serving.quota_exhausted as f64),
-                            ),
-                            ("tenant_fairness", Json::Num(self.serving.tenant_fairness)),
-                        ]),
-                    ),
-                    (
-                        "scheduling",
-                        Json::obj(vec![
-                            (
-                                "deadline_hits",
-                                Json::Num(self.scheduling.deadline_hits as f64),
-                            ),
-                            (
-                                "cancellations",
-                                Json::Num(self.scheduling.cancellations as f64),
-                            ),
-                            (
-                                "mean_slack_ticks",
-                                Json::Num(self.scheduling.mean_slack_ticks),
-                            ),
-                            (
-                                "priority_inversions",
-                                Json::Num(self.scheduling.priority_inversions as f64),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "paging",
-                        Json::obj(vec![
-                            ("page_reads", Json::Num(self.paging.page_reads as f64)),
-                            ("pool_hits", Json::Num(self.paging.pool_hits as f64)),
-                            ("evictions", Json::Num(self.paging.evictions as f64)),
-                            ("pinned_peak", Json::Num(self.paging.pinned_peak as f64)),
-                        ]),
-                    ),
-                    (
-                        "invalidation",
-                        Json::obj(vec![
-                            (
-                                "churn_batches",
-                                Json::Num(self.invalidation.churn_batches as f64),
-                            ),
-                            (
-                                "churn_events",
-                                Json::Num(self.invalidation.churn_events as f64),
-                            ),
-                            (
-                                "l1_stale_evictions",
-                                Json::Num(self.invalidation.l1_stale_evictions as f64),
-                            ),
-                            (
-                                "l2_stale_evictions",
-                                Json::Num(self.invalidation.l2_stale_evictions as f64),
-                            ),
-                            (
-                                "avoided_invalidations",
-                                Json::Num(self.invalidation.avoided_invalidations as f64),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "faults",
-                        Json::obj(vec![
-                            ("bursts", Json::Num(self.faults.bursts as f64)),
-                            ("breaker_opens", Json::Num(self.faults.breaker_opens as f64)),
-                            ("stale_served", Json::Num(self.faults.stale_served as f64)),
-                            (
-                                "storage_retries",
-                                Json::Num(self.faults.storage_retries as f64),
-                            ),
-                            (
-                                "quota_throttled",
-                                Json::Num(self.faults.quota_throttled as f64),
-                            ),
-                        ]),
-                    ),
-                    ("ground_truth_f", Json::Num(self.ground_truth_f as f64)),
-                ]),
-            ),
-            (
-                "measured",
-                Json::obj(vec![
-                    ("total_ms", Json::Num(ms.total_ms)),
-                    (
-                        "per_step_steps_per_sec",
-                        Json::Num(ms.per_step_steps_per_sec),
-                    ),
-                    ("batched_steps_per_sec", Json::Num(ms.batched_steps_per_sec)),
-                    ("line_steps_per_sec", Json::Num(ms.line_steps_per_sec)),
-                    ("gt_serial_ms", Json::Num(ms.gt_serial_ms)),
-                    ("gt_parallel_ms", Json::Num(ms.gt_parallel_ms)),
-                    ("engine_serial_ms", Json::Num(ms.engine_serial_ms)),
-                    ("engine_parallel_ms", Json::Num(ms.engine_parallel_ms)),
-                    (
-                        "engine_parallel_speedup",
-                        Json::Num(ms.engine_parallel_speedup),
-                    ),
-                    ("hit_path_ns", Json::Num(ms.hit_path_ns)),
-                    ("workload_serial_ms", Json::Num(ms.workload_serial_ms)),
-                    ("workload_parallel_ms", Json::Num(ms.workload_parallel_ms)),
-                    (
-                        "workload_queries_per_sec",
-                        Json::Num(ms.workload_queries_per_sec),
-                    ),
-                    ("serving_serial_ms", Json::Num(ms.serving_serial_ms)),
-                    ("serving_parallel_ms", Json::Num(ms.serving_parallel_ms)),
-                    ("scheduler_ms", Json::Num(ms.scheduler_ms)),
-                    ("page_fault_ns", Json::Num(ms.page_fault_ns)),
-                    (
-                        "calibration_ops_per_sec",
-                        Json::Num(ms.calibration_ops_per_sec),
-                    ),
-                    (
-                        "alloc",
-                        Json::obj(vec![
-                            ("peak_bytes", Json::Num(ms.alloc.peak_bytes as f64)),
-                            ("allocs", Json::Num(ms.alloc.allocs as f64)),
-                            ("measured", Json::Bool(ms.alloc.measured)),
-                        ]),
-                    ),
-                ]),
-            ),
+            ("counters", self.counters.clone()),
+            ("measured", self.measured.clone()),
         ])
     }
 
-    /// Parses a report from JSON text, validating the schema version.
+    /// Parses a report from JSON text. Checks the schema version and every
+    /// `scenario` field, that `counters` is an object, and that each
+    /// `measured` path the gate reads holds a number; the counters
+    /// themselves are not listed here.
     pub fn from_json_text(text: &str) -> Result<Report, ReportError> {
         let v = Json::parse(text)?;
         let schema_version = field_u64(&v, "schema_version")?;
@@ -688,176 +140,20 @@ impl Report {
             reps: field_u64(sc, "reps")?,
             threads: field_u64(sc, "threads")?,
         };
-        let counters = v.get("counters").ok_or_else(|| miss("counters"))?;
-        let wj = counters.get("walk").ok_or_else(|| miss("counters.walk"))?;
-        let line_end = wj
-            .get("line_end")
-            .and_then(Json::as_arr)
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| miss("counters.walk.line_end"))?;
-        let walk = WalkCounters {
-            steps: field_u64(wj, "steps")?,
-            per_step_end: field_u64(wj, "per_step_end")?,
-            batched_end: field_u64(wj, "batched_end")?,
-            line_end: (
-                line_end[0].as_u64().ok_or_else(|| miss("line_end[0]"))?,
-                line_end[1].as_u64().ok_or_else(|| miss("line_end[1]"))?,
-            ),
-            line_api_calls: field_u64(wj, "line_api_calls")?,
+        let counters = match v.get("counters") {
+            Some(c @ Json::Obj(_)) => c.clone(),
+            _ => return Err(miss("counters")),
         };
-        let algorithms = counters
-            .get("algorithms")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| miss("counters.algorithms"))?
-            .iter()
-            .map(|a| {
-                Ok(AlgoCounters {
-                    abbrev: field_str(a, "abbrev")?,
-                    estimates: a
-                        .get("estimates")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| miss("estimates"))?
-                        .iter()
-                        .map(|e| e.as_f64().ok_or_else(|| miss("estimates[i]")))
-                        .collect::<Result<_, _>>()?,
-                    api_calls: field_u64(a, "api_calls")?,
-                    nrmse: match a.get("nrmse") {
-                        Some(Json::Null) | None => None,
-                        Some(x) => Some(x.as_f64().ok_or_else(|| miss("nrmse"))?),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, ReportError>>()?;
-        let ej = counters
-            .get("engine")
-            .ok_or_else(|| miss("counters.engine"))?;
-        let engine = EngineCounters {
-            replicates: field_u64(ej, "replicates")?,
-            estimates: ej
-                .get("estimates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| miss("engine.estimates"))?
-                .iter()
-                .map(|e| e.as_f64().ok_or_else(|| miss("engine.estimates[i]")))
-                .collect::<Result<_, _>>()?,
-            logical_api_calls: field_u64(ej, "logical_api_calls")?,
-            miss_api_calls: field_u64(ej, "miss_api_calls")?,
-            l1_hits: field_u64(ej, "l1_hits")?,
-            hit_rate: field_f64(ej, "hit_rate")?,
-        };
-        let wlj = counters
-            .get("workload")
-            .ok_or_else(|| miss("counters.workload"))?;
-        let workload = WorkloadCounters {
-            queries: field_u64(wlj, "queries")?,
-            fault_rate: field_f64(wlj, "fault_rate")?,
-            estimates: wlj
-                .get("estimates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| miss("workload.estimates"))?
-                .iter()
-                .map(|e| e.as_f64().ok_or_else(|| miss("workload.estimates[i]")))
-                .collect::<Result<_, _>>()?,
-            logical_api_calls: field_u64(wlj, "logical_api_calls")?,
-            backend_attempts: field_u64(wlj, "backend_attempts")?,
-            retry_charges: field_u64(wlj, "retry_charges")?,
-            rate_limited: field_u64(wlj, "rate_limited")?,
-            transient_errors: field_u64(wlj, "transient_errors")?,
-            budget_exhausted_queries: field_u64(wlj, "budget_exhausted_queries")?,
-            latency_ticks_p50: field_f64(wlj, "latency_ticks_p50")?,
-            latency_ticks_p95: field_f64(wlj, "latency_ticks_p95")?,
-        };
-        let svj = counters
-            .get("serving")
-            .ok_or_else(|| miss("counters.serving"))?;
-        let serving = ServingCounters {
-            shards: field_u64(svj, "shards")?,
-            tenants: field_u64(svj, "tenants")?,
-            requests: field_u64(svj, "requests")?,
-            admitted: field_u64(svj, "admitted")?,
-            shed: field_u64(svj, "shed")?,
-            quota_exhausted: field_u64(svj, "quota_exhausted")?,
-            tenant_fairness: field_f64(svj, "tenant_fairness")?,
-        };
-        let scj = counters
-            .get("scheduling")
-            .ok_or_else(|| miss("counters.scheduling"))?;
-        let scheduling = SchedulerCounters {
-            deadline_hits: field_u64(scj, "deadline_hits")?,
-            cancellations: field_u64(scj, "cancellations")?,
-            mean_slack_ticks: field_f64(scj, "mean_slack_ticks")?,
-            priority_inversions: field_u64(scj, "priority_inversions")?,
-        };
-        let pgj = counters
-            .get("paging")
-            .ok_or_else(|| miss("counters.paging"))?;
-        let paging = PagingCounters {
-            page_reads: field_u64(pgj, "page_reads")?,
-            pool_hits: field_u64(pgj, "pool_hits")?,
-            evictions: field_u64(pgj, "evictions")?,
-            pinned_peak: field_u64(pgj, "pinned_peak")?,
-        };
-        let ivj = counters
-            .get("invalidation")
-            .ok_or_else(|| miss("counters.invalidation"))?;
-        let invalidation = InvalidationCounters {
-            churn_batches: field_u64(ivj, "churn_batches")?,
-            churn_events: field_u64(ivj, "churn_events")?,
-            l1_stale_evictions: field_u64(ivj, "l1_stale_evictions")?,
-            l2_stale_evictions: field_u64(ivj, "l2_stale_evictions")?,
-            avoided_invalidations: field_u64(ivj, "avoided_invalidations")?,
-        };
-        let ftj = counters
-            .get("faults")
-            .ok_or_else(|| miss("counters.faults"))?;
-        let faults = FaultCounters {
-            bursts: field_u64(ftj, "bursts")?,
-            breaker_opens: field_u64(ftj, "breaker_opens")?,
-            stale_served: field_u64(ftj, "stale_served")?,
-            storage_retries: field_u64(ftj, "storage_retries")?,
-            quota_throttled: field_u64(ftj, "quota_throttled")?,
-        };
-        let ground_truth_f = field_u64(counters, "ground_truth_f")?;
-        let mj = v.get("measured").ok_or_else(|| miss("measured"))?;
-        let aj = mj.get("alloc").ok_or_else(|| miss("measured.alloc"))?;
-        let measured = Measured {
-            total_ms: field_f64(mj, "total_ms")?,
-            per_step_steps_per_sec: field_f64(mj, "per_step_steps_per_sec")?,
-            batched_steps_per_sec: field_f64(mj, "batched_steps_per_sec")?,
-            line_steps_per_sec: field_f64(mj, "line_steps_per_sec")?,
-            gt_serial_ms: field_f64(mj, "gt_serial_ms")?,
-            gt_parallel_ms: field_f64(mj, "gt_parallel_ms")?,
-            engine_serial_ms: field_f64(mj, "engine_serial_ms")?,
-            engine_parallel_ms: field_f64(mj, "engine_parallel_ms")?,
-            engine_parallel_speedup: field_f64(mj, "engine_parallel_speedup")?,
-            hit_path_ns: field_f64(mj, "hit_path_ns")?,
-            workload_serial_ms: field_f64(mj, "workload_serial_ms")?,
-            workload_parallel_ms: field_f64(mj, "workload_parallel_ms")?,
-            workload_queries_per_sec: field_f64(mj, "workload_queries_per_sec")?,
-            serving_serial_ms: field_f64(mj, "serving_serial_ms")?,
-            serving_parallel_ms: field_f64(mj, "serving_parallel_ms")?,
-            scheduler_ms: field_f64(mj, "scheduler_ms")?,
-            page_fault_ns: field_f64(mj, "page_fault_ns")?,
-            calibration_ops_per_sec: field_f64(mj, "calibration_ops_per_sec")?,
-            alloc: AllocDelta {
-                peak_bytes: field_u64(aj, "peak_bytes")?,
-                allocs: field_u64(aj, "allocs")?,
-                measured: matches!(aj.get("measured"), Some(Json::Bool(true))),
-            },
-        };
+        let measured = v.get("measured").cloned().unwrap_or(Json::Null);
+        for (path, _) in POLICY {
+            if measured.at(path).and_then(Json::as_f64).is_none() {
+                return Err(miss(&format!("measured.{path}")));
+            }
+        }
         Ok(Report {
             schema_version,
             meta,
-            walk,
-            algorithms,
-            engine,
-            workload,
-            serving,
-            scheduling,
-            paging,
-            invalidation,
-            faults,
-            ground_truth_f,
+            counters,
             measured,
         })
     }
@@ -897,10 +193,6 @@ fn field_u64(v: &Json, key: &str) -> Result<u64, ReportError> {
     v.get(key).and_then(Json::as_u64).ok_or_else(|| miss(key))
 }
 
-fn field_f64(v: &Json, key: &str) -> Result<f64, ReportError> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| miss(key))
-}
-
 fn field_str(v: &Json, key: &str) -> Result<String, ReportError> {
     v.get(key)
         .and_then(Json::as_str)
@@ -909,142 +201,147 @@ fn field_str(v: &Json, key: &str) -> Result<String, ReportError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    pub(crate) fn sample_report() -> Report {
+    /// A report whose timings scale with `per_step` (throughputs) and
+    /// `total_ms` (wall times), over a small fixed counters tree.
+    pub(crate) fn sample_report(name: &str, per_step: f64, total_ms: f64) -> Report {
+        let counters = Json::parse(
+            r#"{
+              "walk": {"steps": 100, "per_step_end": 1, "batched_end": 1,
+                       "line_end": [0, 1], "line_api_calls": 200},
+              "algorithms": [
+                {"abbrev": "NeighborSample-HH", "estimates": [6800.5, 7011.25, 6500],
+                 "api_calls": 1530, "nrmse": 0.041},
+                {"abbrev": "ext-triangles", "estimates": [-1], "api_calls": 400, "nrmse": null}
+              ],
+              "engine": {"replicates": 4, "estimates": [1, 2], "logical_api_calls": 100,
+                         "miss_api_calls": 20, "l1_hits": 60, "hit_rate": 0.8},
+              "workload": {"queries": 8, "fault_rate": 0.15, "estimates": [1, -1],
+                           "logical_api_calls": 50, "backend_attempts": 14, "retry_charges": 4,
+                           "rate_limited": 2, "transient_errors": 2,
+                           "budget_exhausted_queries": 1, "latency_ticks_p50": 10,
+                           "latency_ticks_p95": 40.5},
+              "serving": {"shards": 4, "tenants": 4, "requests": 16, "admitted": 12, "shed": 3,
+                          "quota_exhausted": 1, "tenant_fairness": 2.5},
+              "scheduling": {"deadline_hits": 10, "cancellations": 4, "mean_slack_ticks": 12.5,
+                             "priority_inversions": 1},
+              "paging": {"page_reads": 64, "pool_hits": 900, "evictions": 48, "pinned_peak": 3},
+              "invalidation": {"churn_batches": 8, "churn_events": 40, "l1_stale_evictions": 12,
+                               "l2_stale_evictions": 90, "avoided_invalidations": 6},
+              "faults": {"bursts": 5, "breaker_opens": 1, "stale_served": 3,
+                         "storage_retries": 0, "quota_throttled": 2},
+              "ground_truth_f": 7
+            }"#,
+        )
+        .expect("fixture counters are valid JSON");
+        let measured = Json::obj(vec![
+            ("total_ms", Json::Num(total_ms)),
+            ("per_step_steps_per_sec", Json::Num(per_step)),
+            ("batched_steps_per_sec", Json::Num(per_step * 1.2)),
+            ("line_steps_per_sec", Json::Num(per_step / 2.0)),
+            ("gt_serial_ms", Json::Num(1.0)),
+            ("gt_parallel_ms", Json::Num(0.5)),
+            ("engine_serial_ms", Json::Num(total_ms / 10.0)),
+            ("engine_parallel_ms", Json::Num(total_ms / 30.0)),
+            ("engine_parallel_speedup", Json::Num(3.0)),
+            ("hit_path_ns", Json::Num(total_ms / 10.0)),
+            ("workload_serial_ms", Json::Num(total_ms / 5.0)),
+            ("workload_parallel_ms", Json::Num(total_ms / 15.0)),
+            ("workload_queries_per_sec", Json::Num(120_000.0 / total_ms)),
+            ("serving_serial_ms", Json::Num(total_ms / 4.0)),
+            ("serving_parallel_ms", Json::Num(total_ms / 12.0)),
+            ("scheduler_ms", Json::Num(total_ms / 6.0)),
+            ("page_fault_ns", Json::Num(total_ms / 20.0)),
+            ("calibration_ops_per_sec", Json::Num(1.0e8)),
+            (
+                "alloc",
+                Json::obj(vec![
+                    ("peak_bytes", Json::Num(0.0)),
+                    ("allocs", Json::Num(0.0)),
+                    ("measured", Json::Bool(false)),
+                ]),
+            ),
+        ]);
         Report {
             schema_version: SCHEMA_VERSION,
             meta: ScenarioMeta {
-                name: "ba_smoke".into(),
+                name: name.into(),
                 family: "ba".into(),
                 tier: "smoke".into(),
-                seed: 2018,
-                nodes: 2000,
-                edges: 15936,
-                budget: 100,
-                burn_in: 60,
-                reps: 5,
-                threads: 4,
+                seed: 1,
+                nodes: 10,
+                edges: 20,
+                budget: 5,
+                burn_in: 2,
+                reps: 1,
+                threads: 1,
             },
-            walk: WalkCounters {
-                steps: 100_000,
-                per_step_end: 17,
-                batched_end: 17,
-                line_end: (3, 88),
-                line_api_calls: 200_000,
-            },
-            algorithms: vec![
-                AlgoCounters {
-                    abbrev: "NeighborSample-HH".into(),
-                    estimates: vec![6800.5, 7011.25, 6500.0],
-                    api_calls: 1530,
-                    nrmse: Some(0.041),
-                },
-                AlgoCounters {
-                    abbrev: "ext-triangles".into(),
-                    estimates: vec![123.0],
-                    api_calls: 400,
-                    nrmse: None,
-                },
-            ],
-            engine: EngineCounters {
-                replicates: 64,
-                estimates: vec![6700.0, 6801.5],
-                logical_api_calls: 131_072,
-                miss_api_calls: 4_100,
-                l1_hits: 96_000,
-                hit_rate: 0.96872,
-            },
-            workload: WorkloadCounters {
-                queries: 16,
-                fault_rate: 0.15,
-                estimates: vec![6650.0, -1.0, 6900.25],
-                logical_api_calls: 40_000,
-                backend_attempts: 9_500,
-                retry_charges: 1_200,
-                rate_limited: 420,
-                transient_errors: 390,
-                budget_exhausted_queries: 1,
-                latency_ticks_p50: 310.0,
-                latency_ticks_p95: 2_950.5,
-            },
-            serving: ServingCounters {
-                shards: 4,
-                tenants: 4,
-                requests: 32,
-                admitted: 24,
-                shed: 5,
-                quota_exhausted: 3,
-                tenant_fairness: 2.5,
-            },
-            scheduling: SchedulerCounters {
-                deadline_hits: 18,
-                cancellations: 6,
-                mean_slack_ticks: 42.5,
-                priority_inversions: 3,
-            },
-            paging: PagingCounters {
-                page_reads: 512,
-                pool_hits: 14_200,
-                evictions: 496,
-                pinned_peak: 3,
-            },
-            invalidation: InvalidationCounters {
-                churn_batches: 12,
-                churn_events: 96,
-                l1_stale_evictions: 40,
-                l2_stale_evictions: 310,
-                avoided_invalidations: 22,
-            },
-            faults: FaultCounters {
-                bursts: 14,
-                breaker_opens: 3,
-                stale_served: 9,
-                storage_retries: 2,
-                quota_throttled: 5,
-            },
-            ground_truth_f: 6750,
-            measured: Measured {
-                total_ms: 1234.5,
-                per_step_steps_per_sec: 1.0e7,
-                batched_steps_per_sec: 1.3e7,
-                line_steps_per_sec: 4.0e6,
-                gt_serial_ms: 12.0,
-                gt_parallel_ms: 3.5,
-                engine_serial_ms: 9.0,
-                engine_parallel_ms: 2.4,
-                engine_parallel_speedup: 3.75,
-                hit_path_ns: 11.5,
-                workload_serial_ms: 42.0,
-                workload_parallel_ms: 12.5,
-                workload_queries_per_sec: 1_280.0,
-                serving_serial_ms: 55.0,
-                serving_parallel_ms: 16.0,
-                scheduler_ms: 38.0,
-                page_fault_ns: 2_150.0,
-                calibration_ops_per_sec: 1.5e8,
-                alloc: AllocDelta {
-                    peak_bytes: 1 << 20,
-                    allocs: 4242,
-                    measured: true,
-                },
-            },
+            counters,
+            measured,
         }
+    }
+
+    /// The node at a `counters.…` or `measured.…` path.
+    pub(crate) fn node<'a>(r: &'a mut Report, path: &str) -> &'a mut Json {
+        let (section, rest) = path.split_once('.').expect("path names a section");
+        let mut node = match section {
+            "counters" => &mut r.counters,
+            "measured" => &mut r.measured,
+            other => panic!("no report section `{other}`"),
+        };
+        for key in rest.split('.') {
+            node = match node {
+                Json::Obj(pairs) => {
+                    &mut pairs
+                        .iter_mut()
+                        .find(|(k, _)| k == key)
+                        .unwrap_or_else(|| panic!("no member `{path}`"))
+                        .1
+                }
+                _ => panic!("`{path}` passes through a non-object"),
+            };
+        }
+        node
+    }
+
+    /// The number at a `counters.…` or `measured.…` path.
+    pub(crate) fn get(r: &Report, path: &str) -> f64 {
+        let value = match path.split_once('.') {
+            Some(("counters", rest)) => r.counter(rest),
+            Some(("measured", rest)) => r.metric(rest),
+            _ => None,
+        };
+        value.unwrap_or_else(|| panic!("`{path}` is not a number"))
+    }
+
+    /// Sets the number at a `counters.…` or `measured.…` path.
+    pub(crate) fn set(r: &mut Report, path: &str, value: f64) {
+        *node(r, path) = Json::Num(value);
+    }
+
+    /// Adds `delta` to the number at a `counters.…` or `measured.…` path.
+    pub(crate) fn add(r: &mut Report, path: &str, delta: f64) {
+        let value = get(r, path) + delta;
+        set(r, path, value);
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let r = sample_report();
+        let r = sample_report("ba_smoke", 1.0e6, 100.0);
         let text = r.to_json().to_pretty();
         let parsed = Report::from_json_text(&text).unwrap();
         assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json().to_pretty(), text);
         assert_eq!(r.file_name(), "BENCH_ba_smoke.json");
+        assert_eq!(parsed.counter("paging.evictions"), Some(48.0));
+        assert_eq!(parsed.metric("alloc.peak_bytes"), Some(0.0));
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let r = sample_report();
+        let r = sample_report("ba_smoke", 1.0e6, 100.0);
         let text = r
             .to_json()
             .to_pretty()
@@ -1062,5 +359,53 @@ mod tests {
             Report::from_json_text(text),
             Err(ReportError::Schema(_))
         ));
+        let good = sample_report("ba_smoke", 1.0e6, 100.0);
+        let schema_error =
+            |r: &Report, field: &str| match Report::from_json_text(&r.to_json().to_pretty()) {
+                Err(ReportError::Schema(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}: expected schema error, got {other:?}"),
+            };
+
+        let text = good.to_json().to_pretty();
+        for (from, to) in [
+            ("\"threads\": 1", "\"threads\": -1"),
+            ("\"name\"", "\"nom\""),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let bad = text.replace(from, to);
+            assert!(matches!(
+                Report::from_json_text(&bad),
+                Err(ReportError::Schema(_))
+            ));
+        }
+        assert!(matches!(
+            Report::from_json_text(&text[..text.len() / 2]),
+            Err(ReportError::Json(_))
+        ));
+
+        let mut r = good.clone();
+        r.counters = Json::Arr(vec![]);
+        schema_error(&r, "counters");
+        let mut r = good.clone();
+        *node(&mut r, "measured.hit_path_ns") = Json::Str("fast".into());
+        schema_error(&r, "measured.hit_path_ns");
+        let mut r = good.clone();
+        *node(&mut r, "measured.alloc.peak_bytes") = Json::Null;
+        schema_error(&r, "measured.alloc.peak_bytes");
+        let mut r = good.clone();
+        if let Json::Obj(members) = &mut r.measured {
+            members.retain(|(k, _)| k != "page_fault_ns");
+        }
+        schema_error(&r, "measured.page_fault_ns");
+
+        // Counters and ungated measurements are not listed by the parser:
+        // a missing one is drift for `compare`, not a schema error.
+        let mut r = good.clone();
+        for section in [&mut r.counters, &mut r.measured] {
+            if let Json::Obj(members) = section {
+                members.retain(|(k, _)| k != "paging" && k != "gt_serial_ms");
+            }
+        }
+        assert!(Report::from_json_text(&r.to_json().to_pretty()).is_ok());
     }
 }

@@ -8,6 +8,8 @@
 //! of the same scenario at the same seed produce identical `counters`
 //! sections (the wall-clock `measured` section is machine-dependent).
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use labelcount_core::{
@@ -38,11 +40,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::alloc_track;
-use crate::report::{
-    AlgoCounters, EngineCounters, FaultCounters, InvalidationCounters, Measured, PagingCounters,
-    Report, ScenarioMeta, SchedulerCounters, ServingCounters, WalkCounters, WorkloadCounters,
-    SCHEMA_VERSION,
-};
+use crate::json::Json;
+use crate::report::{Report, ScenarioMeta, SCHEMA_VERSION};
 
 /// Graph family axis of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -445,6 +444,20 @@ impl ScenarioSpec {
     }
 }
 
+/// A temp-file stem that no other call, in this process or another, gets:
+/// the pid separates processes and the counter separates calls, so two
+/// same-seed runs at once cannot delete each other's files.
+fn temp_stem(spec: &ScenarioSpec) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "labelcount_perf_{}_{}_{}_{}",
+        spec.name(),
+        spec.seed,
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Builds the scenario's graph: generate (or generate + save + load for
 /// [`Family::Loaded`]), assign binary labels, keep the largest component.
 pub fn build_graph(spec: &ScenarioSpec) -> LabeledGraph {
@@ -472,8 +485,7 @@ pub fn build_graph(spec: &ScenarioSpec) -> LabeledGraph {
         // Round-trip through the on-disk formats, then continue with the
         // loaded copy — the whole point of this family is to measure and
         // exercise the loader.
-        let stem =
-            std::env::temp_dir().join(format!("labelcount_perf_{}_{}", spec.name(), spec.seed));
+        let stem = temp_stem(spec);
         labelcount_graph::io::save_graph(&g, &stem).expect("write scenario graph");
         let loaded = labelcount_graph::io::load_graph(
             &stem.with_extension("edges"),
@@ -558,6 +570,39 @@ fn finite_nrmse(estimates: &[f64], truth: f64) -> Option<f64> {
     }
 }
 
+fn int(x: u64) -> Json {
+    Json::Num(x as f64)
+}
+
+fn floats(xs: &[f64]) -> Json {
+    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
+}
+
+/// An object of integer counters, in the given key order.
+fn counts(pairs: &[(&str, u64)]) -> Json {
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|&(k, n)| (k.to_string(), int(n)))
+            .collect(),
+    )
+}
+
+/// One algorithm's `counters.algorithms` entry.
+fn algorithm_counters(abbrev: &str, estimates: &[f64], api_calls: u64, nrmse: Option<f64>) -> Json {
+    Json::obj(vec![
+        // Table 2 abbreviation, or the extension name.
+        ("abbrev", Json::Str(abbrev.to_string())),
+        // The per-replication estimates, in replication order.
+        ("estimates", floats(estimates)),
+        // Total raw API calls across all replications.
+        ("api_calls", int(api_calls)),
+        // NRMSE of the estimates against exact ground truth; null when
+        // the ground truth is not computed at this tier.
+        ("nrmse", nrmse.map_or(Json::Null, Json::Num)),
+    ])
+}
+
 /// Runs one scenario end to end and assembles its [`Report`].
 pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     let scenario_start = Instant::now();
@@ -629,7 +674,27 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         line_end = lw.step(&lg, &mut rng);
     }
     let line_ms = ms(t0);
-    let line_api_calls = osn.api_calls();
+    let walk = Json::obj(vec![
+        // Steps taken on each stepping path (per-step OSN, batched OSN);
+        // the line-graph walk takes a quarter as many.
+        ("steps", int(steps as u64)),
+        // Final node index after the per-step OSN walk.
+        ("per_step_end", int(per_step_end.index() as u64)),
+        // Final node index after the batched OSN walk (equal to
+        // `per_step_end`: both paths consume identical RNG streams).
+        ("batched_end", int(batched_end.index() as u64)),
+        // Final line-node endpoints after the line-graph walk.
+        (
+            "line_end",
+            Json::Arr(vec![
+                int(line_end.u().index() as u64),
+                int(line_end.v().index() as u64),
+            ]),
+        ),
+        // Raw API calls consumed by the line-graph walk: the O(1)
+        // `sample_neighbor` pays exactly 2 neighbor-list calls per step.
+        ("line_api_calls", int(osn.api_calls())),
+    ]);
 
     // --- The paper's ten algorithms.
     let cfg = RunConfig {
@@ -651,12 +716,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             estimates.push(sanitize(e));
             api_calls += osn.api_calls();
         }
-        algo_counters.push(AlgoCounters {
-            abbrev: alg.abbrev().to_string(),
-            nrmse: finite_nrmse(&estimates, gt.f as f64),
-            estimates,
+        algo_counters.push(algorithm_counters(
+            alg.abbrev(),
+            &estimates,
             api_calls,
-        });
+            finite_nrmse(&estimates, gt.f as f64),
+        ));
     }
 
     // --- Extensions: label-refined motifs and graph-size estimation.
@@ -684,12 +749,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             estimates.push(sanitize(f(&osn, &mut rng)));
             api_calls += osn.api_calls();
         }
-        AlgoCounters {
-            abbrev: abbrev.to_string(),
-            nrmse: truth.and_then(|t| finite_nrmse(&estimates, t)),
-            estimates,
+        algorithm_counters(
+            abbrev,
+            &estimates,
             api_calls,
-        }
+            truth.and_then(|t| finite_nrmse(&estimates, t)),
+        )
     };
 
     algo_counters.push(ext(
@@ -771,7 +836,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         t0.elapsed().as_nanos() as f64 / (probe_rounds as u64 * probe_nodes as u64) as f64;
     drop(probe);
     // The serial engine's warm L2 holds every fetched list — graph-scale
-    // state that would otherwise stay live (the `EngineCounters` binding
+    // state that would otherwise stay live (the `engine` counters binding
     // below shadows this `Engine` without dropping it) and inflate the
     // alloc window of every later phase.
     drop(engine);
@@ -810,14 +875,25 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     );
     drop(engine_cold);
 
-    let engine = EngineCounters {
-        replicates: engine_reps as u64,
-        estimates: engine_estimates,
-        logical_api_calls: engine_stats.logical_calls(),
-        miss_api_calls: engine_stats.misses(),
-        l1_hits: engine_stats.l1_hits(),
-        hit_rate: engine_stats.hit_rate(),
-    };
+    let engine = Json::obj(vec![
+        // Replicates fanned through the engine.
+        ("replicates", int(engine_reps as u64)),
+        // Per-replicate estimates, replication order (identical for every
+        // thread count).
+        ("estimates", floats(&engine_estimates)),
+        // Logical API calls issued by all replicates — exactly what the
+        // uncached baseline pays against the backend.
+        ("logical_api_calls", int(engine_stats.logical_calls())),
+        // Cache-miss API calls — what actually reached the backend:
+        // `miss <= 0.7 * logical` on every committed smoke baseline.
+        ("miss_api_calls", int(engine_stats.misses())),
+        // Logical calls served by sessions' private L1 caches (no lock,
+        // no atomic refcount traffic). Deterministic: each session's L1
+        // hit count is a pure function of its own call sequence.
+        ("l1_hits", int(engine_stats.l1_hits())),
+        // `1 - miss/logical`.
+        ("hit_rate", Json::Num(engine_stats.hit_rate())),
+    ]);
 
     // --- Workload: the multi-query service under fire. A mixed Table-2
     // workload runs through per-query adversarial stacks (seeded faults:
@@ -864,23 +940,52 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         "workload retry charges must be worker-count independent"
     );
 
-    let workload = WorkloadCounters {
-        queries: wl_queries as u64,
-        fault_rate: spec.fault_rate,
-        estimates: wl_serial
-            .outcomes
-            .iter()
-            .map(|o| sanitize(o.estimate.as_ref().ok().copied().unwrap_or(f64::NAN)))
-            .collect(),
-        logical_api_calls: wl_serial.total_logical_calls(),
-        backend_attempts: wl_serial.total_backend_attempts(),
-        retry_charges: wl_serial.total_retry_charges(),
-        rate_limited: wl_serial.outcomes.iter().map(|o| o.rate_limited).sum(),
-        transient_errors: wl_serial.outcomes.iter().map(|o| o.transient_errors).sum(),
-        budget_exhausted_queries: wl_serial.budget_exhausted_queries(),
-        latency_ticks_p50: wl_serial.latency_ticks_percentile(50.0).unwrap_or(0.0),
-        latency_ticks_p95: wl_serial.latency_ticks_percentile(95.0).unwrap_or(0.0),
-    };
+    let wl_estimates: Vec<f64> = wl_serial
+        .outcomes
+        .iter()
+        .map(|o| sanitize(o.estimate.as_ref().ok().copied().unwrap_or(f64::NAN)))
+        .collect();
+    let workload = Json::obj(vec![
+        // Queries in the workload.
+        ("queries", int(wl_queries as u64)),
+        // Per-attempt fault probability of the adversarial backend.
+        ("fault_rate", Json::Num(spec.fault_rate)),
+        // Per-query estimates in query-id order; a query that failed (e.g.
+        // budget exhausted under fault pressure) stores the non-finite
+        // sentinel.
+        ("estimates", floats(&wl_estimates)),
+        // Logical API calls across all queries — the clean-world cost.
+        ("logical_api_calls", int(wl_serial.total_logical_calls())),
+        // Realized backend attempts (first tries + pages + retries) — what
+        // the hostile API billed.
+        ("backend_attempts", int(wl_serial.total_backend_attempts())),
+        // Retry charges billed against query budgets.
+        ("retry_charges", int(wl_serial.total_retry_charges())),
+        // Rate-limit rejections absorbed.
+        (
+            "rate_limited",
+            int(wl_serial.outcomes.iter().map(|o| o.rate_limited).sum()),
+        ),
+        // Transient errors absorbed.
+        (
+            "transient_errors",
+            int(wl_serial.outcomes.iter().map(|o| o.transient_errors).sum()),
+        ),
+        // Queries whose hard budget ran out.
+        (
+            "budget_exhausted_queries",
+            int(wl_serial.budget_exhausted_queries()),
+        ),
+        // Median and 95th-percentile per-query simulated latency, ticks.
+        (
+            "latency_ticks_p50",
+            Json::Num(wl_serial.latency_ticks_percentile(50.0).unwrap_or(0.0)),
+        ),
+        (
+            "latency_ticks_p95",
+            Json::Num(wl_serial.latency_ticks_percentile(95.0).unwrap_or(0.0)),
+        ),
+    ]);
 
     // --- Serving: the sharded multi-graph service under a skewed
     // multi-tenant stream. The scenario graph is registered under four
@@ -980,15 +1085,29 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         ),
         "admission decisions must be shard- and worker-count independent"
     );
-    let serving = ServingCounters {
-        shards: SERVING_GRAPHS,
-        tenants: SERVING_TENANTS as u64,
-        requests: serving_requests as u64,
-        admitted: serving_serial.serving.admitted,
-        shed: serving_serial.serving.shed,
-        quota_exhausted: serving_serial.serving.quota_exhausted,
-        tenant_fairness: serving_serial.serving.tenant_fairness,
-    };
+    let serving = Json::obj(vec![
+        // Shards of the fleet pass.
+        ("shards", int(SERVING_GRAPHS)),
+        // Tenants issuing requests.
+        ("tenants", int(SERVING_TENANTS as u64)),
+        // Requests submitted.
+        ("requests", int(serving_requests as u64)),
+        // Requests admitted and executed.
+        ("admitted", int(serving_serial.serving.admitted)),
+        // Requests shed by the modelled admission queues.
+        ("shed", int(serving_serial.serving.shed)),
+        // Requests rejected on tenant quota.
+        (
+            "quota_exhausted",
+            int(serving_serial.serving.quota_exhausted),
+        ),
+        // Per-tenant fairness: max admitted over min admitted (floored at
+        // 1) across tenants with at least one submission.
+        (
+            "tenant_fairness",
+            Json::Num(serving_serial.serving.tenant_fairness),
+        ),
+    ]);
 
     // --- Scheduler: the same multi-tenant stream replayed through the
     // virtual-time event loop under a calibrated deadline. The fault model
@@ -1075,12 +1194,19 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     let sched = scheduler_serial
         .scheduling
         .expect("scheduled runs report scheduling counters");
-    let scheduling = SchedulerCounters {
-        deadline_hits: sched.deadline_hits,
-        cancellations: sched.cancellations,
-        mean_slack_ticks: sched.mean_slack_ticks,
-        priority_inversions: sched.priority_inversions,
-    };
+    let scheduling = Json::obj(vec![
+        // Deadline-carrying requests that completed at or before their
+        // deadline.
+        ("deadline_hits", int(sched.deadline_hits)),
+        // Requests cancelled into anytime answers when their deadline
+        // passed.
+        ("cancellations", int(sched.cancellations)),
+        // Mean slack over the deadline hits, virtual ticks.
+        ("mean_slack_ticks", Json::Num(sched.mean_slack_ticks)),
+        // Priority inversions charged by the non-preemptive loop (a
+        // higher-priority arrival while a lower-priority slice ran).
+        ("priority_inversions", int(sched.priority_inversions)),
+    ]);
 
     // --- Out-of-core: the paged-CSR backend behind the buffer pool. The
     // scenario graph is written to a paged CSR file once, then every
@@ -1095,7 +1221,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     // repeated — thread interleaving would make pool stats
     // non-deterministic without proving anything the in-RAM parallel
     // asserts haven't.
-    let (paging, page_fault_ns, storage_retries) = if spec.family == Family::LoadedPaged {
+    let (pool_stats, page_fault_ns, storage_retries) = if spec.family == Family::LoadedPaged {
         let pool_cfg = match spec.pool_frames.frames() {
             None => PoolConfig::unbounded(),
             Some(k) => PoolConfig::bounded(k, EvictionPolicy::Lru),
@@ -1105,12 +1231,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         // residency comparison against the in-RAM `loaded` cell would
         // measure nothing.
         let paged_cache = CacheConfig::builder().capacity(512).build();
-        let path = std::env::temp_dir().join(format!(
-            "labelcount_perf_{}_{}_{}.paged",
-            spec.name(),
-            spec.seed,
-            std::process::id()
-        ));
+        let path = temp_stem(spec).with_extension("paged");
         PagedCsrWriter::new()
             .write(&g, &path)
             .expect("write paged CSR file");
@@ -1118,12 +1239,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             PagedGraphOsn::open(&path, cfg).expect("reopen the paged CSR file just written")
         };
 
-        let mut paging = PagingCounters::default();
+        let mut pool_stats = PagingStats::default();
         let mut absorb = |s: PagingStats| {
-            paging.page_reads += s.page_reads;
-            paging.pool_hits += s.pool_hits;
-            paging.evictions += s.evictions;
-            paging.pinned_peak = paging.pinned_peak.max(s.pinned_peak);
+            pool_stats.page_reads += s.page_reads;
+            pool_stats.pool_hits += s.pool_hits;
+            pool_stats.evictions += s.evictions;
+            pool_stats.pinned_peak = pool_stats.pinned_peak.max(s.pinned_peak);
         };
 
         // Engine replication, serial.
@@ -1143,8 +1264,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
             .collect();
         assert_eq!(
-            engine
-                .estimates
+            engine_estimates
                 .iter()
                 .map(|e| e.to_bits())
                 .collect::<Vec<_>>(),
@@ -1274,10 +1394,23 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         };
 
         let _ = std::fs::remove_file(&path);
-        (paging, page_fault_ns, storage_retries)
+        (pool_stats, page_fault_ns, storage_retries)
     } else {
-        (PagingCounters::default(), 0.0, 0)
+        (PagingStats::default(), 0.0, 0)
     };
+    // Aggregated over the serial paged passes only (parallel passes share
+    // the pool and would make the counts interleaving-dependent); all zero
+    // for the in-RAM families, which never touch a pool.
+    let paging = counts(&[
+        // Pages read from disk (pool misses).
+        ("page_reads", pool_stats.page_reads),
+        // Pin requests served from resident frames.
+        ("pool_hits", pool_stats.pool_hits),
+        // Frames replaced to make room.
+        ("evictions", pool_stats.evictions),
+        // High-water mark of simultaneously pinned frames.
+        ("pinned_peak", pool_stats.pinned_peak),
+    ]);
 
     // --- Dynamic graphs: the engine's replicated load re-run over a
     // churned backend whose seeded schedule is advanced at serial control
@@ -1310,8 +1443,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             .collect();
         if spec.churn_rate == 0.0 {
             assert_eq!(
-                engine
-                    .estimates
+                engine_estimates
                     .iter()
                     .map(|e| e.to_bits())
                     .collect::<Vec<_>>(),
@@ -1347,21 +1479,34 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
 
         let stats = engine_churn.stats();
         let churn = engine_churn.backend().churn_stats();
-        let invalidation = InvalidationCounters {
-            churn_batches: churn.batches,
-            churn_events: churn.events_applied(),
-            l1_stale_evictions: stats.l1_stale_evictions,
-            l2_stale_evictions: stats.l2_stale_evictions,
-            avoided_invalidations: engine_churn.backend().avoided_neighbor_invalidations(),
-        };
+        let invalidation = [
+            // Churn batches applied by the schedule over the phase.
+            ("churn_batches", churn.batches),
+            // Individual churn events (edge inserts/deletes, label flips)
+            // applied across those batches.
+            ("churn_events", churn.events_applied()),
+            // Session-private L1 slots discarded because their fill-time
+            // epoch went stale.
+            ("l1_stale_evictions", stats.l1_stale_evictions),
+            // Shared L2 entries discarded because their fill-time epoch
+            // went stale (counted once, by the first prober, under the
+            // shard lock).
+            ("l2_stale_evictions", stats.l2_stale_evictions),
+            // Neighbor-list invalidations avoided by the split edge/label
+            // epochs: label flips that bumped only the label epoch,
+            // leaving cached neighbor lists warm.
+            (
+                "avoided_invalidations",
+                engine_churn.backend().avoided_neighbor_invalidations(),
+            ),
+        ];
         if spec.churn_rate == 0.0 {
-            assert_eq!(
-                invalidation,
-                InvalidationCounters::default(),
-                "churn rate 0 must apply no batches and evict nothing"
+            assert!(
+                invalidation.iter().all(|&(_, n)| n == 0),
+                "churn rate 0 must apply no batches and evict nothing: {invalidation:?}"
             );
         }
-        invalidation
+        counts(&invalidation)
     };
 
     // --- Faults: the resilience layer under correlated outage bursts.
@@ -1376,8 +1521,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     // probe (a session whose warm entries go stale across an epoch bump,
     // re-probed under a breaker-opening storm) pins `stale_served`
     // structurally rather than hoping the stream aligns bursts with churn.
-    let faults = match spec.burst.config() {
-        None => FaultCounters::default(),
+    let (bursts, breaker_opens, stale_served, quota_throttled) = match spec.burst.config() {
+        None => (0, 0, 0, 0),
         Some(burst) => {
             let faults_seed = replication_seed(spec.seed, stream::FAULTS);
             let resilience = ResilienceConfig {
@@ -1482,15 +1627,24 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             bursts += storm_stats.bursts;
             breaker_opens += storm_stats.breaker_opens;
 
-            FaultCounters {
-                bursts,
-                breaker_opens,
-                stale_served,
-                storage_retries,
-                quota_throttled,
-            }
+            (bursts, breaker_opens, stale_served, quota_throttled)
         }
     };
+    // All zero with the burst knob off, where the scenario must be
+    // bit-identical to the fault-free stack.
+    let faults = counts(&[
+        // Distinct outage bursts the queries' fetches ran into.
+        ("bursts", bursts),
+        // Circuit-breaker trips (closed → open, including re-opens).
+        ("breaker_opens", breaker_opens),
+        // Stale cache entries served during degraded windows.
+        ("stale_served", stale_served),
+        // Storage read attempts retried by the paged buffer pool (in-RAM
+        // families never read pages, so this stays zero there).
+        ("storage_retries", storage_retries),
+        // Requests throttled on the shared per-tenant rate limit.
+        ("quota_throttled", quota_throttled),
+    ]);
 
     let alloc = alloc_track::delta(alloc_before, alloc_track::snapshot());
     Report {
@@ -1507,51 +1661,90 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             reps: reps as u64,
             threads: threads as u64,
         },
-        walk: WalkCounters {
-            steps: steps as u64,
-            per_step_end: per_step_end.index() as u64,
-            batched_end: batched_end.index() as u64,
-            line_end: (line_end.u().index() as u64, line_end.v().index() as u64),
-            line_api_calls,
-        },
-        algorithms: algo_counters,
-        engine,
-        workload,
-        serving,
-        scheduling,
-        paging,
-        invalidation,
-        faults,
-        ground_truth_f: gt.f as u64,
-        measured: Measured {
-            total_ms: ms(scenario_start),
-            per_step_steps_per_sec: rate(steps, per_step_ms),
-            batched_steps_per_sec: rate(steps, batched_ms),
-            line_steps_per_sec: rate(line_steps, line_ms),
-            gt_serial_ms,
-            gt_parallel_ms,
-            engine_serial_ms,
-            engine_parallel_ms,
-            engine_parallel_speedup: if engine_parallel_ms > 0.0 {
-                engine_serial_ms / engine_parallel_ms
-            } else {
-                0.0
-            },
-            hit_path_ns,
-            workload_serial_ms,
-            workload_parallel_ms,
-            workload_queries_per_sec: if workload_parallel_ms > 0.0 {
-                wl_queries as f64 / (workload_parallel_ms / 1e3)
-            } else {
-                0.0
-            },
-            serving_serial_ms,
-            serving_parallel_ms,
-            scheduler_ms,
-            page_fault_ns,
-            calibration_ops_per_sec: calibration_ops_per_sec(),
-            alloc,
-        },
+        counters: Json::obj(vec![
+            ("walk", walk),
+            // Table 2 order, then the extensions.
+            ("algorithms", Json::Arr(algo_counters)),
+            ("engine", engine),
+            ("workload", workload),
+            ("serving", serving),
+            ("scheduling", scheduling),
+            ("paging", paging),
+            ("invalidation", invalidation),
+            ("faults", faults),
+            // Exact target-edge count `F`.
+            ("ground_truth_f", int(gt.f as u64)),
+        ]),
+        measured: Json::obj(vec![
+            // Whole-scenario wall time, milliseconds.
+            ("total_ms", Json::Num(ms(scenario_start))),
+            // Walk throughput, steps/second: per-step, batched
+            // (`steps_into`), and line-graph stepping.
+            (
+                "per_step_steps_per_sec",
+                Json::Num(rate(steps, per_step_ms)),
+            ),
+            ("batched_steps_per_sec", Json::Num(rate(steps, batched_ms))),
+            ("line_steps_per_sec", Json::Num(rate(line_steps, line_ms))),
+            // Serial and parallel `GroundTruth` wall times, milliseconds.
+            ("gt_serial_ms", Json::Num(gt_serial_ms)),
+            ("gt_parallel_ms", Json::Num(gt_parallel_ms)),
+            // The engine's replicated run on one thread, then fanned across
+            // all available threads (cold cache for both), milliseconds.
+            ("engine_serial_ms", Json::Num(engine_serial_ms)),
+            ("engine_parallel_ms", Json::Num(engine_parallel_ms)),
+            // `engine_serial_ms / engine_parallel_ms` — > 1 on multi-core
+            // runners.
+            (
+                "engine_parallel_speedup",
+                Json::Num(if engine_parallel_ms > 0.0 {
+                    engine_serial_ms / engine_parallel_ms
+                } else {
+                    0.0
+                }),
+            ),
+            // Steady-state cost of one logical call on a fully warm cache,
+            // nanoseconds: the ~97%-of-calls hot path the L1 hierarchy
+            // optimizes.
+            ("hit_path_ns", Json::Num(hit_path_ns)),
+            // The workload phase on one worker, then on all available
+            // workers, milliseconds; and the parallel pass's queries/second.
+            ("workload_serial_ms", Json::Num(workload_serial_ms)),
+            ("workload_parallel_ms", Json::Num(workload_parallel_ms)),
+            (
+                "workload_queries_per_sec",
+                Json::Num(if workload_parallel_ms > 0.0 {
+                    wl_queries as f64 / (workload_parallel_ms / 1e3)
+                } else {
+                    0.0
+                }),
+            ),
+            // The serving phase on one shard with one worker, then across
+            // the full shard fleet with all available workers,
+            // milliseconds.
+            ("serving_serial_ms", Json::Num(serving_serial_ms)),
+            ("serving_parallel_ms", Json::Num(serving_parallel_ms)),
+            // The deadline-constrained scheduled run on one shard with one
+            // worker, milliseconds.
+            ("scheduler_ms", Json::Num(scheduler_ms)),
+            // Steady cost of one buffer-pool page fault on a fresh
+            // tight-budget pool, nanoseconds; zero for in-RAM families.
+            ("page_fault_ns", Json::Num(page_fault_ns)),
+            // The machine-speed proxy the gate normalizes timings by.
+            (
+                "calibration_ops_per_sec",
+                Json::Num(calibration_ops_per_sec()),
+            ),
+            // Allocator traffic over the scenario (see `alloc_track`).
+            (
+                "alloc",
+                Json::obj(vec![
+                    ("peak_bytes", int(alloc.peak_bytes)),
+                    ("allocs", int(alloc.allocs)),
+                    ("measured", Json::Bool(alloc.measured)),
+                ]),
+            ),
+        ]),
     }
 }
 
@@ -1618,6 +1811,36 @@ mod tests {
             // The cross target must exist, or NRMSE is meaningless.
             let f = GroundTruth::compute(&a, scenario_target()).f;
             assert!(f > 0, "{family:?} has no target edges");
+        }
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_loaded_graph_do_not_collide() {
+        // Each build saves, reloads, and deletes its edge and label files;
+        // four same-seed builds at once must not delete each other's.
+        let spec = ScenarioSpec::new(Family::Loaded, Tier::Smoke, 17);
+        let start = std::sync::Barrier::new(4);
+        let graphs: Vec<LabeledGraph> = std::thread::scope(|s| {
+            let builds: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        build_graph(&spec)
+                    })
+                })
+                .collect();
+            builds
+                .into_iter()
+                .map(|b| b.join().expect("build_graph panicked"))
+                .collect()
+        });
+        for g in &graphs[1..] {
+            assert_eq!(g.num_nodes(), graphs[0].num_nodes());
+            assert_eq!(g.num_edges(), graphs[0].num_edges());
+            for u in g.nodes() {
+                assert_eq!(g.neighbors(u), graphs[0].neighbors(u));
+                assert_eq!(g.labels(u), graphs[0].labels(u));
+            }
         }
     }
 
