@@ -26,65 +26,6 @@ use rand::SeedableRng;
 use crate::algorithm::{Algorithm, RunConfig};
 use crate::error::EstimateError;
 
-/// Per-replicate execution limits for the engine's cooperative yield
-/// points.
-///
-/// Estimators already poll `OsnApi::budget_exhausted` at every step and
-/// replicate boundary and bail with
-/// [`EstimateError::BudgetExhausted`] carrying whatever they collected —
-/// that is the engine's cooperative cancellation hook. A `StepBudget`
-/// arms those existing yield points on every replicate's session:
-///
-/// * [`StepBudget::calls_per_step`] caps *charged neighbor-list calls*
-///   (logical calls + retry charges) per replicate;
-/// * [`StepBudget::ticks_per_step`] caps *simulated latency ticks* per
-///   replicate — the hook the deadline scheduler uses to slice query
-///   execution on the virtual clock.
-///
-/// Determinism: the limits are fixed per replicate (never derived from
-/// execution order or timing), so a budgeted run is bit-identical at any
-/// thread count, exactly like an unbudgeted one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepBudget {
-    /// Max charged calls per replicate (`None` = uncapped).
-    pub calls_per_step: Option<u64>,
-    /// Max simulated latency ticks per replicate (`None` = uncapped).
-    pub ticks_per_step: Option<u64>,
-}
-
-impl StepBudget {
-    /// No limits — the pre-existing `estimate_replicated` behavior.
-    pub fn unbounded() -> StepBudget {
-        StepBudget::default()
-    }
-
-    /// Caps charged calls per replicate.
-    #[must_use = "returns the modified budget"]
-    pub fn with_calls(mut self, calls: u64) -> StepBudget {
-        self.calls_per_step = Some(calls);
-        self
-    }
-
-    /// Caps simulated latency ticks per replicate.
-    #[must_use = "returns the modified budget"]
-    pub fn with_ticks(mut self, ticks: u64) -> StepBudget {
-        self.ticks_per_step = Some(ticks);
-        self
-    }
-
-    /// Arms the limits on a session: after this, the session's
-    /// `budget_exhausted` answer — the estimators' cooperative yield
-    /// point — reflects both caps.
-    pub fn arm<B: labelcount_osn::OsnBackend>(&self, session: &OsnSession<'_, B>) {
-        if let Some(calls) = self.calls_per_step {
-            session.set_budget(calls);
-        }
-        if let Some(ticks) = self.ticks_per_step {
-            session.set_tick_ceiling(ticks);
-        }
-    }
-}
-
 /// A query engine serving many estimation queries over one graph through
 /// a shared thread-safe cache.
 ///
@@ -204,39 +145,8 @@ impl<'g, B: OsnBackend + Sync> Engine<'g, B> {
         reps: usize,
         threads: usize,
     ) -> Vec<Result<f64, EstimateError>> {
-        self.estimate_replicated_budgeted(
-            alg,
-            target,
-            budget,
-            cfg,
-            base_seed,
-            reps,
-            threads,
-            StepBudget::unbounded(),
-        )
-    }
-
-    /// [`Engine::estimate_replicated`] with a [`StepBudget`] armed on every
-    /// replicate's session: replicates that exhaust a cap yield
-    /// cooperatively at their next step boundary with
-    /// [`EstimateError::BudgetExhausted`] (carrying the partial sample
-    /// count). Limits are per replicate and fixed up front, so the result
-    /// vector stays bit-identical at any thread count.
-    #[allow(clippy::too_many_arguments)] // mirrors Algorithm::estimate plus the replication axes
-    pub fn estimate_replicated_budgeted(
-        &self,
-        alg: &dyn Algorithm,
-        target: TargetLabel,
-        budget: usize,
-        cfg: &RunConfig,
-        base_seed: u64,
-        reps: usize,
-        threads: usize,
-        step: StepBudget,
-    ) -> Vec<Result<f64, EstimateError>> {
         replicate(reps, threads, base_seed, |_i, seed| {
             let session = self.cache.session();
-            step.arm(&session);
             let mut rng = StdRng::seed_from_u64(seed);
             alg.estimate(&session, target, budget, cfg, &mut rng)
         })
@@ -264,6 +174,7 @@ impl<'g, B: OsnBackend + Sync> Engine<'g, B> {
 mod tests {
     use super::*;
     use crate::algorithm::algorithms;
+    use crate::workload::{run_workload, Workload};
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
     use labelcount_graph::{LabeledGraph, TargetLabel};
@@ -337,65 +248,36 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_step_budget_is_the_plain_replicated_path() {
-        let g = fixture(5);
-        let engine = Engine::new(&g);
-        let alg = crate::NsHansenHurwitz;
-        let plain = engine.estimate_replicated(&alg, target(), 120, &cfg(), 7, 4, 2);
-        let budgeted = engine.estimate_replicated_budgeted(
-            &alg,
-            target(),
-            120,
-            &cfg(),
-            7,
-            4,
-            2,
-            StepBudget::unbounded(),
-        );
-        for (p, b) in plain.iter().zip(&budgeted) {
-            assert_eq!(p.as_ref().unwrap().to_bits(), b.as_ref().unwrap().to_bits());
-        }
-    }
-
-    #[test]
     fn call_capped_replicates_yield_cooperatively_and_deterministically() {
         let g = fixture(6);
-        let engine = Engine::new(&g);
-        let alg = crate::NsHansenHurwitz;
-        // Far below what a 200-call sample needs: every replicate must
-        // yield at a step boundary instead of completing.
-        let step = StepBudget::unbounded().with_calls(25);
-        let serial =
-            engine.estimate_replicated_budgeted(&alg, target(), 200, &cfg(), 3, 6, 1, step);
-        for r in &serial {
-            assert!(
-                matches!(r, Err(EstimateError::BudgetExhausted { .. })),
-                "a 25-call cap must exhaust, got {r:?}"
-            );
+        // Six NS-HH queries, each hard-capped at 25 charged calls — far
+        // below what a 200-call sample needs: every query must yield at a
+        // step boundary instead of completing.
+        let mut wl = Workload::mixed(6, target(), 200, 3, cfg());
+        for q in &mut wl.queries {
+            q.algorithm = Box::new(crate::NsHansenHurwitz);
+            q.hard_budget = Some(25);
         }
-        // Caps are per replicate and order-free: bit-identical at any
-        // thread count (the cooperative yield point is the session's own
-        // budget answer, not shared state).
-        for threads in [2usize, 4] {
-            let parallel = engine.estimate_replicated_budgeted(
-                &alg,
-                target(),
-                200,
-                &cfg(),
-                3,
-                6,
-                threads,
-                step,
+        let collected = |workers: usize| -> Vec<usize> {
+            run_workload(&GraphOsn::new(&g), &wl, workers, None)
+                .outcomes
+                .into_iter()
+                .map(|o| match o.estimate {
+                    Err(EstimateError::BudgetExhausted { collected }) => collected,
+                    other => panic!("a 25-call cap must exhaust, got {other:?}"),
+                })
+                .collect()
+        };
+        // Caps are per query and order-free: the partial samples are
+        // identical at any worker count (the cooperative yield point is
+        // the session's own budget answer, not shared state).
+        let serial = collected(1);
+        for workers in [2usize, 4] {
+            assert_eq!(
+                serial,
+                collected(workers),
+                "partial sample diverged at {workers} workers"
             );
-            for (s, p) in serial.iter().zip(&parallel) {
-                match (s, p) {
-                    (
-                        Err(EstimateError::BudgetExhausted { collected: a }),
-                        Err(EstimateError::BudgetExhausted { collected: b }),
-                    ) => assert_eq!(a, b, "partial sample diverged at {threads} threads"),
-                    other => panic!("outcome shape diverged: {other:?}"),
-                }
-            }
         }
     }
 

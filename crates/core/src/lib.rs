@@ -59,7 +59,7 @@ pub mod workload;
 pub use algorithm::{algorithms, Algorithm, RunConfig};
 pub use baselines::{ExGmd, ExMdrw, ExMhrw, ExRcmh, ExRw};
 pub use bounds::ApproxParams;
-pub use engine::{Engine, StepBudget};
+pub use engine::Engine;
 pub use error::EstimateError;
 pub use neighbor_exploration::{NeHansenHurwitz, NeHorvitzThompson, NeReweighted};
 pub use neighbor_sample::{NsHansenHurwitz, NsHorvitzThompson};

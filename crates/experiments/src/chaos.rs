@@ -35,6 +35,7 @@ use labelcount_serve::{
 use labelcount_stats::nrmse;
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One (burst level, resilience arm) cell of the sweep.
@@ -281,8 +282,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (requests, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn chaos_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn chaos_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (requests, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -313,16 +315,15 @@ pub fn chaos_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
             r.stale_served,
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn chaos_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[ChaosRow]) -> String {
     let mut out = String::from(
         "burst,arm,submitted,completed_ok,failed,completion_rate,nrmse_all,charged_calls,backend_attempts,bursts,breaker_opens,stale_served\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{},{}\n",
             r.burst,
@@ -443,10 +444,10 @@ mod tests {
             seed: 11,
             ..SweepConfig::default()
         };
-        let text = chaos_report(&d, &sweep);
+        let Artifacts { text, csv } = chaos_report(&d, &sweep);
         assert!(text.contains("burst"));
         assert!(text.lines().count() >= 2 + 6, "{text}");
-        let csv = chaos_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + 6);
         assert!(csv.starts_with("burst,"));
     }

@@ -34,6 +34,7 @@ use labelcount_serve::{
 use labelcount_stats::{nrmse, percentile};
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One (tightness, priority-mix) row of the sweep.
@@ -223,8 +224,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (requests, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn deadlines_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn deadlines_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (requests, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -259,16 +261,15 @@ pub fn deadlines_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
                 .unwrap_or_else(|| "--".to_string()),
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn deadlines_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[DeadlineRow]) -> String {
     let mut out = String::from(
         "tightness,deadline_ticks,high_frac,low_frac,completed,cancelled,deadline_hits,mean_slack_ticks,priority_inversions,nrmse_completed,nrmse_all\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{}\n",
             r.tightness,
@@ -420,13 +421,13 @@ mod tests {
             seed: 11,
             ..SweepConfig::default()
         };
-        let text = deadlines_report(&d, &sweep);
+        let Artifacts { text, csv } = deadlines_report(&d, &sweep);
         assert!(text.contains("tightness"));
         assert!(
             text.lines().count() >= 2 + 3 * DEFAULT_PRIORITY_MIXES.len(),
             "{text}"
         );
-        let csv = deadlines_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + 3 * DEFAULT_PRIORITY_MIXES.len());
         assert!(csv.starts_with("tightness,"));
     }

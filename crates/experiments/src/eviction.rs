@@ -27,6 +27,7 @@ use labelcount_graph::paged::{EvictionPolicy, PagedCsrWriter, PagingStats, PoolC
 use labelcount_osn::{CacheConfig, PagedGraphOsn};
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One (policy × frame budget) cell of the sweep.
@@ -139,8 +140,7 @@ pub fn eviction_sweep(
 }
 
 /// The harness's default sweep shape: 16 replicates at a 5%-of-`|V|`
-/// sample budget over every policy × [`DEFAULT_FRAME_BUDGETS`]. One
-/// function so the text and CSV artifacts can never desynchronize.
+/// sample budget over every policy × [`DEFAULT_FRAME_BUDGETS`].
 pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Vec<EvictionRow>) {
     let replicates = 16;
     let budget = (dataset.graph.num_nodes() / 20).max(100);
@@ -155,8 +155,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (replicates, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn eviction_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn eviction_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (replicates, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -182,16 +183,15 @@ pub fn eviction_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
             r.bit_identical,
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn eviction_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[EvictionRow]) -> String {
     let mut out = String::from(
         "policy,frames,page_reads,pool_hits,hit_rate,evictions,pinned_peak,bit_identical\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{}\n",
             r.policy,
@@ -262,14 +262,14 @@ mod tests {
             seed: 11,
             ..SweepConfig::default()
         };
-        let text = eviction_report(&d, &sweep);
+        let Artifacts { text, csv } = eviction_report(&d, &sweep);
         assert!(text.contains("policy"));
         assert!(text.contains("lru"));
         assert!(text.contains("second-chance"));
         assert!(text.contains("clock"));
         let cells = EvictionPolicy::all().len() * DEFAULT_FRAME_BUDGETS.len();
         assert!(text.lines().count() >= 2 + cells);
-        let csv = eviction_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + cells);
         assert!(csv.starts_with("policy,"));
     }

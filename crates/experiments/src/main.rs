@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use labelcount_experiments::registry::Registry;
+use labelcount_experiments::report::Artifacts;
 use labelcount_experiments::runner::SweepConfig;
 use labelcount_experiments::tables::Harness;
 
@@ -125,7 +126,7 @@ fn main() -> ExitCode {
     for id in &ids {
         let started = std::time::Instant::now();
         match harness.run(id) {
-            Ok(text) => {
+            Ok(Artifacts { text, csv }) => {
                 println!("{text}");
                 eprintln!("[{id} took {:.1?}]", started.elapsed());
                 if let Some(dir) = &cli.out {
@@ -140,7 +141,7 @@ fn main() -> ExitCode {
                         }
                     }
                     if cli.csv {
-                        if let Some(csv) = harness.run_csv(id) {
+                        if let Some(csv) = csv {
                             let path = dir.join(format!("{id}.csv"));
                             match std::fs::File::create(&path)
                                 .and_then(|mut f| f.write_all(csv.as_bytes()))

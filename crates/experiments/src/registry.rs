@@ -3,16 +3,17 @@
 //! dispatch.
 //!
 //! [`Registry::paper`] builds the full list in paper order; the
-//! [`crate::tables::Harness`] front door (`run`, `run_csv`,
-//! `experiment_ids`) and the `labelcount-exp` binary's `--list` are all
-//! generated from it, so adding an experiment is one registration — the
-//! CLI, the id list, and the CSV plumbing follow automatically.
+//! [`crate::tables::Harness`] front door (`run`, `experiment_ids`) and
+//! the `labelcount-exp` binary's `--list` are all generated from it, so
+//! adding an experiment is one registration — the CLI, the id list, and
+//! the CSV plumbing follow automatically.
 
 use crate::datasets::DatasetKind;
+use crate::report::Artifacts;
 use crate::tables::Harness;
 
 /// One runnable experiment: a stable id, a one-line description, and the
-/// text (and optionally CSV) artifact generators.
+/// generator of its artifacts.
 ///
 /// Implementations receive the [`Harness`] so they can share its dataset
 /// cache and sweep configuration; they must be deterministic functions of
@@ -25,13 +26,9 @@ pub trait ExperimentSpec {
     /// One-line description shown by `labelcount-exp --list`.
     fn description(&self) -> String;
 
-    /// Renders the experiment's text artifact.
-    fn run(&self, harness: &Harness) -> String;
-
-    /// Machine-readable CSV form, for artifacts with a natural one.
-    fn csv(&self, _harness: &Harness) -> Option<String> {
-        None
-    }
+    /// Runs the experiment and renders its text artifact and, for
+    /// artifacts with a natural one, its machine-readable CSV form.
+    fn run(&self, harness: &Harness) -> Artifacts;
 }
 
 /// A fixed experiment backed by plain functions — the registration shape
@@ -39,8 +36,7 @@ pub trait ExperimentSpec {
 struct Fixed {
     id: &'static str,
     description: &'static str,
-    run: fn(&Harness) -> String,
-    csv: Option<fn(&Harness) -> String>,
+    run: fn(&Harness) -> Artifacts,
 }
 
 impl ExperimentSpec for Fixed {
@@ -50,11 +46,8 @@ impl ExperimentSpec for Fixed {
     fn description(&self) -> String {
         self.description.to_string()
     }
-    fn run(&self, harness: &Harness) -> String {
+    fn run(&self, harness: &Harness) -> Artifacts {
         (self.run)(harness)
-    }
-    fn csv(&self, harness: &Harness) -> Option<String> {
-        self.csv.map(|f| f(harness))
     }
 }
 
@@ -76,11 +69,8 @@ impl ExperimentSpec for NrmseTable {
             self.target_idx
         )
     }
-    fn run(&self, harness: &Harness) -> String {
+    fn run(&self, harness: &Harness) -> Artifacts {
         harness.nrmse_table(self.kind, self.target_idx, self.table_no)
-    }
-    fn csv(&self, harness: &Harness) -> Option<String> {
-        Some(harness.nrmse_table_csv(self.kind, self.target_idx))
     }
 }
 
@@ -100,8 +90,8 @@ impl ExperimentSpec for BoundsTable {
             self.kind.name()
         )
     }
-    fn run(&self, harness: &Harness) -> String {
-        harness.bounds_table(self.kind, self.table_no)
+    fn run(&self, harness: &Harness) -> Artifacts {
+        harness.bounds_table(self.kind, self.table_no).into()
     }
 }
 
@@ -118,8 +108,8 @@ impl ExperimentSpec for BestTable {
     fn description(&self) -> String {
         "best algorithm per target label at the 5%|V| budget".to_string()
     }
-    fn run(&self, harness: &Harness) -> String {
-        harness.best_table(self.kinds, self.table_no)
+    fn run(&self, harness: &Harness) -> Artifacts {
+        harness.best_table(self.kinds, self.table_no).into()
     }
 }
 
@@ -139,8 +129,8 @@ impl ExperimentSpec for Figure {
             self.kind.name()
         )
     }
-    fn run(&self, harness: &Harness) -> String {
-        harness.figure(self.kind, self.fig_no)
+    fn run(&self, harness: &Harness) -> Artifacts {
+        harness.figure(self.kind, self.fig_no).into()
     }
 }
 
@@ -161,20 +151,17 @@ impl Registry {
             Box::new(Fixed {
                 id: "table1",
                 description: "statistics of the surrogate datasets vs the paper's",
-                run: |h| h.table1(),
-                csv: None,
+                run: |h| h.table1().into(),
             }),
             Box::new(Fixed {
                 id: "table2",
                 description: "abbreviations of the ten Table-2 algorithms",
-                run: |h| h.table2(),
-                csv: None,
+                run: |h| h.table2().into(),
             }),
             Box::new(Fixed {
                 id: "table3",
                 description: "labels and their locations in pokec-like",
-                run: |h| h.table3(),
-                csv: None,
+                run: |h| h.table3().into(),
             }),
         ];
         let nrmse: [(DatasetKind, usize); 14] = [
@@ -234,8 +221,7 @@ impl Registry {
         entries.push(Box::new(Fixed {
             id: "mixing",
             description: "mixing time T(1e-3) and burn-in per dataset",
-            run: |h| h.mixing(),
-            csv: None,
+            run: |h| h.mixing().into(),
         }));
         entries.push(Box::new(Fixed {
             id: "ablation-thinning",
@@ -246,26 +232,29 @@ impl Registry {
                     &h.dataset(DatasetKind::PokecLike),
                     &h.sweep,
                 )
+                .into()
             },
-            csv: None,
         }));
         entries.push(Box::new(Fixed {
             id: "ablation-alpha",
             description: "EX-RCMH alpha ablation",
-            run: |h| crate::ablations::ablation_alpha(&h.dataset(DatasetKind::PokecLike), &h.sweep),
-            csv: None,
+            run: |h| {
+                crate::ablations::ablation_alpha(&h.dataset(DatasetKind::PokecLike), &h.sweep)
+                    .into()
+            },
         }));
         entries.push(Box::new(Fixed {
             id: "ablation-delta",
             description: "EX-GMD delta ablation",
-            run: |h| crate::ablations::ablation_delta(&h.dataset(DatasetKind::PokecLike), &h.sweep),
-            csv: None,
+            run: |h| {
+                crate::ablations::ablation_delta(&h.dataset(DatasetKind::PokecLike), &h.sweep)
+                    .into()
+            },
         }));
         entries.push(Box::new(Fixed {
             id: "ablation-burnin",
             description: "burn-in length ablation",
-            run: |h| crate::ablations::ablation_burnin(&facebook(h), &h.sweep),
-            csv: None,
+            run: |h| crate::ablations::ablation_burnin(&facebook(h), &h.sweep).into(),
         }));
         entries.push(Box::new(Fixed {
             id: "bias-decomposition",
@@ -276,44 +265,38 @@ impl Registry {
                     0,
                     &h.sweep,
                 )
+                .into()
             },
-            csv: None,
         }));
         entries.push(Box::new(Fixed {
             id: "resilience",
             description: "NRMSE and realized API cost vs adversarial fault rate",
             run: |h| crate::resilience::resilience_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::resilience::resilience_csv(&facebook(h), &h.sweep)),
         }));
         entries.push(Box::new(Fixed {
             id: "serving",
             description: "tenant skew x shard count through the sharded service",
             run: |h| crate::serving::serving_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::serving::serving_csv(&facebook(h), &h.sweep)),
         }));
         entries.push(Box::new(Fixed {
             id: "deadlines",
             description: "deadline tightness x priority mix through the scheduler",
             run: |h| crate::deadlines::deadlines_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::deadlines::deadlines_csv(&facebook(h), &h.sweep)),
         }));
         entries.push(Box::new(Fixed {
             id: "eviction",
             description: "replacement policy x frame budget through the buffer pool",
             run: |h| crate::eviction::eviction_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::eviction::eviction_csv(&facebook(h), &h.sweep)),
         }));
         entries.push(Box::new(Fixed {
             id: "chaos",
             description: "outage-burst length x resilience arm: availability, quality, cost",
             run: |h| crate::chaos::chaos_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::chaos::chaos_csv(&facebook(h), &h.sweep)),
         }));
         entries.push(Box::new(Fixed {
             id: "staleness",
             description: "churn rate x cache depth: invalidation vs stale reads",
             run: |h| crate::staleness::staleness_report(&facebook(h), &h.sweep),
-            csv: Some(|h| crate::staleness::staleness_csv(&facebook(h), &h.sweep)),
         }));
         Registry { entries }
     }
@@ -381,7 +364,7 @@ mod tests {
 
     #[test]
     fn sweep_tables_keep_their_csv_form() {
-        // `csv()` generates the artifact, so only the cheapest sweep table
+        // `run()` computes the sweep, so only the cheapest sweep table
         // is exercised here; the serving-stack sweeps' CSVs are covered by
         // their own module tests.
         let reg = Registry::paper();
@@ -397,7 +380,8 @@ mod tests {
         let csv = reg
             .find("table4")
             .unwrap()
-            .csv(&h)
+            .run(&h)
+            .csv
             .expect("table4 lost its CSV");
         assert!(csv.starts_with("algorithm,"));
         assert!(reg.find("TABLE4").unwrap().id() == "table4");

@@ -2,6 +2,34 @@
 
 use crate::runner::{best_per_column, SweepRow};
 
+/// What one run of an experiment renders: its text artifact and, for
+/// artifacts with a natural one, the CSV form — both from one
+/// computation, so writing the CSV never reruns a sweep.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Artifacts {
+    /// The text artifact.
+    pub text: String,
+    /// The CSV form; `None` for artifacts without a natural CSV layout.
+    pub csv: Option<String>,
+}
+
+impl Artifacts {
+    /// A text artifact with its CSV form.
+    pub fn with_csv(text: String, csv: String) -> Artifacts {
+        Artifacts {
+            text,
+            csv: Some(csv),
+        }
+    }
+}
+
+impl From<String> for Artifacts {
+    /// A text-only artifact.
+    fn from(text: String) -> Artifacts {
+        Artifacts { text, csv: None }
+    }
+}
+
 /// Renders a results table: a caption line, a header row of sample sizes,
 /// and one row per algorithm. The best value per column is marked `*`
 /// (the paper underlines/bolds it).

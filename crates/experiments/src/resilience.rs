@@ -21,6 +21,7 @@ use labelcount_osn::{FaultConfig, GraphOsn, RetryPolicy};
 use labelcount_stats::nrmse;
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One fault-rate row of the sweep.
@@ -128,9 +129,7 @@ pub fn resilience_sweep(
 }
 
 /// The harness's default sweep shape: 20 mixed queries per row at a
-/// 5%-of-`|V|` sample budget over [`DEFAULT_FAULT_RATES`]. One function
-/// so the text and CSV artifacts can never desynchronize (and callers
-/// wanting both pay for the sweep once).
+/// 5%-of-`|V|` sample budget over [`DEFAULT_FAULT_RATES`].
 pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Vec<ResilienceRow>) {
     let queries = 20;
     let budget = (dataset.graph.num_nodes() / 20).max(100);
@@ -146,8 +145,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (queries, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn resilience_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn resilience_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (queries, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -176,16 +176,15 @@ pub fn resilience_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
             r.latency_p95,
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn resilience_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[ResilienceRow]) -> String {
     let mut out = String::from(
         "fault_rate,nrmse,completed,budget_exhausted,logical_calls,backend_attempts,cost_inflation,latency_p50,latency_p95\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{}\n",
             r.fault_rate,
@@ -255,10 +254,10 @@ mod tests {
             seed: 11,
             ..SweepConfig::default()
         };
-        let text = resilience_report(&d, &sweep);
+        let Artifacts { text, csv } = resilience_report(&d, &sweep);
         assert!(text.contains("fault_rate"));
         assert!(text.lines().count() >= 2 + DEFAULT_FAULT_RATES.len());
-        let csv = resilience_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + DEFAULT_FAULT_RATES.len());
         assert!(csv.starts_with("fault_rate,"));
     }

@@ -26,6 +26,7 @@ use labelcount_serve::{
 use labelcount_stats::nrmse;
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One tenant-skew row of the sweep.
@@ -185,8 +186,7 @@ pub fn serving_sweep(
 
 /// The harness's default sweep shape: 32 requests per row at a
 /// 5%-of-`|V|` sample budget over [`DEFAULT_TENANT_SKEWS`] ×
-/// [`DEFAULT_SHARD_COUNTS`]. One function so the text and CSV artifacts
-/// can never desynchronize.
+/// [`DEFAULT_SHARD_COUNTS`].
 pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Vec<ServingRow>) {
     let requests = 32;
     let budget = (dataset.graph.num_nodes() / 20).max(100);
@@ -203,8 +203,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (requests, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn serving_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn serving_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (requests, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -233,16 +234,15 @@ pub fn serving_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
             r.shard_invariant,
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn serving_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[ServingRow]) -> String {
     let mut out = String::from(
         "tenant_skew,admitted,shed,quota_exhausted,hog_admitted,fairness,nrmse,shard_invariant\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{}\n",
             r.tenant_skew,
@@ -315,10 +315,10 @@ mod tests {
             seed: 11,
             ..SweepConfig::default()
         };
-        let text = serving_report(&d, &sweep);
+        let Artifacts { text, csv } = serving_report(&d, &sweep);
         assert!(text.contains("tenant_skew"));
         assert!(text.lines().count() >= 2 + DEFAULT_TENANT_SKEWS.len());
-        let csv = serving_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + DEFAULT_TENANT_SKEWS.len());
         assert!(csv.starts_with("tenant_skew,"));
     }

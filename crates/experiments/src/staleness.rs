@@ -31,6 +31,7 @@ use labelcount_osn::{CacheConfig, ChurnOsn, OsnApi};
 use labelcount_stats::nrmse;
 
 use crate::datasets::Dataset;
+use crate::report::Artifacts;
 use crate::runner::SweepConfig;
 
 /// One (churn rate × cache depth) cell of the sweep.
@@ -193,8 +194,7 @@ pub fn staleness_sweep(
 }
 
 /// The harness's default sweep shape: 16 replicates at a 5%-of-`|V|`
-/// sample budget over [`DEFAULT_CHURN_RATES`] × [`cache_grid`]. One
-/// function so the text and CSV artifacts can never desynchronize.
+/// sample budget over [`DEFAULT_CHURN_RATES`] × [`cache_grid`].
 pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Vec<StalenessRow>) {
     let replicates = 16;
     let budget = (dataset.graph.num_nodes() / 20).max(100);
@@ -202,8 +202,9 @@ pub fn default_rows(dataset: &Dataset, sweep: &SweepConfig) -> (usize, usize, Ve
     (replicates, budget, rows)
 }
 
-/// Renders the sweep as the experiment harness's text artifact.
-pub fn staleness_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
+/// Runs the default sweep once and renders it twice: as the experiment
+/// harness's text artifact and as CSV for plotting pipelines.
+pub fn staleness_report(dataset: &Dataset, sweep: &SweepConfig) -> Artifacts {
     let (replicates, budget, rows) = default_rows(dataset, sweep);
     let mut out = String::new();
     out.push_str(&format!(
@@ -230,16 +231,15 @@ pub fn staleness_report(dataset: &Dataset, sweep: &SweepConfig) -> String {
             r.l1_stale_evictions,
         ));
     }
-    out
+    Artifacts::with_csv(out, render_csv(&rows))
 }
 
 /// CSV form of the sweep for plotting pipelines.
-pub fn staleness_csv(dataset: &Dataset, sweep: &SweepConfig) -> String {
-    let (_, _, rows) = default_rows(dataset, sweep);
+fn render_csv(rows: &[StalenessRow]) -> String {
     let mut out = String::from(
         "churn_rate,cache,batches,events_applied,nrmse_invalidating,nrmse_stale,l2_stale_evictions,l1_stale_evictions\n",
     );
-    for r in &rows {
+    for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{}\n",
             r.churn_rate,
@@ -328,12 +328,12 @@ mod tests {
     fn report_and_csv_render() {
         let d = quick_dataset();
         let sweep = quick_sweep(2);
-        let text = staleness_report(&d, &sweep);
+        let Artifacts { text, csv } = staleness_report(&d, &sweep);
         assert!(text.contains("churn_rate"));
         assert!(text.contains("l1+l2"));
         let cells = DEFAULT_CHURN_RATES.len() * cache_grid().len();
         assert!(text.lines().count() >= 2 + cells);
-        let csv = staleness_csv(&d, &sweep);
+        let csv = csv.expect("the sweep renders a CSV form");
         assert_eq!(csv.lines().count(), 1 + cells);
         assert!(csv.starts_with("churn_rate,"));
     }

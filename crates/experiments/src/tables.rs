@@ -11,7 +11,9 @@ use labelcount_graph::ground_truth::all_pair_counts;
 
 use crate::datasets::{build, closest_pairs, Dataset, DatasetKind};
 use crate::registry::Registry;
-use crate::report::{format_bound, format_plain_table, format_sweep_table};
+use crate::report::{
+    format_bound, format_plain_table, format_sweep_csv, format_sweep_table, Artifacts,
+};
 use crate::runner::{nrmse_sweep, paper_size_headers, paper_sizes, SweepConfig};
 
 /// Lazily-building dataset registry plus the sweep configuration — the
@@ -55,7 +57,7 @@ impl Harness {
     }
 
     /// Dispatches an experiment id to its registered generator.
-    pub fn run(&self, id: &str) -> Result<String, String> {
+    pub fn run(&self, id: &str) -> Result<Artifacts, String> {
         let registry = Registry::paper();
         match registry.find(id) {
             Some(exp) => Ok(exp.run(self)),
@@ -163,13 +165,15 @@ impl Harness {
         )
     }
 
-    /// Computes the full algorithms × sizes sweep behind Tables 4–17.
-    fn sweep_rows(&self, kind: DatasetKind, target_idx: usize) -> Vec<crate::runner::SweepRow> {
+    /// Tables 4–17: NRMSE of all ten algorithms vs sample size, as text
+    /// and in machine-readable form (one CSV row per algorithm, one
+    /// column per budget) from one run of the sweep.
+    pub fn nrmse_table(&self, kind: DatasetKind, target_idx: usize, table_no: usize) -> Artifacts {
         let d = self.dataset(kind);
         let t = &d.targets[target_idx];
         let sizes = paper_sizes(d.graph.num_nodes());
         let algs = algorithms::all_paper(self.sweep.alpha, self.sweep.delta);
-        nrmse_sweep(
+        let rows = nrmse_sweep(
             &d.graph,
             d.burn_in,
             t.label,
@@ -177,29 +181,7 @@ impl Harness {
             &sizes,
             &algs,
             &self.sweep,
-        )
-    }
-
-    /// Tables 4–17 in machine-readable form: one CSV row per algorithm,
-    /// one column per budget. (`labelcount-exp --csv` writes these next to
-    /// the text artifacts.)
-    pub fn nrmse_table_csv(&self, kind: DatasetKind, target_idx: usize) -> String {
-        let rows = self.sweep_rows(kind, target_idx);
-        crate::report::format_sweep_csv(&paper_size_headers(), &rows)
-    }
-
-    /// CSV form of an experiment id. Returns `None` for unknown ids and
-    /// for artifacts without a natural CSV layout — both delegated to the
-    /// registered [`crate::registry::ExperimentSpec::csv`].
-    pub fn run_csv(&self, id: &str) -> Option<String> {
-        Registry::paper().find(id)?.csv(self)
-    }
-
-    /// Tables 4–17: NRMSE of all ten algorithms vs sample size.
-    pub fn nrmse_table(&self, kind: DatasetKind, target_idx: usize, table_no: usize) -> String {
-        let d = self.dataset(kind);
-        let t = &d.targets[target_idx];
-        let rows = self.sweep_rows(kind, target_idx);
+        );
         let caption = format!(
             "Table {table_no}: {}, target label={}, number of target edges={}, percentage={:.4}% ({} reps)",
             d.name,
@@ -208,7 +190,10 @@ impl Harness {
             100.0 * t.fraction,
             self.sweep.reps
         );
-        format_sweep_table(&caption, &paper_size_headers(), &rows)
+        Artifacts::with_csv(
+            format_sweep_table(&caption, &paper_size_headers(), &rows),
+            format_sweep_csv(&paper_size_headers(), &rows),
+        )
     }
 
     /// Tables 18–22: `(0.1, 0.1)`-approximation sample-size bounds
@@ -437,7 +422,7 @@ mod tests {
     #[test]
     fn nrmse_table_renders_on_tiny_dataset() {
         let h = tiny_harness();
-        let out = h.nrmse_table(DatasetKind::FacebookLike, 0, 4);
+        let out = h.nrmse_table(DatasetKind::FacebookLike, 0, 4).text;
         assert!(out.contains("Table 4"));
         assert!(out.contains("NeighborSample-HH"));
         assert!(out.contains("5.0%|V|"));
@@ -448,15 +433,15 @@ mod tests {
     #[test]
     fn csv_form_matches_text_tables() {
         let h = tiny_harness();
-        let csv = h.run_csv("table4").expect("table4 has a CSV form");
+        let csv = h.run("table4").unwrap().csv.expect("table4 has a CSV form");
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 11); // header + 10 algorithms
         assert!(lines[0].starts_with("algorithm,0.5%|V|"));
         assert!(lines[1].starts_with("NeighborSample-HH,"));
         // Non-sweep artifacts have no CSV form.
-        assert!(h.run_csv("table1").is_none());
-        assert!(h.run_csv("mixing").is_none());
-        assert!(h.run_csv("table18").is_none());
+        for id in ["table1", "mixing", "table18"] {
+            assert!(h.run(id).unwrap().csv.is_none(), "{id}");
+        }
     }
 
     #[test]

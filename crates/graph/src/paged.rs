@@ -692,24 +692,13 @@ impl EvictionPolicy {
 ///
 /// Construct through [`PoolConfig::builder`] (or the
 /// [`PoolConfig::unbounded`] / [`PoolConfig::bounded`] shorthands, which
-/// delegate to it) and read through the accessor methods. Direct field
-/// access is **deprecated for one release** — the fields become private
-/// next release.
+/// delegate to it) and read through the accessor methods.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolConfig {
-    /// Frame budget: the target number of resident pages. `None` is
-    /// unbounded (no eviction ever). The budget is a *target*, not a hard
-    /// cap: when every frame is pinned mid-fetch the pool overcommits by
-    /// allocating extra frames rather than deadlocking — visible in
-    /// [`PagingStats::pinned_peak`].
-    #[deprecated(since = "0.1.0", note = "construct via PoolConfig::builder()")]
-    pub frames: Option<usize>,
-    /// Replacement policy for unpinned frames.
-    #[deprecated(since = "0.1.0", note = "construct via PoolConfig::builder()")]
-    pub policy: EvictionPolicy,
+    frames: Option<usize>,
+    policy: EvictionPolicy,
 }
 
-#[allow(deprecated)]
 impl PoolConfig {
     /// Starts a builder at the defaults (unbounded, LRU).
     pub fn builder() -> PoolConfigBuilder {
@@ -728,12 +717,16 @@ impl PoolConfig {
         PoolConfig::builder().frames(frames).policy(policy).build()
     }
 
-    /// The frame budget (`None` = unbounded).
+    /// Frame budget: the target number of resident pages. `None` is
+    /// unbounded (no eviction ever). The budget is a *target*, not a hard
+    /// cap: when every frame is pinned mid-fetch the pool overcommits by
+    /// allocating extra frames rather than deadlocking — visible in
+    /// [`PagingStats::pinned_peak`].
     pub fn frames(&self) -> Option<usize> {
         self.frames
     }
 
-    /// The replacement policy in force.
+    /// Replacement policy for unpinned frames.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy
     }
@@ -756,7 +749,6 @@ pub struct PoolConfigBuilder {
     cfg: PoolConfig,
 }
 
-#[allow(deprecated)]
 impl PoolConfigBuilder {
     /// Bounds the pool at `frames` resident pages (clamped to `>= 1`).
     #[must_use = "returns the modified builder"]

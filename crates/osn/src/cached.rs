@@ -127,45 +127,15 @@ pub const DEFAULT_L1_SLOTS: usize = 512;
 ///
 /// Construct through [`CacheConfig::builder`] (the same `#[must_use]`
 /// builder idiom as `Workload::builder()`); read through the accessor
-/// methods. Direct field access is **deprecated for one release** — the
-/// fields become private next release.
+/// methods.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Target cached entries **per endpoint kind** (neighbor lists and
-    /// label sets each get this many). `None` = unbounded (every distinct
-    /// node is fetched from the backend exactly once). The effective cap
-    /// is rounded **up** to a multiple of the shard count (at least one
-    /// entry per shard), so the cache may hold up to `shards − 1` more
-    /// entries than configured — rounding up rather than down keeps the
-    /// configured value a lower bound and no shard starved, even when the
-    /// configured capacity is smaller than the shard count.
-    #[deprecated(since = "0.1.0", note = "construct via CacheConfig::builder()")]
-    pub capacity: Option<usize>,
-    /// Number of lock shards per endpoint kind (rounded up to a power of
-    /// two, minimum 1). More shards = less contention under parallel
-    /// replication.
-    #[deprecated(since = "0.1.0", note = "construct via CacheConfig::builder()")]
-    pub shards: usize,
-    /// Direct-mapped **L1 slots per endpoint kind** in every session
-    /// opened on this cache (rounded up to a power of two). `0` disables
-    /// the session L1: every logical call then takes the shared L2 path —
-    /// the configuration the determinism suites compare against. The L1
-    /// only changes *where* bytes come from and what a hit costs; data,
-    /// estimates, RNG streams, and (for unbounded caches) miss counts are
-    /// bit-identical either way.
-    #[deprecated(since = "0.1.0", note = "construct via CacheConfig::builder()")]
-    pub l1_slots: usize,
-    /// Graceful-degradation opt-in: while the backend reports an endpoint
-    /// degraded ([`OsnBackend::endpoint_degraded`], e.g. an open circuit
-    /// breaker), L1 and L2 may serve **stale-epoch** entries instead of
-    /// refetching, each counted in [`CallStats::stale_served`]. Off by
-    /// default; with it off (or against backends that are never degraded)
-    /// behavior is bit-identical to a world without this knob.
-    #[deprecated(since = "0.1.0", note = "construct via CacheConfig::builder()")]
-    pub serve_stale: bool,
+    capacity: Option<usize>,
+    shards: usize,
+    l1_slots: usize,
+    serve_stale: bool,
 }
 
-#[allow(deprecated)]
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
@@ -177,7 +147,6 @@ impl Default for CacheConfig {
     }
 }
 
-#[allow(deprecated)]
 impl CacheConfig {
     /// Starts a builder at the defaults (unbounded, 64 shards,
     /// [`DEFAULT_L1_SLOTS`] L1 slots).
@@ -187,22 +156,42 @@ impl CacheConfig {
         }
     }
 
-    /// Target cached entries per endpoint kind (`None` = unbounded).
+    /// Target cached entries **per endpoint kind** (neighbor lists and
+    /// label sets each get this many). `None` = unbounded (every distinct
+    /// node is fetched from the backend exactly once). The effective cap
+    /// is rounded **up** to a multiple of the shard count (at least one
+    /// entry per shard), so the cache may hold up to `shards − 1` more
+    /// entries than configured — rounding up rather than down keeps the
+    /// configured value a lower bound and no shard starved, even when the
+    /// configured capacity is smaller than the shard count.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
     }
 
-    /// Lock shards per endpoint kind.
+    /// Number of lock shards per endpoint kind (rounded up to a power of
+    /// two, minimum 1). More shards = less contention under parallel
+    /// replication.
     pub fn shards(&self) -> usize {
         self.shards
     }
 
-    /// Session L1 slots per endpoint kind (`0` = L1 disabled).
+    /// Direct-mapped **L1 slots per endpoint kind** in every session
+    /// opened on this cache (rounded up to a power of two). `0` disables
+    /// the session L1: every logical call then takes the shared L2 path —
+    /// the configuration the determinism suites compare against. The L1
+    /// only changes *where* bytes come from and what a hit costs; data,
+    /// estimates, RNG streams, and (for unbounded caches) miss counts are
+    /// bit-identical either way.
     pub fn l1_slots(&self) -> usize {
         self.l1_slots
     }
 
-    /// Whether stale entries may be served while an endpoint is degraded.
+    /// Graceful-degradation opt-in: while the backend reports an endpoint
+    /// degraded ([`OsnBackend::endpoint_degraded`], e.g. an open circuit
+    /// breaker), L1 and L2 may serve **stale-epoch** entries instead of
+    /// refetching, each counted in [`CallStats::stale_served`]. Off by
+    /// default; with it off (or against backends that are never degraded)
+    /// behavior is bit-identical to a world without this knob.
     pub fn serve_stale(&self) -> bool {
         self.serve_stale
     }
@@ -223,7 +212,6 @@ pub struct CacheConfigBuilder {
     cfg: CacheConfig,
 }
 
-#[allow(deprecated)]
 impl CacheConfigBuilder {
     /// Bounds the cache at `capacity` entries per endpoint kind.
     #[must_use = "returns the modified builder"]

@@ -2,10 +2,14 @@
 //!
 //! ```text
 //! labelcount-perf [--tier smoke|standard|stress]
-//!                 [--family ba,er,loaded,loaded-paged] [--seed N]
-//!                 [--fault-rate F] [--pool-frames B] [--out DIR]
+//!                 [--family ba,er,loaded,loaded-paged]
+//!                 [--seed N] [--fault-rate F] [--tenant-skew S]
+//!                 [--deadline inf|p95|p50]
+//!                 [--pool-frames tight|comfortable|unbounded|N]
+//!                 [--churn-rate R] [--burst off|short|long] [--out DIR]
 //! labelcount-perf compare --baseline DIR --current DIR [--max-regression X]
-//!                 [--match-family]
+//!                 [--match-family] [--min-parallel-speedup X]
+//!                 [--markdown-summary FILE]
 //! ```
 //!
 //! The run mode writes one `BENCH_<family>_<tier>.json` per scenario into

@@ -12,8 +12,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use labelcount_core::algorithms::all_paper;
 use labelcount_core::{
-    algorithms, motifs, run_workload, size, Engine, NsHansenHurwitz, RunConfig, Workload,
+    motifs, run_workload, size, Engine, NsHansenHurwitz, RunConfig, Workload, WorkloadReport,
 };
 use labelcount_graph::churn::ChurnConfig;
 use labelcount_graph::components::largest_component;
@@ -26,12 +27,12 @@ use labelcount_graph::paged::{
 use labelcount_graph::{GroundTruth, LabeledGraph, NodeId, TargetLabel};
 use labelcount_osn::{
     AdversarialOsn, BreakerConfig, BurstConfig, CacheConfig, CachedOsn, ChurnOsn, FaultConfig,
-    GraphOsn, LineGraphView, OsnApi, OsnApiExt, PagedGraphOsn, ResilienceConfig, RetryPolicy,
-    SimulatedOsn,
+    GraphOsn, LineGraphView, OsnApi, OsnApiExt, OsnBackend, PagedGraphOsn, ResilienceConfig,
+    RetryPolicy, SimulatedOsn,
 };
 use labelcount_serve::{
     AdmissionConfig, GraphKey, QuotaPolicy, RateLimit, RateLimitPolicy, SchedulePolicy,
-    ServiceReport, ServiceStatus, ServiceWorkload, ShardedService,
+    ServiceReport, ServiceStatus, ServiceWorkload, ServiceWorkloadBuilder, ShardedService,
 };
 use labelcount_stats::{nrmse, percentile, replication_seed};
 use labelcount_walk::mixing::default_burn_in;
@@ -511,6 +512,14 @@ fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
 }
 
+/// Runs `f` and returns its result with the wall time it took,
+/// milliseconds: every timed window of a phase is one call.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, ms(t0))
+}
+
 /// Measures a fixed machine-speed proxy: dependent pseudo-random loads
 /// over a 4 MiB table — the same cache-missy pointer-chasing profile as a
 /// random walk over a CSR graph. The regression gate divides every timing
@@ -603,150 +612,150 @@ fn algorithm_counters(abbrev: &str, estimates: &[f64], api_calls: u64, nrmse: Op
     ])
 }
 
-/// Runs one scenario end to end and assembles its [`Report`].
-pub fn run_scenario(spec: &ScenarioSpec) -> Report {
-    let scenario_start = Instant::now();
-    let alloc_before = alloc_track::begin_window();
+/// An estimate vector's bit patterns: what the bit-identity checks
+/// compare.
+fn bits(estimates: &[f64]) -> Vec<u64> {
+    estimates.iter().map(|e| e.to_bits()).collect()
+}
 
-    let g = build_graph(spec);
-    let n = g.num_nodes();
-    let target = scenario_target();
-    let budget = (n / 20).max(100);
-    let burn_in = default_burn_in(n);
-    let reps = spec.tier.reps();
+/// A workload's per-query estimate bits, query-id order (`None` for a
+/// query that failed).
+fn workload_bits(r: &WorkloadReport) -> Vec<Option<u64>> {
+    r.outcomes
+        .iter()
+        .map(|o| o.estimate.as_ref().ok().map(|e| e.to_bits()))
+        .collect()
+}
 
-    // --- Ground truth: parallel (used) timed against serial (reference).
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(4);
-    let t0 = Instant::now();
-    let gt_serial = GroundTruth::compute(&g, target);
-    let gt_serial_ms = ms(t0);
-    let t0 = Instant::now();
-    let gt = GroundTruth::compute_parallel(&g, target, threads);
-    let gt_parallel_ms = ms(t0);
-    assert_eq!(gt.f, gt_serial.f, "parallel ground truth must agree");
+/// A service run's per-request answer bits: a completed request's
+/// estimate, any other request's anytime answer.
+fn service_bits(r: &ServiceReport) -> Vec<(u64, Option<u64>)> {
+    r.outcomes
+        .iter()
+        .map(|o| {
+            let bits = match &o.status {
+                ServiceStatus::Completed(q) => q.estimate.as_ref().ok().map(|e| e.to_bits()),
+                ServiceStatus::DeadlineAnytime { anytime, .. } => anytime.map(f64::to_bits),
+                ServiceStatus::Shed { anytime, .. } => anytime.map(f64::to_bits),
+                ServiceStatus::QuotaExhausted { anytime } => anytime.map(f64::to_bits),
+                ServiceStatus::Throttled { anytime } => anytime.map(f64::to_bits),
+                ServiceStatus::UnknownGraph => None,
+            };
+            (o.id, bits)
+        })
+        .collect()
+}
 
-    // --- Walk substrate throughput: per-step vs batched on the OSN, and
-    // the line graph through the exact O(1) neighbor sampler. The batched
-    // path replays the identical RNG stream, so matching end states double
-    // as a correctness check.
-    let steps = spec.tier.walk_steps();
-    let walk_seed = replication_seed(spec.seed, stream::WALK);
+/// Adds one pool's paging counters into a running total.
+fn absorb(total: &mut PagingStats, s: PagingStats) {
+    total.page_reads += s.page_reads;
+    total.pool_hits += s.pool_hits;
+    total.evictions += s.evictions;
+    total.pinned_peak = total.pinned_peak.max(s.pinned_peak);
+}
 
-    let osn = SimulatedOsn::new(&g);
-    let mut rng = StdRng::seed_from_u64(walk_seed);
-    let mut w = SimpleWalk::new(OsnApiExt::random_node(&osn, &mut rng));
-    let t0 = Instant::now();
-    let mut per_step_end = Walker::<SimulatedOsn>::current(&w);
-    for _ in 0..steps {
-        per_step_end = w.step(&osn, &mut rng);
-    }
-    let per_step_ms = ms(t0);
+/// Graph keys of the serving fleet: the scenario graph registered four
+/// times (a four-dataset fleet sharing one topology).
+const SERVING_GRAPHS: u64 = 4;
+/// Tenants of the serving phases' request streams.
+const SERVING_TENANTS: usize = 4;
 
-    let osn = SimulatedOsn::new(&g);
-    let mut rng = StdRng::seed_from_u64(walk_seed);
-    let mut w = SimpleWalk::new(OsnApiExt::random_node(&osn, &mut rng));
-    let mut buf = vec![NodeId(0); 4_096];
-    let t0 = Instant::now();
-    let mut batched_end = Walker::<SimulatedOsn>::current(&w);
-    let mut remaining = steps;
-    while remaining > 0 {
-        let take = remaining.min(buf.len());
-        w.steps_into(&osn, &mut buf[..take], &mut rng);
-        batched_end = buf[take - 1];
-        remaining -= take;
-    }
-    let batched_ms = ms(t0);
-    assert_eq!(
-        per_step_end, batched_end,
-        "batched stepping must replay the per-step RNG stream"
-    );
+/// The paged-CSR copy of the scenario graph that the
+/// [`Family::LoadedPaged`] scenario's paged twins read (see
+/// [`Ctx::paged_twin`]). The paging phase, its last reader, removes it.
+struct PagedFile {
+    path: PathBuf,
+    /// The spec's frame budget.
+    pool: PoolConfig,
+    /// A paged backend pairs with a *bounded* L2: an unbounded cache
+    /// would quietly re-materialize the whole graph in RAM and the
+    /// residency comparison against the in-RAM `loaded` cell would
+    /// measure nothing.
+    cache: CacheConfig,
+}
 
-    let line_steps = (steps / 4).max(1);
-    let osn = SimulatedOsn::new(&g);
-    let lg = LineGraphView::new(&osn);
-    let mut rng = StdRng::seed_from_u64(replication_seed(spec.seed, stream::LINE_WALK));
-    let mut lw = SimpleWalk::new(lg.random_start(&mut rng));
-    let t0 = Instant::now();
-    let mut line_end = Walker::<LineGraphView<'_, SimulatedOsn>>::current(&lw);
-    for _ in 0..line_steps {
-        line_end = lw.step(&lg, &mut rng);
-    }
-    let line_ms = ms(t0);
-    let walk = Json::obj(vec![
-        // Steps taken on each stepping path (per-step OSN, batched OSN);
-        // the line-graph walk takes a quarter as many.
-        ("steps", int(steps as u64)),
-        // Final node index after the per-step OSN walk.
-        ("per_step_end", int(per_step_end.index() as u64)),
-        // Final node index after the batched OSN walk (equal to
-        // `per_step_end`: both paths consume identical RNG streams).
-        ("batched_end", int(batched_end.index() as u64)),
-        // Final line-node endpoints after the line-graph walk.
-        (
-            "line_end",
-            Json::Arr(vec![
-                int(line_end.u().index() as u64),
-                int(line_end.v().index() as u64),
-            ]),
-        ),
-        // Raw API calls consumed by the line-graph walk: the O(1)
-        // `sample_neighbor` pays exactly 2 neighbor-list calls per step.
-        ("line_api_calls", int(osn.api_calls())),
-    ]);
-
-    // --- The paper's ten algorithms.
-    let cfg = RunConfig {
-        burn_in,
-        ..RunConfig::default()
-    };
-    let mut algo_counters = Vec::new();
-    for (ai, alg) in algorithms::all_paper(0.2, 0.5).iter().enumerate() {
-        let mut estimates = Vec::with_capacity(reps);
-        let mut api_calls = 0u64;
-        for rep in 0..reps {
-            let rep_seed =
-                replication_seed(spec.seed, stream::ALGO_BASE + ai as u64).wrapping_add(rep as u64);
-            let osn = SimulatedOsn::new(&g);
-            let mut rng = StdRng::seed_from_u64(rep_seed);
-            let e = alg
-                .estimate(&osn, target, budget, &cfg, &mut rng)
-                .expect("unbudgeted estimation on a connected component");
-            estimates.push(sanitize(e));
-            api_calls += osn.api_calls();
+impl PagedFile {
+    fn write(spec: &ScenarioSpec, g: &LabeledGraph) -> PagedFile {
+        let path = temp_stem(spec).with_extension("paged");
+        PagedCsrWriter::new()
+            .write(g, &path)
+            .expect("write paged CSR file");
+        PagedFile {
+            path,
+            pool: match spec.pool_frames.frames() {
+                None => PoolConfig::unbounded(),
+                Some(k) => PoolConfig::bounded(k, EvictionPolicy::Lru),
+            },
+            cache: CacheConfig::builder().capacity(512).build(),
         }
-        algo_counters.push(algorithm_counters(
-            alg.abbrev(),
-            &estimates,
-            api_calls,
-            finite_nrmse(&estimates, gt.f as f64),
-        ));
     }
 
-    // --- Extensions: label-refined motifs and graph-size estimation.
-    // Exact motif counts are only computed at smoke scale (the exact
-    // counters are quadratic in hub degrees); larger tiers report the
-    // estimates with `nrmse: null`.
-    let triple = TargetTriple::new(1.into(), 2.into(), 1.into());
-    let motif_truth = (spec.tier == Tier::Smoke).then(|| {
-        (
-            count_labeled_wedges(&g, triple),
-            count_labeled_triangles(&g, triple),
-        )
-    });
+    /// A fresh pool over the file at the spec's frame budget.
+    fn open(&self) -> PagedGraphOsn {
+        PagedGraphOsn::open(&self.path, self.pool).expect("reopen the paged CSR file just written")
+    }
+}
 
-    let ext = |abbrev: &str,
-               stream_id: u64,
-               truth: Option<f64>,
-               f: &dyn Fn(&SimulatedOsn<'_>, &mut StdRng) -> f64| {
+/// What every phase reads: the spec, its graph, and the run parameters
+/// derived from them. Seeds come from [`Ctx::seed`], one per `stream`.
+struct Ctx<'g> {
+    spec: &'g ScenarioSpec,
+    g: &'g LabeledGraph,
+    n: usize,
+    target: TargetLabel,
+    budget: usize,
+    cfg: RunConfig,
+    threads: usize,
+    serving_keys: Vec<GraphKey>,
+    /// Warm probes touch nodes `0..probe_nodes`.
+    probe_nodes: u32,
+    /// The paged copy of the graph; `None` for the in-RAM families.
+    paged: Option<PagedFile>,
+}
+
+impl<'g> Ctx<'g> {
+    fn new(spec: &'g ScenarioSpec, g: &'g LabeledGraph) -> Ctx<'g> {
+        let n = g.num_nodes();
+        Ctx {
+            spec,
+            g,
+            n,
+            target: scenario_target(),
+            budget: (n / 20).max(100),
+            cfg: RunConfig {
+                burn_in: default_burn_in(n),
+                ..RunConfig::default()
+            },
+            threads: std::thread::available_parallelism()
+                .map(|t| t.get())
+                .unwrap_or(4),
+            serving_keys: (0..SERVING_GRAPHS).map(GraphKey).collect(),
+            probe_nodes: n.min(256) as u32,
+            paged: (spec.family == Family::LoadedPaged).then(|| PagedFile::write(spec, g)),
+        }
+    }
+
+    /// The seed of one measurement stream (`stream::*`).
+    fn seed(&self, stream: u64) -> u64 {
+        replication_seed(self.spec.seed, stream)
+    }
+
+    /// `reps` replicates of one estimator, each on a fresh `SimulatedOsn`
+    /// seeded `seed(stream) + rep`: its `counters.algorithms` entry.
+    fn replicates(
+        &self,
+        abbrev: &str,
+        stream: u64,
+        truth: Option<f64>,
+        estimate: impl Fn(&SimulatedOsn<'_>, &mut StdRng) -> f64,
+    ) -> Json {
+        let reps = self.spec.tier.reps();
         let mut estimates = Vec::with_capacity(reps);
         let mut api_calls = 0u64;
         for rep in 0..reps {
-            let rep_seed = replication_seed(spec.seed, stream_id).wrapping_add(rep as u64);
-            let osn = SimulatedOsn::new(&g);
-            let mut rng = StdRng::seed_from_u64(rep_seed);
-            estimates.push(sanitize(f(&osn, &mut rng)));
+            let osn = SimulatedOsn::new(self.g);
+            let mut rng = StdRng::seed_from_u64(self.seed(stream).wrapping_add(rep as u64));
+            estimates.push(sanitize(estimate(&osn, &mut rng)));
             api_calls += osn.api_calls();
         }
         algorithm_counters(
@@ -755,407 +764,699 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             api_calls,
             truth.and_then(|t| finite_nrmse(&estimates, t)),
         )
-    };
+    }
 
-    algo_counters.push(ext(
+    /// The engine phase's replicated query on `engine` across `threads`
+    /// threads: NS-HH with a heavy 100%-|V| budget per replicate, its
+    /// estimates in replication order.
+    fn replicated<B: OsnBackend + Sync>(&self, engine: &Engine<'_, B>, threads: usize) -> Vec<f64> {
+        engine
+            .estimate_replicated(
+                &NsHansenHurwitz,
+                self.target,
+                self.n,
+                &self.cfg,
+                self.seed(stream::ENGINE),
+                self.spec.tier.engine_reps(),
+                threads,
+            )
+            .into_iter()
+            .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
+            .collect()
+    }
+
+    /// The spec's hostile fault model, or a clean one at rate 0.
+    fn faults(&self, seed: u64) -> FaultConfig {
+        if self.spec.fault_rate > 0.0 {
+            FaultConfig::hostile(seed, self.spec.fault_rate)
+        } else {
+            FaultConfig::clean(seed)
+        }
+    }
+
+    /// The serving phases' skewed multi-tenant request stream.
+    fn requests(&self, seed: u64) -> ServiceWorkloadBuilder {
+        ServiceWorkload::mixed_multi_tenant(
+            self.spec.tier.serving_requests(),
+            &self.serving_keys,
+            SERVING_TENANTS,
+            self.spec.tenant_skew,
+            self.target,
+            self.budget,
+            seed,
+            self.cfg,
+        )
+        .builder()
+    }
+
+    /// A `shards`-shard service with every serving key registered: over
+    /// the in-RAM graph, or each key over its own pool on `paged` (a
+    /// four-dataset fleet sharing one on-disk snapshot).
+    fn fleet(&self, shards: usize, seed: u64, paged: Option<&PagedFile>) -> ShardedService<'g> {
+        let mut svc = ShardedService::new(shards, seed);
+        for &k in &self.serving_keys {
+            match paged {
+                None => svc.register(k, self.g),
+                Some(p) => svc.register_paged(k, p.open(), p.cache),
+            };
+        }
+        svc
+    }
+
+    /// Fetches the neighbor lists of the probe nodes once each.
+    fn warm<A: OsnApi>(&self, api: &A) {
+        for u in 0..self.probe_nodes {
+            std::hint::black_box(api.neighbors(NodeId(u)).len());
+        }
+    }
+
+    /// The paged twin of a phase's serial pass, for
+    /// [`Family::LoadedPaged`] only: `pass` re-runs it over pools opened
+    /// on the paged file and returns its answer bits and the pools'
+    /// paging counters. The bits must equal the in-RAM pass's — the pool
+    /// changes where bytes live, never which bytes a fetch returns — and
+    /// the counters add into `paging`. Only serial passes are twinned:
+    /// single-threaded access order makes the paging counters
+    /// deterministic, while a parallel pass would make them
+    /// interleaving-dependent without proving anything the in-RAM
+    /// parallel asserts haven't.
+    fn paged_twin<T: PartialEq + std::fmt::Debug>(
+        &self,
+        paging: &mut PagingStats,
+        in_ram: &T,
+        msg: &str,
+        pass: impl FnOnce(&PagedFile) -> (T, PagingStats),
+    ) {
+        if let Some(file) = &self.paged {
+            let (paged, stats) = pass(file);
+            assert_eq!(in_ram, &paged, "{msg}");
+            absorb(paging, stats);
+        }
+    }
+
+    /// One serial pass of `wl` on a single-shard fleet over the paged
+    /// file: its answer bits and its pools' summed paging counters.
+    fn paged_fleet_pass(
+        &self,
+        file: &PagedFile,
+        seed: u64,
+        wl: ServiceWorkload,
+    ) -> (Vec<(u64, Option<u64>)>, PagingStats) {
+        let svc = self.fleet(1, seed, Some(file));
+        let report = svc.run_scheduled(wl, 1);
+        let mut stats = PagingStats::default();
+        for &k in &self.serving_keys {
+            absorb(
+                &mut stats,
+                svc.paged_engine(k)
+                    .expect("key was registered paged")
+                    .backend()
+                    .paging_stats(),
+            );
+        }
+        (service_bits(&report), stats)
+    }
+}
+
+/// What a phase hands to the phases after it.
+#[derive(Default)]
+struct Carry {
+    /// Exact target-edge count `F`, for the algorithms' NRMSE.
+    gt_f: u64,
+    /// The serial engine pass's estimate bits, for the churn-rate-0 check.
+    engine_bits: Vec<u64>,
+    /// Paging counters of the paged twins, for `counters.paging`.
+    paging: PagingStats,
+    /// Storage reads retried by the storage-fault probe, for
+    /// `counters.faults`.
+    storage_retries: u64,
+}
+
+/// A phase's share of the report.
+struct Section {
+    /// The phase's `counters` section.
+    counters: Json,
+    /// The phase's `measured` entries.
+    measured: Vec<(&'static str, f64)>,
+}
+
+type Phase = fn(&Ctx<'_>, &mut Carry) -> Section;
+
+/// The scenario's phases in run order, each under the key of its
+/// `counters` section.
+const PHASES: [(&str, Phase); 10] = [
+    ("ground_truth_f", ground_truth),
+    ("walk", walk),
+    ("algorithms", algorithms),
+    ("engine", engine),
+    ("workload", workload),
+    ("serving", serving),
+    ("scheduling", scheduling),
+    ("paging", paging),
+    ("invalidation", invalidation),
+    ("faults", faults),
+];
+
+/// Runs one scenario end to end and assembles its [`Report`].
+pub fn run_scenario(spec: &ScenarioSpec) -> Report {
+    let scenario_start = Instant::now();
+    let alloc_before = alloc_track::begin_window();
+
+    let g = build_graph(spec);
+    let cx = Ctx::new(spec, &g);
+    let mut carry = Carry::default();
+    let mut counters = Vec::with_capacity(PHASES.len());
+    let mut measured = Vec::new();
+    for (key, phase) in PHASES {
+        let section = phase(&cx, &mut carry);
+        counters.push((key, section.counters));
+        measured.extend(section.measured);
+    }
+    // Ground truth runs first, but `ground_truth_f` closes the section.
+    counters.rotate_left(1);
+    let alloc = alloc_track::delta(alloc_before, alloc_track::snapshot());
+
+    let meta = ScenarioMeta {
+        name: spec.name(),
+        family: spec.family.name().to_string(),
+        tier: spec.tier.name().to_string(),
+        seed: spec.seed,
+        nodes: cx.n as u64,
+        edges: g.num_edges() as u64,
+        budget: cx.budget as u64,
+        burn_in: cx.cfg.burn_in as u64,
+        reps: spec.tier.reps() as u64,
+        threads: cx.threads as u64,
+    };
+    let counters = Json::obj(counters);
+    // Whole-scenario wall time, milliseconds.
+    measured.insert(0, ("total_ms", ms(scenario_start)));
+    // The machine-speed proxy the gate normalizes timings by.
+    measured.push(("calibration_ops_per_sec", calibration_ops_per_sec()));
+    let mut measured: Vec<(&str, Json)> = measured
+        .into_iter()
+        .map(|(k, x)| (k, Json::Num(x)))
+        .collect();
+    measured.push((
+        // Allocator traffic over the scenario (see `alloc_track`).
+        "alloc",
+        Json::obj(vec![
+            ("peak_bytes", int(alloc.peak_bytes)),
+            ("allocs", int(alloc.allocs)),
+            ("measured", Json::Bool(alloc.measured)),
+        ]),
+    ));
+    Report {
+        schema_version: SCHEMA_VERSION,
+        meta,
+        counters,
+        measured: Json::obj(measured),
+    }
+}
+
+/// Ground truth: parallel (used) timed against serial (reference).
+fn ground_truth(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let (serial, gt_serial_ms) = timed(|| GroundTruth::compute(cx.g, cx.target));
+    let (gt, gt_parallel_ms) = timed(|| GroundTruth::compute_parallel(cx.g, cx.target, cx.threads));
+    assert_eq!(gt.f, serial.f, "parallel ground truth must agree");
+    carry.gt_f = gt.f as u64;
+    Section {
+        // Exact target-edge count `F`.
+        counters: int(carry.gt_f),
+        measured: vec![
+            // Serial and parallel `GroundTruth` wall times, milliseconds.
+            ("gt_serial_ms", gt_serial_ms),
+            ("gt_parallel_ms", gt_parallel_ms),
+        ],
+    }
+}
+
+/// Walk substrate throughput: per-step vs batched on the OSN, and the
+/// line graph through the exact O(1) neighbor sampler. The batched path
+/// replays the identical RNG stream, so matching end states double as a
+/// correctness check.
+fn walk(cx: &Ctx<'_>, _: &mut Carry) -> Section {
+    let steps = cx.spec.tier.walk_steps();
+    let walk_seed = cx.seed(stream::WALK);
+
+    let osn = SimulatedOsn::new(cx.g);
+    let mut rng = StdRng::seed_from_u64(walk_seed);
+    let mut w = SimpleWalk::new(OsnApiExt::random_node(&osn, &mut rng));
+    let (per_step_end, per_step_ms) = timed(|| {
+        let mut end = Walker::<SimulatedOsn>::current(&w);
+        for _ in 0..steps {
+            end = w.step(&osn, &mut rng);
+        }
+        end
+    });
+
+    let osn = SimulatedOsn::new(cx.g);
+    let mut rng = StdRng::seed_from_u64(walk_seed);
+    let mut w = SimpleWalk::new(OsnApiExt::random_node(&osn, &mut rng));
+    let mut buf = vec![NodeId(0); 4_096];
+    let (batched_end, batched_ms) = timed(|| {
+        let mut end = Walker::<SimulatedOsn>::current(&w);
+        let mut remaining = steps;
+        while remaining > 0 {
+            let take = remaining.min(buf.len());
+            w.steps_into(&osn, &mut buf[..take], &mut rng);
+            end = buf[take - 1];
+            remaining -= take;
+        }
+        end
+    });
+    assert_eq!(
+        per_step_end, batched_end,
+        "batched stepping must replay the per-step RNG stream"
+    );
+
+    let line_steps = (steps / 4).max(1);
+    let osn = SimulatedOsn::new(cx.g);
+    let lg = LineGraphView::new(&osn);
+    let mut rng = StdRng::seed_from_u64(cx.seed(stream::LINE_WALK));
+    let mut lw = SimpleWalk::new(lg.random_start(&mut rng));
+    let (line_end, line_ms) = timed(|| {
+        let mut end = Walker::<LineGraphView<'_, SimulatedOsn>>::current(&lw);
+        for _ in 0..line_steps {
+            end = lw.step(&lg, &mut rng);
+        }
+        end
+    });
+    Section {
+        counters: Json::obj(vec![
+            // Steps taken on each stepping path (per-step OSN, batched OSN);
+            // the line-graph walk takes a quarter as many.
+            ("steps", int(steps as u64)),
+            // Final node index after the per-step OSN walk.
+            ("per_step_end", int(per_step_end.index() as u64)),
+            // Final node index after the batched OSN walk (equal to
+            // `per_step_end`: both paths consume identical RNG streams).
+            ("batched_end", int(batched_end.index() as u64)),
+            // Final line-node endpoints after the line-graph walk.
+            (
+                "line_end",
+                Json::Arr(vec![
+                    int(line_end.u().index() as u64),
+                    int(line_end.v().index() as u64),
+                ]),
+            ),
+            // Raw API calls consumed by the line-graph walk: the O(1)
+            // `sample_neighbor` pays exactly 2 neighbor-list calls per step.
+            ("line_api_calls", int(osn.api_calls())),
+        ]),
+        measured: vec![
+            // Walk throughput, steps/second: per-step, batched
+            // (`steps_into`), and line-graph stepping.
+            ("per_step_steps_per_sec", rate(steps, per_step_ms)),
+            ("batched_steps_per_sec", rate(steps, batched_ms)),
+            ("line_steps_per_sec", rate(line_steps, line_ms)),
+        ],
+    }
+}
+
+/// The paper's ten algorithms, then the extensions: label-refined motifs
+/// and graph-size estimation. Exact motif counts are only computed at
+/// smoke scale (the exact counters are quadratic in hub degrees); larger
+/// tiers report the estimates with `nrmse: null`.
+fn algorithms(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let mut algo_counters = Vec::new();
+    for (ai, alg) in all_paper(0.2, 0.5).iter().enumerate() {
+        algo_counters.push(cx.replicates(
+            alg.abbrev(),
+            stream::ALGO_BASE + ai as u64,
+            Some(carry.gt_f as f64),
+            |osn, rng| {
+                alg.estimate(osn, cx.target, cx.budget, &cx.cfg, rng)
+                    .expect("unbudgeted estimation on a connected component")
+            },
+        ));
+    }
+
+    let (budget, burn_in) = (cx.budget, cx.cfg.burn_in);
+    let triple = TargetTriple::new(1.into(), 2.into(), 1.into());
+    let motif_truth = (cx.spec.tier == Tier::Smoke).then(|| {
+        (
+            count_labeled_wedges(cx.g, triple),
+            count_labeled_triangles(cx.g, triple),
+        )
+    });
+    algo_counters.push(cx.replicates(
         "ext-wedges",
         stream::EXT_WEDGES,
         motif_truth.map(|(w, _)| w as f64),
-        &|osn, rng| {
+        |osn, rng| {
             motifs::estimate_labeled_wedges(osn, triple, budget, burn_in, rng)
                 .expect("unbudgeted motif estimation")
         },
     ));
-    algo_counters.push(ext(
+    algo_counters.push(cx.replicates(
         "ext-triangles",
         stream::EXT_TRIANGLES,
         motif_truth.map(|(_, t)| t as f64),
-        &|osn, rng| {
+        |osn, rng| {
             motifs::estimate_labeled_triangles(osn, triple, budget, burn_in, rng)
                 .expect("unbudgeted motif estimation")
         },
     ));
-    algo_counters.push(ext(
+    algo_counters.push(cx.replicates(
         "ext-size-nodes",
         stream::EXT_SIZE,
-        Some(n as f64),
-        &|osn, rng| {
+        Some(cx.n as f64),
+        |osn, rng| {
             size::estimate_graph_size(osn, budget, burn_in, rng)
                 .expect("unbudgeted size estimation")
                 .num_nodes
         },
     ));
+    Section {
+        // Table 2 order, then the extensions.
+        counters: Json::Arr(algo_counters),
+        measured: vec![],
+    }
+}
 
-    // --- Query engine: the shared-cache access layer under a replicated
-    // load. One serial pass (threads = 1) provides the deterministic
-    // counters — logical calls are what the uncached baseline would pay
-    // the backend, misses are what the cache actually paid — then the same
-    // workload fans across all cores on a second cold-cache engine. The
-    // two estimate vectors must match bit for bit: the cache and the
-    // thread pool may change timings, never results.
-    let engine_reps = spec.tier.engine_reps();
-    let engine_budget = n; // a heavy 100%-|V| query per replicate
-    let engine_seed = replication_seed(spec.seed, stream::ENGINE);
-    let engine_alg = NsHansenHurwitz;
+/// Query engine: the shared-cache access layer under a replicated load.
+/// One serial pass (threads = 1) provides the deterministic counters —
+/// logical calls are what the uncached baseline would pay the backend,
+/// misses are what the cache actually paid — then the same workload fans
+/// across all cores on a second cold-cache engine. The two estimate
+/// vectors must match bit for bit: the cache and the thread pool may
+/// change timings, never results.
+fn engine(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let engine = Engine::new(cx.g);
+    let (estimates, engine_serial_ms) = timed(|| cx.replicated(&engine, 1));
+    let stats = engine.stats();
 
-    let engine = Engine::new(&g);
-    let t0 = Instant::now();
-    let serial = engine.estimate_replicated(
-        &engine_alg,
-        target,
-        engine_budget,
-        &cfg,
-        engine_seed,
-        engine_reps,
-        1,
-    );
-    let engine_serial_ms = ms(t0);
-    let engine_stats = engine.stats();
-
-    // --- Hit-path latency probe: steady-state cost of one logical call on
-    // a fully warm cache — the path ~97% of logical calls take, and the
-    // one the session-L1 hierarchy exists to shrink. The serial pass above
+    // Hit-path latency probe: steady-state cost of one logical call on a
+    // fully warm cache — the path ~97% of logical calls take, and the one
+    // the session-L1 hierarchy exists to shrink. The serial pass above
     // left the engine's shared L2 warm; a fresh session warms its private
     // L1 with one pass over the probe set, then pure repeat lookups are
     // timed. (Probe nodes 0..K hash to distinct-or-colliding L1 slots
-    // exactly as production traffic would; collisions fall back to the L2,
-    // so the measurement reflects the real hit mix, not a best case.)
-    let probe_nodes = n.min(256) as u32;
+    // exactly as production traffic would; collisions fall back to the
+    // L2, so the measurement reflects the real hit mix, not a best case.)
     let probe_rounds: u32 = 4_000; // ~1M timed lookups at smoke scale
     let probe = engine.session();
-    for u in 0..probe_nodes {
-        std::hint::black_box(probe.neighbors(NodeId(u)).len());
-    }
-    let t0 = Instant::now();
-    for _ in 0..probe_rounds {
-        for u in 0..probe_nodes {
-            std::hint::black_box(probe.neighbors(NodeId(u)).len());
+    cx.warm(&probe);
+    let ((), probe_ms) = timed(|| {
+        for _ in 0..probe_rounds {
+            cx.warm(&probe);
         }
-    }
-    let hit_path_ns =
-        t0.elapsed().as_nanos() as f64 / (probe_rounds as u64 * probe_nodes as u64) as f64;
+    });
+    let hit_path_ns = probe_ms * 1e6 / (probe_rounds as u64 * cx.probe_nodes as u64) as f64;
     drop(probe);
     // The serial engine's warm L2 holds every fetched list — graph-scale
-    // state that would otherwise stay live (the `engine` counters binding
-    // below shadows this `Engine` without dropping it) and inflate the
-    // alloc window of every later phase.
+    // state that would otherwise stay live through the parallel pass and
+    // inflate the alloc window.
     drop(engine);
 
-    let engine_cold = Engine::new(&g);
-    let t0 = Instant::now();
-    let parallel = engine_cold.estimate_replicated(
-        &engine_alg,
-        target,
-        engine_budget,
-        &cfg,
-        engine_seed,
-        engine_reps,
-        threads,
-    );
-    let engine_parallel_ms = ms(t0);
-
-    let engine_estimates: Vec<f64> = serial
-        .into_iter()
-        .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
-        .collect();
-    let parallel_estimates: Vec<f64> = parallel
-        .into_iter()
-        .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
-        .collect();
+    let engine_cold = Engine::new(cx.g);
+    let (parallel, engine_parallel_ms) = timed(|| cx.replicated(&engine_cold, cx.threads));
+    let serial_bits = bits(&estimates);
     assert_eq!(
-        engine_estimates
-            .iter()
-            .map(|e| e.to_bits())
-            .collect::<Vec<_>>(),
-        parallel_estimates
-            .iter()
-            .map(|e| e.to_bits())
-            .collect::<Vec<_>>(),
+        serial_bits,
+        bits(&parallel),
         "parallel replication must be bit-identical to the serial loop"
     );
     drop(engine_cold);
 
-    let engine = Json::obj(vec![
-        // Replicates fanned through the engine.
-        ("replicates", int(engine_reps as u64)),
-        // Per-replicate estimates, replication order (identical for every
-        // thread count).
-        ("estimates", floats(&engine_estimates)),
-        // Logical API calls issued by all replicates — exactly what the
-        // uncached baseline pays against the backend.
-        ("logical_api_calls", int(engine_stats.logical_calls())),
-        // Cache-miss API calls — what actually reached the backend:
-        // `miss <= 0.7 * logical` on every committed smoke baseline.
-        ("miss_api_calls", int(engine_stats.misses())),
-        // Logical calls served by sessions' private L1 caches (no lock,
-        // no atomic refcount traffic). Deterministic: each session's L1
-        // hit count is a pure function of its own call sequence.
-        ("l1_hits", int(engine_stats.l1_hits())),
-        // `1 - miss/logical`.
-        ("hit_rate", Json::Num(engine_stats.hit_rate())),
-    ]);
+    cx.paged_twin(
+        &mut carry.paging,
+        &serial_bits,
+        "paged engine replication must be bit-identical to the in-RAM pass",
+        |file| {
+            let engine = Engine::on_backend_with_config(file.open(), file.cache);
+            (
+                bits(&cx.replicated(&engine, 1)),
+                engine.backend().paging_stats(),
+            )
+        },
+    );
+    carry.engine_bits = serial_bits;
 
-    // --- Workload: the multi-query service under fire. A mixed Table-2
-    // workload runs through per-query adversarial stacks (seeded faults:
-    // rate limits, transient errors, latency ticks, pagination) once on a
-    // single worker (the deterministic counters) and once fanned across
-    // all cores — the reports must match bit for bit, faults included.
-    let wl_queries = spec.tier.workload_queries();
-    let wl_seed = replication_seed(spec.seed, stream::WORKLOAD);
-    let wl = Workload::mixed(wl_queries, target, budget, wl_seed, cfg)
+    Section {
+        counters: Json::obj(vec![
+            // Replicates fanned through the engine.
+            ("replicates", int(cx.spec.tier.engine_reps() as u64)),
+            // Per-replicate estimates, replication order (identical for every
+            // thread count).
+            ("estimates", floats(&estimates)),
+            // Logical API calls issued by all replicates — exactly what the
+            // uncached baseline pays against the backend.
+            ("logical_api_calls", int(stats.logical_calls())),
+            // Cache-miss API calls — what actually reached the backend:
+            // `miss <= 0.7 * logical` on every committed smoke baseline.
+            ("miss_api_calls", int(stats.misses())),
+            // Logical calls served by sessions' private L1 caches (no lock,
+            // no atomic refcount traffic). Deterministic: each session's L1
+            // hit count is a pure function of its own call sequence.
+            ("l1_hits", int(stats.l1_hits())),
+            // `1 - miss/logical`.
+            ("hit_rate", Json::Num(stats.hit_rate())),
+        ]),
+        measured: vec![
+            // The engine's replicated run on one thread, then fanned across
+            // all available threads (cold cache for both), milliseconds.
+            ("engine_serial_ms", engine_serial_ms),
+            ("engine_parallel_ms", engine_parallel_ms),
+            // `engine_serial_ms / engine_parallel_ms` — > 1 on multi-core
+            // runners.
+            (
+                "engine_parallel_speedup",
+                if engine_parallel_ms > 0.0 {
+                    engine_serial_ms / engine_parallel_ms
+                } else {
+                    0.0
+                },
+            ),
+            // Steady-state cost of one logical call on a fully warm cache,
+            // nanoseconds: the ~97%-of-calls hot path the L1 hierarchy
+            // optimizes.
+            ("hit_path_ns", hit_path_ns),
+        ],
+    }
+}
+
+/// Workload: the multi-query service under fire. A mixed Table-2
+/// workload runs through per-query adversarial stacks (seeded faults:
+/// rate limits, transient errors, latency ticks, pagination) once on a
+/// single worker (the deterministic counters) and once fanned across all
+/// cores — the reports must match bit for bit, faults included.
+fn workload(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let queries = cx.spec.tier.workload_queries();
+    let seed = cx.seed(stream::WORKLOAD);
+    let wl = Workload::mixed(queries, cx.target, cx.budget, seed, cx.cfg)
         .builder()
-        .faults(
-            if spec.fault_rate > 0.0 {
-                FaultConfig::hostile(wl_seed, spec.fault_rate)
-            } else {
-                FaultConfig::clean(wl_seed)
-            },
-            RetryPolicy::default(),
-        )
+        .faults(cx.faults(seed), RetryPolicy::default())
         .build();
-    let g_osn = GraphOsn::new(&g);
-    let t0 = Instant::now();
-    let wl_serial = run_workload(&g_osn, &wl, 1, None);
-    let workload_serial_ms = ms(t0);
-    let t0 = Instant::now();
-    let wl_parallel = run_workload(&g_osn, &wl, threads, None);
-    let workload_parallel_ms = ms(t0);
-    let serial_bits: Vec<Option<u64>> = wl_serial
-        .outcomes
-        .iter()
-        .map(|o| o.estimate.as_ref().ok().map(|e| e.to_bits()))
-        .collect();
-    let parallel_bits: Vec<Option<u64>> = wl_parallel
-        .outcomes
-        .iter()
-        .map(|o| o.estimate.as_ref().ok().map(|e| e.to_bits()))
-        .collect();
+    let g_osn = GraphOsn::new(cx.g);
+    let (serial, workload_serial_ms) = timed(|| run_workload(&g_osn, &wl, 1, None));
+    let (parallel, workload_parallel_ms) = timed(|| run_workload(&g_osn, &wl, cx.threads, None));
+    let serial_bits = workload_bits(&serial);
     assert_eq!(
-        serial_bits, parallel_bits,
+        serial_bits,
+        workload_bits(&parallel),
         "parallel workload must be bit-identical to the serial pass"
     );
     assert_eq!(
-        wl_serial.total_retry_charges(),
-        wl_parallel.total_retry_charges(),
+        serial.total_retry_charges(),
+        parallel.total_retry_charges(),
         "workload retry charges must be worker-count independent"
     );
+    drop(parallel);
 
-    let wl_estimates: Vec<f64> = wl_serial
+    cx.paged_twin(
+        &mut carry.paging,
+        &serial_bits,
+        "paged workload must be bit-identical to the in-RAM pass, faults included",
+        |file| {
+            let backend = file.open();
+            let report = run_workload(&backend, &wl, 1, None);
+            (workload_bits(&report), backend.paging_stats())
+        },
+    );
+
+    let estimates: Vec<f64> = serial
         .outcomes
         .iter()
         .map(|o| sanitize(o.estimate.as_ref().ok().copied().unwrap_or(f64::NAN)))
         .collect();
-    let workload = Json::obj(vec![
-        // Queries in the workload.
-        ("queries", int(wl_queries as u64)),
-        // Per-attempt fault probability of the adversarial backend.
-        ("fault_rate", Json::Num(spec.fault_rate)),
-        // Per-query estimates in query-id order; a query that failed (e.g.
-        // budget exhausted under fault pressure) stores the non-finite
-        // sentinel.
-        ("estimates", floats(&wl_estimates)),
-        // Logical API calls across all queries — the clean-world cost.
-        ("logical_api_calls", int(wl_serial.total_logical_calls())),
-        // Realized backend attempts (first tries + pages + retries) — what
-        // the hostile API billed.
-        ("backend_attempts", int(wl_serial.total_backend_attempts())),
-        // Retry charges billed against query budgets.
-        ("retry_charges", int(wl_serial.total_retry_charges())),
-        // Rate-limit rejections absorbed.
-        (
-            "rate_limited",
-            int(wl_serial.outcomes.iter().map(|o| o.rate_limited).sum()),
-        ),
-        // Transient errors absorbed.
-        (
-            "transient_errors",
-            int(wl_serial.outcomes.iter().map(|o| o.transient_errors).sum()),
-        ),
-        // Queries whose hard budget ran out.
-        (
-            "budget_exhausted_queries",
-            int(wl_serial.budget_exhausted_queries()),
-        ),
-        // Median and 95th-percentile per-query simulated latency, ticks.
-        (
-            "latency_ticks_p50",
-            Json::Num(wl_serial.latency_ticks_percentile(50.0).unwrap_or(0.0)),
-        ),
-        (
-            "latency_ticks_p95",
-            Json::Num(wl_serial.latency_ticks_percentile(95.0).unwrap_or(0.0)),
-        ),
-    ]);
+    Section {
+        counters: Json::obj(vec![
+            // Queries in the workload.
+            ("queries", int(queries as u64)),
+            // Per-attempt fault probability of the adversarial backend.
+            ("fault_rate", Json::Num(cx.spec.fault_rate)),
+            // Per-query estimates in query-id order; a query that failed (e.g.
+            // budget exhausted under fault pressure) stores the non-finite
+            // sentinel.
+            ("estimates", floats(&estimates)),
+            // Logical API calls across all queries — the clean-world cost.
+            ("logical_api_calls", int(serial.total_logical_calls())),
+            // Realized backend attempts (first tries + pages + retries) — what
+            // the hostile API billed.
+            ("backend_attempts", int(serial.total_backend_attempts())),
+            // Retry charges billed against query budgets.
+            ("retry_charges", int(serial.total_retry_charges())),
+            // Rate-limit rejections absorbed.
+            (
+                "rate_limited",
+                int(serial.outcomes.iter().map(|o| o.rate_limited).sum()),
+            ),
+            // Transient errors absorbed.
+            (
+                "transient_errors",
+                int(serial.outcomes.iter().map(|o| o.transient_errors).sum()),
+            ),
+            // Queries whose hard budget ran out.
+            (
+                "budget_exhausted_queries",
+                int(serial.budget_exhausted_queries()),
+            ),
+            // Median and 95th-percentile per-query simulated latency, ticks.
+            (
+                "latency_ticks_p50",
+                Json::Num(serial.latency_ticks_percentile(50.0).unwrap_or(0.0)),
+            ),
+            (
+                "latency_ticks_p95",
+                Json::Num(serial.latency_ticks_percentile(95.0).unwrap_or(0.0)),
+            ),
+        ]),
+        measured: vec![
+            // The workload phase on one worker, then on all available
+            // workers, milliseconds; and the parallel pass's queries/second.
+            ("workload_serial_ms", workload_serial_ms),
+            ("workload_parallel_ms", workload_parallel_ms),
+            (
+                "workload_queries_per_sec",
+                rate(queries, workload_parallel_ms),
+            ),
+        ],
+    }
+}
 
-    // --- Serving: the sharded multi-graph service under a skewed
-    // multi-tenant stream. The scenario graph is registered under four
-    // graph keys (a four-dataset fleet sharing one topology), four tenants
-    // submit through a tight modelled admission queue per graph, and the
-    // heavy-hitter tenant carries a quota sized for exactly three
-    // fully-budgeted requests — so every committed baseline has nonzero
-    // admitted, shed, and quota_exhausted counters. The stream carries no
-    // schedule, so the service runs it as a plain batch (every request at
-    // tick 0, one slice per admitted query). The phase runs once on
-    // a single-shard single-worker service (the deterministic reference)
-    // and once on a four-shard fleet across all cores; the two reports
-    // must match bit for bit, which is the serving layer's headline
-    // contract.
-    const SERVING_GRAPHS: u64 = 4;
-    const SERVING_TENANTS: usize = 4;
-    let serving_requests = spec.tier.serving_requests();
-    let serving_seed = replication_seed(spec.seed, stream::SERVING);
-    let serving_keys: Vec<GraphKey> = (0..SERVING_GRAPHS).map(GraphKey).collect();
+/// Serving: the sharded multi-graph service under a skewed multi-tenant
+/// stream. The scenario graph is registered under four graph keys (a
+/// four-dataset fleet sharing one topology), four tenants submit through
+/// a tight modelled admission queue per graph, and the heavy-hitter
+/// tenant carries a quota sized for exactly three fully-budgeted requests
+/// — so every committed baseline has nonzero admitted, shed, and
+/// quota_exhausted counters. The stream carries no schedule, so the
+/// service runs it as a plain batch (every request at tick 0, one slice
+/// per admitted query). The phase runs once on a single-shard
+/// single-worker service (the deterministic reference) and once on a
+/// four-shard fleet across all cores; the two reports must match bit for
+/// bit, which is the serving layer's headline contract.
+fn serving(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let seed = cx.seed(stream::SERVING);
     // Per-request hard budget is 6 × (budget + burn_in) charged calls
     // (mirroring Workload::mixed); admission reserves it in full, so this
     // quota admits exactly three requests per tenant before exhausting.
-    let serving_quota = 3 * 6 * (budget as u64 + burn_in as u64);
-    let serving_wl = || {
-        ServiceWorkload::mixed_multi_tenant(
-            serving_requests,
-            &serving_keys,
-            SERVING_TENANTS,
-            spec.tenant_skew,
-            target,
-            budget,
-            serving_seed,
-            cfg,
-        )
-        .builder()
-        .faults(
-            if spec.fault_rate > 0.0 {
-                FaultConfig::hostile(serving_seed, spec.fault_rate)
-            } else {
-                FaultConfig::clean(serving_seed)
-            },
-            RetryPolicy::default(),
-        )
-        // Tight enough that a queue's third quota-passing arrival
-        // hard-sheds: capacity 2, one drain per five arrivals.
-        .admission(AdmissionConfig {
-            queue_capacity: 2,
-            drain_every: 5,
-            shed_start: 0.75,
-            ..AdmissionConfig::default()
-        })
-        .quotas(QuotaPolicy::uniform(serving_quota))
-        .build()
-    };
-    let run_service = |shards: usize, workers: usize| -> (ServiceReport, f64) {
-        let mut svc = ShardedService::new(shards, serving_seed);
-        for &k in &serving_keys {
-            svc.register(k, &g);
-        }
-        let t0 = Instant::now();
-        let report = svc.run_scheduled(serving_wl(), workers);
-        (report, ms(t0))
-    };
-    let (serving_serial, serving_serial_ms) = run_service(1, 1);
-    let (serving_parallel, serving_parallel_ms) = run_service(SERVING_GRAPHS as usize, threads);
-    let service_bits = |r: &ServiceReport| -> Vec<(u64, Option<u64>)> {
-        r.outcomes
-            .iter()
-            .map(|o| {
-                let bits = match &o.status {
-                    ServiceStatus::Completed(q) => q.estimate.as_ref().ok().map(|e| e.to_bits()),
-                    ServiceStatus::DeadlineAnytime { anytime, .. } => anytime.map(f64::to_bits),
-                    ServiceStatus::Shed { anytime, .. } => anytime.map(f64::to_bits),
-                    ServiceStatus::QuotaExhausted { anytime } => anytime.map(f64::to_bits),
-                    ServiceStatus::Throttled { anytime } => anytime.map(f64::to_bits),
-                    ServiceStatus::UnknownGraph => None,
-                };
-                (o.id, bits)
+    let quota = 3 * 6 * (cx.budget as u64 + cx.cfg.burn_in as u64);
+    let wl = || {
+        cx.requests(seed)
+            .faults(cx.faults(seed), RetryPolicy::default())
+            // Tight enough that a queue's third quota-passing arrival
+            // hard-sheds: capacity 2, one drain per five arrivals.
+            .admission(AdmissionConfig {
+                queue_capacity: 2,
+                drain_every: 5,
+                shed_start: 0.75,
+                ..AdmissionConfig::default()
             })
-            .collect()
+            .quotas(QuotaPolicy::uniform(quota))
+            .build()
     };
+    let run = |shards: usize, workers: usize| {
+        let svc = cx.fleet(shards, seed, None);
+        timed(|| svc.run_scheduled(wl(), workers))
+    };
+    let (serial, serving_serial_ms) = run(1, 1);
+    let (parallel, serving_parallel_ms) = run(SERVING_GRAPHS as usize, cx.threads);
+    let serial_bits = service_bits(&serial);
     assert_eq!(
-        service_bits(&serving_serial),
-        service_bits(&serving_parallel),
+        serial_bits,
+        service_bits(&parallel),
         "sharded service must be bit-identical to the single-shard pass"
     );
+    let s = &serial.serving;
+    let p = &parallel.serving;
     assert_eq!(
-        (
-            serving_serial.serving.admitted,
-            serving_serial.serving.shed,
-            serving_serial.serving.quota_exhausted,
-        ),
-        (
-            serving_parallel.serving.admitted,
-            serving_parallel.serving.shed,
-            serving_parallel.serving.quota_exhausted,
-        ),
+        (s.admitted, s.shed, s.quota_exhausted),
+        (p.admitted, p.shed, p.quota_exhausted),
         "admission decisions must be shard- and worker-count independent"
     );
-    let serving = Json::obj(vec![
-        // Shards of the fleet pass.
-        ("shards", int(SERVING_GRAPHS)),
-        // Tenants issuing requests.
-        ("tenants", int(SERVING_TENANTS as u64)),
-        // Requests submitted.
-        ("requests", int(serving_requests as u64)),
-        // Requests admitted and executed.
-        ("admitted", int(serving_serial.serving.admitted)),
-        // Requests shed by the modelled admission queues.
-        ("shed", int(serving_serial.serving.shed)),
-        // Requests rejected on tenant quota.
-        (
-            "quota_exhausted",
-            int(serving_serial.serving.quota_exhausted),
-        ),
-        // Per-tenant fairness: max admitted over min admitted (floored at
-        // 1) across tenants with at least one submission.
-        (
-            "tenant_fairness",
-            Json::Num(serving_serial.serving.tenant_fairness),
-        ),
-    ]);
+    drop(parallel);
 
-    // --- Scheduler: the same multi-tenant stream replayed through the
-    // virtual-time event loop under a calibrated deadline. The fault model
-    // is latency-only (seeded ticks, no errors), so the virtual clock
-    // advances and any quality loss is attributable to cancellation alone.
-    // An unconstrained run calibrates the deadline from its own completed
-    // tick bills (spec.deadline picks the percentile); the constrained run
-    // then executes once on a single-shard single-worker service (timed —
-    // the deterministic reference) and once across the shard fleet with
-    // all cores, and the two reports must match bit for bit, anytime
-    // answers and scheduling counters included.
-    let scheduler_seed = replication_seed(spec.seed, stream::SCHEDULER);
-    let scheduler_policy = SchedulePolicy::default()
+    cx.paged_twin(
+        &mut carry.paging,
+        &serial_bits,
+        "paged serving must be bit-identical to the in-RAM pass",
+        |file| cx.paged_fleet_pass(file, seed, wl()),
+    );
+
+    Section {
+        counters: Json::obj(vec![
+            // Shards of the fleet pass.
+            ("shards", int(SERVING_GRAPHS)),
+            // Tenants issuing requests.
+            ("tenants", int(SERVING_TENANTS as u64)),
+            // Requests submitted.
+            ("requests", int(cx.spec.tier.serving_requests() as u64)),
+            // Requests admitted and executed.
+            ("admitted", int(s.admitted)),
+            // Requests shed by the modelled admission queues.
+            ("shed", int(s.shed)),
+            // Requests rejected on tenant quota.
+            ("quota_exhausted", int(s.quota_exhausted)),
+            // Per-tenant fairness: max admitted over min admitted (floored at
+            // 1) across tenants with at least one submission.
+            ("tenant_fairness", Json::Num(s.tenant_fairness)),
+        ]),
+        measured: vec![
+            // The serving phase on one shard with one worker, then across
+            // the full shard fleet with all available workers,
+            // milliseconds.
+            ("serving_serial_ms", serving_serial_ms),
+            ("serving_parallel_ms", serving_parallel_ms),
+        ],
+    }
+}
+
+/// Scheduler: the same multi-tenant stream replayed through the
+/// virtual-time event loop under a calibrated deadline. The fault model
+/// is latency-only (seeded ticks, no errors), so the virtual clock
+/// advances and any quality loss is attributable to cancellation alone.
+/// An unconstrained run calibrates the deadline from its own completed
+/// tick bills (spec.deadline picks the percentile); the constrained run
+/// then executes once on a single-shard single-worker service (timed —
+/// the deterministic reference) and once across the shard fleet with all
+/// cores, and the two reports must match bit for bit, anytime answers and
+/// scheduling counters included.
+fn scheduling(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let seed = cx.seed(stream::SCHEDULER);
+    let policy = SchedulePolicy::default()
         .with_interarrival(6)
         .with_priorities(0.25, 0.25);
-    let scheduler_wl = |policy: SchedulePolicy| {
-        ServiceWorkload::mixed_multi_tenant(
-            serving_requests,
-            &serving_keys,
-            SERVING_TENANTS,
-            spec.tenant_skew,
-            target,
-            budget,
-            scheduler_seed,
-            cfg,
-        )
-        .builder()
-        .faults(
-            FaultConfig {
-                base_latency_ticks: 1,
-                latency_jitter_ticks: 3,
-                ..FaultConfig::clean(scheduler_seed)
-            },
-            RetryPolicy::default(),
-        )
-        .schedule(policy)
-        .build()
+    let wl = |policy: SchedulePolicy| {
+        cx.requests(seed)
+            .faults(
+                FaultConfig {
+                    base_latency_ticks: 1,
+                    latency_jitter_ticks: 3,
+                    ..FaultConfig::clean(seed)
+                },
+                RetryPolicy::default(),
+            )
+            .schedule(policy)
+            .build()
     };
-    let run_scheduled = |shards: usize, workers: usize, policy: SchedulePolicy| {
-        let mut svc = ShardedService::new(shards, scheduler_seed);
-        for &k in &serving_keys {
-            svc.register(k, &g);
-        }
-        svc.run_scheduled(scheduler_wl(policy), workers)
+    let run = |shards: usize, workers: usize, policy: SchedulePolicy| {
+        cx.fleet(shards, seed, None)
+            .run_scheduled(wl(policy), workers)
     };
-    let t0 = Instant::now();
-    let free = run_scheduled(1, 1, scheduler_policy.clone());
-    let free_ms = ms(t0);
+    let (free, free_ms) = timed(|| run(1, 1, policy.clone()));
     let bills: Vec<f64> = free
         .completed()
         .map(|(_, q)| q.latency_ticks as f64)
@@ -1164,201 +1465,88 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         !bills.is_empty(),
         "unconstrained scheduled run completed nothing — latency-only faults cannot error"
     );
-    let deadline_ticks = match spec.deadline {
+    let deadline_ticks = match cx.spec.deadline {
         DeadlineTightness::Inf => None,
         DeadlineTightness::P95 => Some(percentile(&bills, 95.0).ceil() as u64),
         DeadlineTightness::P50 => Some(percentile(&bills, 50.0).ceil() as u64),
     };
-    let (scheduler_serial, scheduler_ms) = match deadline_ticks {
-        None => (free, free_ms),
+    let (serial, scheduler_ms, policy) = match deadline_ticks {
+        None => (free, free_ms, policy),
         Some(d) => {
-            let t0 = Instant::now();
-            let r = run_scheduled(1, 1, scheduler_policy.clone().with_deadline(d));
-            (r, ms(t0))
+            drop(free);
+            let policy = policy.with_deadline(d);
+            let (r, ms) = timed(|| run(1, 1, policy.clone()));
+            (r, ms, policy)
         }
     };
-    let final_policy = match deadline_ticks {
-        None => scheduler_policy,
-        Some(d) => scheduler_policy.with_deadline(d),
-    };
-    let scheduler_parallel = run_scheduled(SERVING_GRAPHS as usize, threads, final_policy.clone());
+    let parallel = run(SERVING_GRAPHS as usize, cx.threads, policy.clone());
+    let serial_bits = service_bits(&serial);
     assert_eq!(
-        service_bits(&scheduler_serial),
-        service_bits(&scheduler_parallel),
+        serial_bits,
+        service_bits(&parallel),
         "scheduled fleet run must be bit-identical to the single-shard pass"
     );
     assert_eq!(
-        scheduler_serial.scheduling, scheduler_parallel.scheduling,
+        serial.scheduling, parallel.scheduling,
         "scheduling counters must be shard- and worker-count independent"
     );
-    let sched = scheduler_serial
+    drop(parallel);
+
+    cx.paged_twin(
+        &mut carry.paging,
+        &serial_bits,
+        "paged scheduled run must be bit-identical to the in-RAM pass",
+        |file| cx.paged_fleet_pass(file, seed, wl(policy)),
+    );
+
+    let sched = serial
         .scheduling
         .expect("scheduled runs report scheduling counters");
-    let scheduling = Json::obj(vec![
-        // Deadline-carrying requests that completed at or before their
-        // deadline.
-        ("deadline_hits", int(sched.deadline_hits)),
-        // Requests cancelled into anytime answers when their deadline
-        // passed.
-        ("cancellations", int(sched.cancellations)),
-        // Mean slack over the deadline hits, virtual ticks.
-        ("mean_slack_ticks", Json::Num(sched.mean_slack_ticks)),
-        // Priority inversions charged by the non-preemptive loop (a
-        // higher-priority arrival while a lower-priority slice ran).
-        ("priority_inversions", int(sched.priority_inversions)),
-    ]);
+    Section {
+        counters: Json::obj(vec![
+            // Deadline-carrying requests that completed at or before their
+            // deadline.
+            ("deadline_hits", int(sched.deadline_hits)),
+            // Requests cancelled into anytime answers when their deadline
+            // passed.
+            ("cancellations", int(sched.cancellations)),
+            // Mean slack over the deadline hits, virtual ticks.
+            ("mean_slack_ticks", Json::Num(sched.mean_slack_ticks)),
+            // Priority inversions charged by the non-preemptive loop (a
+            // higher-priority arrival while a lower-priority slice ran).
+            ("priority_inversions", int(sched.priority_inversions)),
+        ]),
+        measured: vec![
+            // The deadline-constrained scheduled run on one shard with one
+            // worker, milliseconds.
+            ("scheduler_ms", scheduler_ms),
+        ],
+    }
+}
 
-    // --- Out-of-core: the paged-CSR backend behind the buffer pool. The
-    // scenario graph is written to a paged CSR file once, then every
-    // layer's *serial* pass re-runs over `PagedGraphOsn` instances opened
-    // at the spec's frame budget — engine replication, the adversarial
-    // workload, the sharded service, and the deadline scheduler — and
-    // each is asserted bit-identical to the in-RAM pass above. That is
-    // the out-of-core determinism contract: the pool changes where bytes
-    // live, never which bytes a fetch returns. Paging counters aggregate
-    // over exactly these serial passes (single-threaded access order is
-    // deterministic, so they are too); the parallel passes are not
-    // repeated — thread interleaving would make pool stats
-    // non-deterministic without proving anything the in-RAM parallel
-    // asserts haven't.
-    let (pool_stats, page_fault_ns, storage_retries) = if spec.family == Family::LoadedPaged {
-        let pool_cfg = match spec.pool_frames.frames() {
-            None => PoolConfig::unbounded(),
-            Some(k) => PoolConfig::bounded(k, EvictionPolicy::Lru),
-        };
-        // A paged backend pairs with a *bounded* L2: an unbounded cache
-        // would quietly re-materialize the whole graph in RAM and the
-        // residency comparison against the in-RAM `loaded` cell would
-        // measure nothing.
-        let paged_cache = CacheConfig::builder().capacity(512).build();
-        let path = temp_stem(spec).with_extension("paged");
-        PagedCsrWriter::new()
-            .write(&g, &path)
-            .expect("write paged CSR file");
-        let open = |cfg: PoolConfig| {
-            PagedGraphOsn::open(&path, cfg).expect("reopen the paged CSR file just written")
-        };
-
-        let mut pool_stats = PagingStats::default();
-        let mut absorb = |s: PagingStats| {
-            pool_stats.page_reads += s.page_reads;
-            pool_stats.pool_hits += s.pool_hits;
-            pool_stats.evictions += s.evictions;
-            pool_stats.pinned_peak = pool_stats.pinned_peak.max(s.pinned_peak);
-        };
-
-        // Engine replication, serial.
-        let engine_paged: Engine<'_, PagedGraphOsn> =
-            Engine::on_backend_with_config(open(pool_cfg), paged_cache);
-        let paged_estimates: Vec<f64> = engine_paged
-            .estimate_replicated(
-                &engine_alg,
-                target,
-                engine_budget,
-                &cfg,
-                engine_seed,
-                engine_reps,
-                1,
-            )
-            .into_iter()
-            .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
-            .collect();
-        assert_eq!(
-            engine_estimates
-                .iter()
-                .map(|e| e.to_bits())
-                .collect::<Vec<_>>(),
-            paged_estimates
-                .iter()
-                .map(|e| e.to_bits())
-                .collect::<Vec<_>>(),
-            "paged engine replication must be bit-identical to the in-RAM pass"
-        );
-        absorb(engine_paged.backend().paging_stats());
-        drop(engine_paged);
-        drop(paged_estimates);
-
-        // Adversarial workload, serial.
-        let wl_backend = open(pool_cfg);
-        let wl_paged = run_workload(&wl_backend, &wl, 1, None);
-        let paged_bits: Vec<Option<u64>> = wl_paged
-            .outcomes
-            .iter()
-            .map(|o| o.estimate.as_ref().ok().map(|e| e.to_bits()))
-            .collect();
-        assert_eq!(
-            serial_bits, paged_bits,
-            "paged workload must be bit-identical to the in-RAM pass, faults included"
-        );
-        absorb(wl_backend.paging_stats());
-        drop(wl_paged);
-        drop(wl_backend);
-
-        // Sharded service and deadline scheduler, serial (each graph key
-        // gets its own pool over the same file — a four-dataset fleet
-        // sharing one on-disk snapshot).
-        let mut svc = ShardedService::new(1, serving_seed);
-        for &k in &serving_keys {
-            svc.register_paged(k, open(pool_cfg), paged_cache);
-        }
-        let serving_paged = svc.run_scheduled(serving_wl(), 1);
-        assert_eq!(
-            service_bits(&serving_serial),
-            service_bits(&serving_paged),
-            "paged serving must be bit-identical to the in-RAM pass"
-        );
-        for &k in &serving_keys {
-            absorb(
-                svc.paged_engine(k)
-                    .expect("key was registered paged")
-                    .backend()
-                    .paging_stats(),
-            );
-        }
-        // Each pass's pools, caches, and outcomes are released before the
-        // next begins, so the paged block's high-water mark is one pass's
-        // working state, not the sum of all four.
-        drop(serving_paged);
-        drop(svc);
-
-        let mut svc = ShardedService::new(1, scheduler_seed);
-        for &k in &serving_keys {
-            svc.register_paged(k, open(pool_cfg), paged_cache);
-        }
-        let scheduler_paged = svc.run_scheduled(scheduler_wl(final_policy), 1);
-        assert_eq!(
-            service_bits(&scheduler_serial),
-            service_bits(&scheduler_paged),
-            "paged scheduled run must be bit-identical to the in-RAM pass"
-        );
-        for &k in &serving_keys {
-            absorb(
-                svc.paged_engine(k)
-                    .expect("key was registered paged")
-                    .backend()
-                    .paging_stats(),
-            );
-        }
-        drop(scheduler_paged);
-        drop(svc);
-
+/// Out-of-core: the paged-CSR backend behind the buffer pool. The
+/// engine, workload, serving, and scheduler phases re-ran their serial
+/// passes over it ([`Ctx::paged_twin`]); this phase reports what those
+/// passes paged and probes the pool's fault path.
+fn paging(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let mut page_fault_ns = 0.0;
+    if let Some(file) = &cx.paged {
         // Page-fault latency probe: a fresh single-frame pool makes every
         // distinct page touch a miss, so elapsed / page_reads is the cost
         // of one fault (read + decode + frame bookkeeping). A fixed node
         // stride walks the adjacency section end to end deterministically.
-        let probe = open(PoolConfig::bounded(1, EvictionPolicy::Lru));
-        let stride = (n / 256).max(1);
-        let t0 = Instant::now();
-        for u in (0..n).step_by(stride) {
-            std::hint::black_box(probe.graph().neighbors(NodeId(u as u32)).len());
-        }
-        let probe_ns = t0.elapsed().as_nanos() as f64;
+        let stride = (cx.n / 256).max(1);
+        let probe = PagedGraphOsn::open(&file.path, PoolConfig::bounded(1, EvictionPolicy::Lru))
+            .expect("reopen the paged CSR file just written");
+        let ((), probe_ms) = timed(|| {
+            for u in (0..cx.n).step_by(stride) {
+                std::hint::black_box(probe.graph().neighbors(NodeId(u as u32)).len());
+            }
+        });
         let reads = probe.paging_stats().page_reads;
-        let page_fault_ns = if reads > 0 {
-            probe_ns / reads as f64
-        } else {
-            0.0
-        };
+        if reads > 0 {
+            page_fault_ns = probe_ms * 1e6 / reads as f64;
+        }
         drop(probe);
 
         // Storage-fault probe (burst knob on): the same stride walk over a
@@ -1366,165 +1554,140 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         // bounded retry + checksum recovery must hand back the identical
         // bytes — only `storage_retries` records that the reads fought for
         // them.
-        let storage_retries = if spec.burst.config().is_some() {
+        if cx.spec.burst.config().is_some() {
             let faulty = PagedGraphOsn::open_with_faults(
-                &path,
+                &file.path,
                 PoolConfig::bounded(1, EvictionPolicy::Lru),
                 StorageFaultConfig {
                     read_error_rate: 0.25,
                     torn_page_rate: 0.05,
-                    ..StorageFaultConfig::clean(replication_seed(spec.seed, stream::FAULTS))
+                    ..StorageFaultConfig::clean(cx.seed(stream::FAULTS))
                 },
             )
             .expect("reopen the paged CSR file with storage faults");
-            let stride = (n / 256).max(1);
             let mut faulty_degrees = 0u64;
             let mut ram_degrees = 0u64;
-            for u in (0..n).step_by(stride) {
+            for u in (0..cx.n).step_by(stride) {
                 faulty_degrees += faulty.graph().neighbors(NodeId(u as u32)).len() as u64;
-                ram_degrees += g.neighbors(NodeId(u as u32)).len() as u64;
+                ram_degrees += cx.g.neighbors(NodeId(u as u32)).len() as u64;
             }
             assert_eq!(
                 faulty_degrees, ram_degrees,
                 "storage faults may cost retries, never change bytes"
             );
-            faulty.paging_stats().storage_retries
-        } else {
-            0
-        };
-
-        let _ = std::fs::remove_file(&path);
-        (pool_stats, page_fault_ns, storage_retries)
-    } else {
-        (PagingStats::default(), 0.0, 0)
-    };
-    // Aggregated over the serial paged passes only (parallel passes share
-    // the pool and would make the counts interleaving-dependent); all zero
-    // for the in-RAM families, which never touch a pool.
-    let paging = counts(&[
-        // Pages read from disk (pool misses).
-        ("page_reads", pool_stats.page_reads),
-        // Pin requests served from resident frames.
-        ("pool_hits", pool_stats.pool_hits),
-        // Frames replaced to make room.
-        ("evictions", pool_stats.evictions),
-        // High-water mark of simultaneously pinned frames.
-        ("pinned_peak", pool_stats.pinned_peak),
-    ]);
-
-    // --- Dynamic graphs: the engine's replicated load re-run over a
-    // churned backend whose seeded schedule is advanced at serial control
-    // points, with every cache layer invalidating on epoch-stamp mismatch.
-    // A warm pass fills both cache levels; at churn rate 0 it must be
-    // bit-identical to the static engine pass above (asserted — the same
-    // contract the core proptests pin for all ten algorithms). An L1 probe
-    // session then straddles an epoch bump (fresh per-replicate sessions
-    // start empty, so only a session living across a bump can observe L1
-    // staleness), and a second replicated pass over the bumped epochs
-    // counts the L2 entries evicted as stale. All counters are
-    // single-threaded and therefore deterministic.
-    let invalidation = {
-        let churn_seed = replication_seed(spec.seed, stream::CHURN);
-        let churn_cfg = ChurnConfig::from_rate(churn_seed, spec.churn_rate, n, 1);
-        let engine_churn: Engine<'_, ChurnOsn> =
-            Engine::on_backend_with_config(ChurnOsn::new(&g, churn_cfg), CacheConfig::default());
-        let warm: Vec<f64> = engine_churn
-            .estimate_replicated(
-                &engine_alg,
-                target,
-                engine_budget,
-                &cfg,
-                engine_seed,
-                engine_reps,
-                1,
-            )
-            .into_iter()
-            .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
-            .collect();
-        if spec.churn_rate == 0.0 {
-            assert_eq!(
-                engine_estimates
-                    .iter()
-                    .map(|e| e.to_bits())
-                    .collect::<Vec<_>>(),
-                warm.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
-                "churn rate 0 must be bit-identical to the static engine pass"
-            );
+            carry.storage_retries = faulty.paging_stats().storage_retries;
         }
-        drop(warm);
+        let _ = std::fs::remove_file(&file.path);
+    }
+    let pool = carry.paging;
+    Section {
+        // Aggregated over the serial paged passes only (parallel passes share
+        // the pool and would make the counts interleaving-dependent); all zero
+        // for the in-RAM families, which never touch a pool.
+        counters: counts(&[
+            // Pages read from disk (pool misses).
+            ("page_reads", pool.page_reads),
+            // Pin requests served from resident frames.
+            ("pool_hits", pool.pool_hits),
+            // Frames replaced to make room.
+            ("evictions", pool.evictions),
+            // High-water mark of simultaneously pinned frames.
+            ("pinned_peak", pool.pinned_peak),
+        ]),
+        measured: vec![
+            // Steady cost of one buffer-pool page fault on a fresh
+            // tight-budget pool, nanoseconds; zero for in-RAM families.
+            ("page_fault_ns", page_fault_ns),
+        ],
+    }
+}
 
-        let probe = engine_churn.session();
-        let probe_nodes = n.min(256) as u32;
-        for u in 0..probe_nodes {
-            std::hint::black_box(probe.neighbors(NodeId(u)).len());
-        }
-        engine_churn.backend().advance_to(4);
-        for u in 0..probe_nodes {
-            std::hint::black_box(probe.neighbors(NodeId(u)).len());
-        }
-        drop(probe); // flushes the session's L1 stale count into stats
+/// Dynamic graphs: the engine's replicated load re-run over a churned
+/// backend whose seeded schedule is advanced at serial control points,
+/// with every cache layer invalidating on epoch-stamp mismatch. A warm
+/// pass fills both cache levels; at churn rate 0 it must be bit-identical
+/// to the static engine pass (asserted — the same contract the core
+/// proptests pin for all ten algorithms). An L1 probe session then
+/// straddles an epoch bump (fresh per-replicate sessions start empty, so
+/// only a session living across a bump can observe L1 staleness), and a
+/// second replicated pass over the bumped epochs counts the L2 entries
+/// evicted as stale. All counters are single-threaded and therefore
+/// deterministic.
+fn invalidation(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let churn_cfg = ChurnConfig::from_rate(cx.seed(stream::CHURN), cx.spec.churn_rate, cx.n, 1);
+    let engine_churn: Engine<'_, ChurnOsn> =
+        Engine::on_backend_with_config(ChurnOsn::new(cx.g, churn_cfg), CacheConfig::default());
+    let warm = cx.replicated(&engine_churn, 1);
+    if cx.spec.churn_rate == 0.0 {
+        assert_eq!(
+            carry.engine_bits,
+            bits(&warm),
+            "churn rate 0 must be bit-identical to the static engine pass"
+        );
+    }
+    drop(warm);
 
-        engine_churn.backend().advance_to(8);
-        for r in engine_churn.estimate_replicated(
-            &engine_alg,
-            target,
-            engine_budget,
-            &cfg,
-            engine_seed,
-            engine_reps,
-            1,
-        ) {
-            let _ = r.expect("unbudgeted estimation on a connected component");
-        }
+    let probe = engine_churn.session();
+    cx.warm(&probe);
+    engine_churn.backend().advance_to(4);
+    cx.warm(&probe);
+    drop(probe); // flushes the session's L1 stale count into stats
 
-        let stats = engine_churn.stats();
-        let churn = engine_churn.backend().churn_stats();
-        let invalidation = [
-            // Churn batches applied by the schedule over the phase.
-            ("churn_batches", churn.batches),
-            // Individual churn events (edge inserts/deletes, label flips)
-            // applied across those batches.
-            ("churn_events", churn.events_applied()),
-            // Session-private L1 slots discarded because their fill-time
-            // epoch went stale.
-            ("l1_stale_evictions", stats.l1_stale_evictions),
-            // Shared L2 entries discarded because their fill-time epoch
-            // went stale (counted once, by the first prober, under the
-            // shard lock).
-            ("l2_stale_evictions", stats.l2_stale_evictions),
-            // Neighbor-list invalidations avoided by the split edge/label
-            // epochs: label flips that bumped only the label epoch,
-            // leaving cached neighbor lists warm.
-            (
-                "avoided_invalidations",
-                engine_churn.backend().avoided_neighbor_invalidations(),
-            ),
-        ];
-        if spec.churn_rate == 0.0 {
-            assert!(
-                invalidation.iter().all(|&(_, n)| n == 0),
-                "churn rate 0 must apply no batches and evict nothing: {invalidation:?}"
-            );
-        }
-        counts(&invalidation)
-    };
+    engine_churn.backend().advance_to(8);
+    cx.replicated(&engine_churn, 1);
 
-    // --- Faults: the resilience layer under correlated outage bursts.
-    // The multi-tenant stream replays through the virtual-time scheduler
-    // with the burst process raging (hard outages on the loop's shared
-    // clock), the circuit breaker + retry budget + stale-degradation
-    // reactive stack on, and a shared per-tenant token-bucket rate limit
-    // drained by every query of a tenant. One single-shard single-worker
-    // pass provides the deterministic counters; a shard-fleet pass across
-    // all cores must match it bit for bit — outages move *when* queries
-    // pay, never what surviving queries answer. A separate degradation
-    // probe (a session whose warm entries go stale across an epoch bump,
-    // re-probed under a breaker-opening storm) pins `stale_served`
-    // structurally rather than hoping the stream aligns bursts with churn.
-    let (bursts, breaker_opens, stale_served, quota_throttled) = match spec.burst.config() {
+    let stats = engine_churn.stats();
+    let churn = engine_churn.backend().churn_stats();
+    let invalidation = [
+        // Churn batches applied by the schedule over the phase.
+        ("churn_batches", churn.batches),
+        // Individual churn events (edge inserts/deletes, label flips)
+        // applied across those batches.
+        ("churn_events", churn.events_applied()),
+        // Session-private L1 slots discarded because their fill-time
+        // epoch went stale.
+        ("l1_stale_evictions", stats.l1_stale_evictions),
+        // Shared L2 entries discarded because their fill-time epoch
+        // went stale (counted once, by the first prober, under the
+        // shard lock).
+        ("l2_stale_evictions", stats.l2_stale_evictions),
+        // Neighbor-list invalidations avoided by the split edge/label
+        // epochs: label flips that bumped only the label epoch,
+        // leaving cached neighbor lists warm.
+        (
+            "avoided_invalidations",
+            engine_churn.backend().avoided_neighbor_invalidations(),
+        ),
+    ];
+    if cx.spec.churn_rate == 0.0 {
+        assert!(
+            invalidation.iter().all(|&(_, n)| n == 0),
+            "churn rate 0 must apply no batches and evict nothing: {invalidation:?}"
+        );
+    }
+    Section {
+        counters: counts(&invalidation),
+        measured: vec![],
+    }
+}
+
+/// Faults: the resilience layer under correlated outage bursts. The
+/// multi-tenant stream replays through the virtual-time scheduler with
+/// the burst process raging (hard outages on the loop's shared clock),
+/// the circuit breaker + retry budget + stale-degradation reactive stack
+/// on, and a shared per-tenant token-bucket rate limit drained by every
+/// query of a tenant. One single-shard single-worker pass provides the
+/// deterministic counters; a shard-fleet pass across all cores must
+/// match it bit for bit — outages move *when* queries pay, never what
+/// surviving queries answer. A separate degradation probe (a session
+/// whose warm entries go stale across an epoch bump, re-probed under a
+/// breaker-opening storm) pins `stale_served` structurally rather than
+/// hoping the stream aligns bursts with churn.
+fn faults(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
+    let (bursts, breaker_opens, stale_served, quota_throttled) = match cx.spec.burst.config() {
         None => (0, 0, 0, 0),
         Some(burst) => {
-            let faults_seed = replication_seed(spec.seed, stream::FAULTS);
+            let seed = cx.seed(stream::FAULTS);
             let resilience = ResilienceConfig {
                 breaker: Some(BreakerConfig::default()),
                 retry_budget: Some(256),
@@ -1534,59 +1697,46 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             // (mirroring `mixed_multi_tenant`'s hard budget); the refill
             // interval outlasts the stream, so a tenant's third
             // concurrent request throttles on the shared bucket.
-            let burst_rate_limit = RateLimit {
-                capacity: 2 * 6 * (budget as u64 + burn_in as u64),
+            let rate_limit = RateLimit {
+                capacity: 2 * 6 * (cx.budget as u64 + cx.cfg.burn_in as u64),
                 refill_interval_ticks: 1_000_000,
             };
-            let burst_wl = || {
-                ServiceWorkload::mixed_multi_tenant(
-                    serving_requests,
-                    &serving_keys,
-                    SERVING_TENANTS,
-                    spec.tenant_skew,
-                    target,
-                    budget,
-                    faults_seed,
-                    cfg,
-                )
-                .builder()
-                .faults(
-                    FaultConfig {
-                        base_latency_ticks: 1,
-                        latency_jitter_ticks: 3,
-                        ..FaultConfig::clean(faults_seed)
-                    }
-                    .with_burst(burst),
-                    RetryPolicy::default(),
-                )
-                .rate_limits(RateLimitPolicy::uniform(burst_rate_limit))
-                .resilience(resilience)
-                .schedule(SchedulePolicy::default().with_interarrival(6))
-                .build()
+            let run = |shards: usize, workers: usize| {
+                let wl = cx
+                    .requests(seed)
+                    .faults(
+                        FaultConfig {
+                            base_latency_ticks: 1,
+                            latency_jitter_ticks: 3,
+                            ..FaultConfig::clean(seed)
+                        }
+                        .with_burst(burst),
+                        RetryPolicy::default(),
+                    )
+                    .rate_limits(RateLimitPolicy::uniform(rate_limit))
+                    .resilience(resilience)
+                    .schedule(SchedulePolicy::default().with_interarrival(6))
+                    .build();
+                cx.fleet(shards, seed, None).run_scheduled(wl, workers)
             };
-            let run_burst = |shards: usize, workers: usize| {
-                let mut svc = ShardedService::new(shards, faults_seed);
-                for &k in &serving_keys {
-                    svc.register(k, &g);
-                }
-                svc.run_scheduled(burst_wl(), workers)
-            };
-            let burst_serial = run_burst(1, 1);
-            let burst_fleet = run_burst(SERVING_GRAPHS as usize, threads);
+            let serial = run(1, 1);
+            let fleet = run(SERVING_GRAPHS as usize, cx.threads);
             assert_eq!(
-                service_bits(&burst_serial),
-                service_bits(&burst_fleet),
+                service_bits(&serial),
+                service_bits(&fleet),
                 "burst-time fleet run must be bit-identical to the single-shard pass"
             );
+            drop(fleet);
             let mut bursts = 0u64;
             let mut breaker_opens = 0u64;
             let mut stale_served = 0u64;
-            for (_, q) in burst_serial.completed() {
+            for (_, q) in serial.completed() {
                 bursts += q.bursts;
                 breaker_opens += q.breaker_opens;
                 stale_served += q.stale_served;
             }
-            let quota_throttled = burst_serial.serving.quota_throttled;
+            let quota_throttled = serial.serving.quota_throttled;
+            drop(serial);
 
             // Degradation probe: warm a session, bump the churn epochs,
             // then re-probe under a permanent storm (every window down)
@@ -1599,12 +1749,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
                 max_burst_windows: 16,
                 outage_fault_rate: 1.0,
             };
-            let churned = ChurnOsn::new(&g, ChurnConfig::from_rate(faults_seed, 0.5, n, 1));
+            let churned = ChurnOsn::new(cx.g, ChurnConfig::from_rate(seed, 0.5, cx.n, 1));
             let adv = AdversarialOsn::with_resilience(
                 &churned,
                 FaultConfig {
                     base_latency_ticks: 1,
-                    ..FaultConfig::clean(faults_seed)
+                    ..FaultConfig::clean(seed)
                 }
                 .with_burst(storm),
                 RetryPolicy::default(),
@@ -1613,14 +1763,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             let cache =
                 CachedOsn::with_config(adv, CacheConfig::builder().serve_stale(true).build());
             let session = cache.session();
-            let probe_nodes = n.min(256) as u32;
-            for u in 0..probe_nodes {
-                std::hint::black_box(session.neighbors(NodeId(u)).len());
-            }
+            cx.warm(&session);
             churned.advance_to(1);
-            for u in 0..probe_nodes {
-                std::hint::black_box(session.neighbors(NodeId(u)).len());
-            }
+            cx.warm(&session);
             stale_served += session.stale_served();
             drop(session);
             let storm_stats = cache.backend().fault_stats();
@@ -1630,121 +1775,23 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             (bursts, breaker_opens, stale_served, quota_throttled)
         }
     };
-    // All zero with the burst knob off, where the scenario must be
-    // bit-identical to the fault-free stack.
-    let faults = counts(&[
-        // Distinct outage bursts the queries' fetches ran into.
-        ("bursts", bursts),
-        // Circuit-breaker trips (closed → open, including re-opens).
-        ("breaker_opens", breaker_opens),
-        // Stale cache entries served during degraded windows.
-        ("stale_served", stale_served),
-        // Storage read attempts retried by the paged buffer pool (in-RAM
-        // families never read pages, so this stays zero there).
-        ("storage_retries", storage_retries),
-        // Requests throttled on the shared per-tenant rate limit.
-        ("quota_throttled", quota_throttled),
-    ]);
-
-    let alloc = alloc_track::delta(alloc_before, alloc_track::snapshot());
-    Report {
-        schema_version: SCHEMA_VERSION,
-        meta: ScenarioMeta {
-            name: spec.name(),
-            family: spec.family.name().to_string(),
-            tier: spec.tier.name().to_string(),
-            seed: spec.seed,
-            nodes: n as u64,
-            edges: g.num_edges() as u64,
-            budget: budget as u64,
-            burn_in: burn_in as u64,
-            reps: reps as u64,
-            threads: threads as u64,
-        },
-        counters: Json::obj(vec![
-            ("walk", walk),
-            // Table 2 order, then the extensions.
-            ("algorithms", Json::Arr(algo_counters)),
-            ("engine", engine),
-            ("workload", workload),
-            ("serving", serving),
-            ("scheduling", scheduling),
-            ("paging", paging),
-            ("invalidation", invalidation),
-            ("faults", faults),
-            // Exact target-edge count `F`.
-            ("ground_truth_f", int(gt.f as u64)),
+    Section {
+        // All zero with the burst knob off, where the scenario must be
+        // bit-identical to the fault-free stack.
+        counters: counts(&[
+            // Distinct outage bursts the queries' fetches ran into.
+            ("bursts", bursts),
+            // Circuit-breaker trips (closed → open, including re-opens).
+            ("breaker_opens", breaker_opens),
+            // Stale cache entries served during degraded windows.
+            ("stale_served", stale_served),
+            // Storage read attempts retried by the paged buffer pool (in-RAM
+            // families never read pages, so this stays zero there).
+            ("storage_retries", carry.storage_retries),
+            // Requests throttled on the shared per-tenant rate limit.
+            ("quota_throttled", quota_throttled),
         ]),
-        measured: Json::obj(vec![
-            // Whole-scenario wall time, milliseconds.
-            ("total_ms", Json::Num(ms(scenario_start))),
-            // Walk throughput, steps/second: per-step, batched
-            // (`steps_into`), and line-graph stepping.
-            (
-                "per_step_steps_per_sec",
-                Json::Num(rate(steps, per_step_ms)),
-            ),
-            ("batched_steps_per_sec", Json::Num(rate(steps, batched_ms))),
-            ("line_steps_per_sec", Json::Num(rate(line_steps, line_ms))),
-            // Serial and parallel `GroundTruth` wall times, milliseconds.
-            ("gt_serial_ms", Json::Num(gt_serial_ms)),
-            ("gt_parallel_ms", Json::Num(gt_parallel_ms)),
-            // The engine's replicated run on one thread, then fanned across
-            // all available threads (cold cache for both), milliseconds.
-            ("engine_serial_ms", Json::Num(engine_serial_ms)),
-            ("engine_parallel_ms", Json::Num(engine_parallel_ms)),
-            // `engine_serial_ms / engine_parallel_ms` — > 1 on multi-core
-            // runners.
-            (
-                "engine_parallel_speedup",
-                Json::Num(if engine_parallel_ms > 0.0 {
-                    engine_serial_ms / engine_parallel_ms
-                } else {
-                    0.0
-                }),
-            ),
-            // Steady-state cost of one logical call on a fully warm cache,
-            // nanoseconds: the ~97%-of-calls hot path the L1 hierarchy
-            // optimizes.
-            ("hit_path_ns", Json::Num(hit_path_ns)),
-            // The workload phase on one worker, then on all available
-            // workers, milliseconds; and the parallel pass's queries/second.
-            ("workload_serial_ms", Json::Num(workload_serial_ms)),
-            ("workload_parallel_ms", Json::Num(workload_parallel_ms)),
-            (
-                "workload_queries_per_sec",
-                Json::Num(if workload_parallel_ms > 0.0 {
-                    wl_queries as f64 / (workload_parallel_ms / 1e3)
-                } else {
-                    0.0
-                }),
-            ),
-            // The serving phase on one shard with one worker, then across
-            // the full shard fleet with all available workers,
-            // milliseconds.
-            ("serving_serial_ms", Json::Num(serving_serial_ms)),
-            ("serving_parallel_ms", Json::Num(serving_parallel_ms)),
-            // The deadline-constrained scheduled run on one shard with one
-            // worker, milliseconds.
-            ("scheduler_ms", Json::Num(scheduler_ms)),
-            // Steady cost of one buffer-pool page fault on a fresh
-            // tight-budget pool, nanoseconds; zero for in-RAM families.
-            ("page_fault_ns", Json::Num(page_fault_ns)),
-            // The machine-speed proxy the gate normalizes timings by.
-            (
-                "calibration_ops_per_sec",
-                Json::Num(calibration_ops_per_sec()),
-            ),
-            // Allocator traffic over the scenario (see `alloc_track`).
-            (
-                "alloc",
-                Json::obj(vec![
-                    ("peak_bytes", int(alloc.peak_bytes)),
-                    ("allocs", int(alloc.allocs)),
-                    ("measured", Json::Bool(alloc.measured)),
-                ]),
-            ),
-        ]),
+        measured: vec![],
     }
 }
 

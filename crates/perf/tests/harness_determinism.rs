@@ -2,9 +2,13 @@
 //! deterministic counters (steps, API calls, estimates), end to end
 //! through JSON serialization.
 
+use std::path::Path;
+
 use labelcount_perf::json::Json;
 use labelcount_perf::report::Report;
-use labelcount_perf::scenario::{run_scenario, Family, PoolFrames, ScenarioSpec, Tier};
+use labelcount_perf::scenario::{
+    run_scenario, Family, PoolFrames, ScenarioSpec, Tier, DEFAULT_SEED,
+};
 
 fn smoke_spec(family: Family, seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(family, Tier::Smoke, seed)
@@ -56,6 +60,29 @@ fn smoke_counters_are_identical_across_runs_at_the_same_seed() {
         "ground_truth_f",
     ] {
         section(&a, name);
+    }
+}
+
+/// A fresh default run of every family must reproduce the committed
+/// baselines' counters bit for bit. `compare` only warns on counter drift,
+/// so this is the check that fails when a change moves a counter without
+/// regenerating the baselines.
+#[test]
+fn fresh_smoke_runs_reproduce_the_committed_counters() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for family in Family::all() {
+        let path = root.join(format!("BENCH_{}_smoke.json", family.name()));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let committed =
+            Report::from_json_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let fresh = run_scenario(&ScenarioSpec::new(family, Tier::Smoke, DEFAULT_SEED));
+        assert_eq!(
+            committed.counters.first_difference(&fresh.counters),
+            None,
+            "{} drifted from a fresh run",
+            path.display()
+        );
     }
 }
 
