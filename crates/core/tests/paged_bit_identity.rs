@@ -23,12 +23,17 @@ fn fixture() -> LabeledGraph {
 }
 
 /// Frames a serial walk needs resident at once, at page size `page_size`:
-/// one neighbor-offset page, the current node's adjacency span (the hub's
-/// degree bounds it), one label-offset page, and one label-data page.
+/// a fetch pins its node's primary page, plus the overflow pages of a
+/// record too big for one page. The biggest record — the hub's — spans
+/// the most: its primary page's 12 header and slot bytes, its 8-byte
+/// record header, and one u32 per label and neighbor.
 fn working_set_frames(g: &LabeledGraph, page_size: usize) -> usize {
-    let max_degree = g.nodes().map(|u| g.degree(u)).max().unwrap_or(0);
-    let adjacency_span = (max_degree * 4).div_ceil(page_size) + 1;
-    2 + adjacency_span + 1
+    let biggest_record = g
+        .nodes()
+        .map(|u| 8 + 4 * (g.degree(u) + g.labels(u).len()))
+        .max()
+        .unwrap_or(0);
+    (12 + biggest_record).div_ceil(page_size)
 }
 
 #[test]

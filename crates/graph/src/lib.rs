@@ -24,8 +24,8 @@
 //! * [`labels`] — label-assignment models (binary gender-like, Zipf
 //!   location-like with homophily, degree buckets).
 //! * [`io`] — plain-text edge-list / label-list readers and writers.
-//! * [`paged`] — out-of-core graphs: a fixed-size-page on-disk CSR format
-//!   ([`PagedCsrWriter`]) read back through a pinned-page [`BufferPool`]
+//! * [`paged`] — out-of-core graphs: a fixed-size-page on-disk record
+//!   format ([`PagedCsrWriter`]) read back through a pinned-page [`BufferPool`]
 //!   with pluggable eviction ([`EvictionPolicy`]), so residency is bounded
 //!   by a frame budget instead of `|E|`.
 //! * [`motifs`] — exact counts of label-refined wedges and triangles, the

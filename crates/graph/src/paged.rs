@@ -1,58 +1,83 @@
-//! Out-of-core graphs: a fixed-size-page on-disk CSR layout plus the
+//! Out-of-core graphs: a fixed-size-page on-disk record layout plus the
 //! pinned-page buffer pool that serves it.
 //!
 //! Every graph in the workspace so far lives fully in RAM. This module is
 //! the out-of-core escape hatch: [`PagedCsrWriter`] serializes any
-//! [`LabeledGraph`] into a page-aligned binary CSR file, and
-//! [`PagedGraph`] reads it back **page at a time** through a classic
-//! database-style [`BufferPool`] — pin, copy, unpin — so residency is
-//! bounded by the configured frame budget, not by `|E|`.
+//! [`LabeledGraph`] into a page-aligned binary file, and [`PagedGraph`]
+//! reads it back **page at a time** through a classic database-style
+//! [`BufferPool`] — pin, decode, unpin — so residency is bounded by the
+//! configured frame budget, not by `|E|`.
 //!
-//! # File layout (version 3, all integers little-endian)
+//! # File layout (version 4, all integers little-endian)
 //!
 //! ```text
 //! page 0            header: magic "LCPGCSR\0", version, page size,
 //!                   counts (nodes, adjacency entries, labels, label
 //!                   entries, max degree), the first page of each
-//!                   section below, and (v2+) the checksum-table page
-//! pages 1..         neighbor offsets   (num_nodes + 1) × u64
-//! pages ..          adjacency          adjacency_len   × u32  (NodeId)
-//! pages ..          label offsets      (num_nodes + 1) × u64
-//! pages ..          label data         label_data_len  × u32  (LabelId)
-//! pages ..          checksum table     data_pages × u64  (v2+; XXH64 in v3)
+//!                   section below, the directory's entry count, and the
+//!                   total page count
+//! pages 1..         record pages      one record per node, in node order
+//! pages ..          page directory    entries × (first node u32, page u32)
+//! pages ..          checksum table    data_pages × u64 (XXH64)
 //! ```
 //!
-//! Each section starts on a page boundary and is zero-padded to one; an
-//! individual neighbor (or label) list may straddle any number of pages.
+//! A node's **record** is its degree and label count (u32 each), its
+//! labels, then its neighbors (u32 ids). Records of consecutive nodes
+//! share a **primary page** behind a slot array, the slotted page of the
+//! database textbooks:
 //!
-//! The **checksum table** holds one sum per *data* page (header page
-//! included, the table's own pages excluded) and is loaded whole at open
-//! time, when the header page is checked against its entry. The pool
-//! verifies every page read against it, which is what lets a faulty store
-//! ([`FaultyStorage`]) be survived: a failed or torn read is retried up to
-//! [`PageStore::max_retries`] times, and a page whose retries are
-//! exhausted is recovered through the store's fault-free path and
-//! **quarantined** (counted once per page in [`PagingStats`]). The sums
-//! catch torn and misdirected reads; they are no defence against
-//! tampering.
+//! ```text
+//! first node u32 | slot count u32 | slot 0 .. slot k-1 (u32 each) | records .. | zero pad
+//! ```
+//!
+//! Slot `i` is the in-page byte offset of node `first + i`'s record. The
+//! writer packs records greedily in node order. A record too big for an
+//! empty page starts its own primary page, alone, and runs on into the
+//! **overflow pages** after it. So a fetch whose record fits one page
+//! pins exactly one page, and labels come first so that a profile fetch
+//! stays on the primary page even when the neighbors spill.
+//!
+//! The **page directory** holds one `(first node, page)` entry per
+//! primary page, sorted by both. [`PagedGraph::open`] loads it whole and
+//! keeps it in RAM, 8 bytes per primary page; a fetch binary-searches it
+//! for the node's primary page. Each section starts on a page boundary
+//! and is zero-padded to one.
+//!
+//! The **checksum table** holds one sum per *data* page (header, record
+//! and directory pages; the table's own pages excluded). It is loaded
+//! whole at open, when the header and directory pages are checked
+//! against it. The pool verifies every page read against it, which is
+//! what lets a faulty store ([`FaultyStorage`]) be survived: a failed or
+//! torn read is retried up to [`PageStore::max_retries`] times, and a
+//! page whose retries are exhausted is recovered through the store's
+//! fault-free path and **quarantined** (counted once per page in
+//! [`PagingStats`]). The sums catch torn and misdirected reads; they are
+//! no defence against tampering. A re-summed file with bad record
+//! metadata (a slot or a length pointing elsewhere) can yield wrong lists
+//! or a panic with a message on the read path, but a fetch never reads
+//! or allocates past its node's pages.
 //!
 //! # Version history
 //!
-//! The header's version field picks the kernel a file is verified with.
-//! Only the current version is written; older ones still open.
+//! Only the current version is written, and only it opens: a file of an
+//! older version is a [`PagedError::Format`] naming that version. No
+//! paged file outlives the build that wrote it — every caller writes its
+//! own and deletes it.
 //!
-//! - **v1**: no checksum table; opens with verification inert.
-//! - **v2**: the table holds FNV-1a-64 sums.
-//! - **v3** (current): same layout as v2, the table holds XXH64 (seed 0)
-//!   sums — [`page_checksum`].
-//!
-//! v3 exists for speed. FNV-1a folds a page one byte at a time through a
-//! single xor–multiply chain, so every multiply waits on the one before
-//! it: 4 096 dependent steps per 4 KiB page. XXH64 reads 8-byte words
-//! into four independent lanes, 512 steps with four in flight. On a
-//! 2-vCPU Xeon VM a 4 KiB page costs ~5.8 µs under FNV-1a and ~0.45 µs
-//! under XXH64, against ~0.45 µs for a page-cache `pread` of it: under
-//! v2 the checksum was most of a buffer-pool page fault.
+//! - **v1**: CSR in four sections (neighbor offsets, adjacency, label
+//!   offsets, label data), no checksums.
+//! - **v2**: v1 plus an FNV-1a-64 checksum table.
+//! - **v3**: v2 with XXH64 sums ([`page_checksum`]). FNV-1a folds a page
+//!   one byte at a time through one dependent multiply chain; XXH64
+//!   reads 8-byte words into four independent lanes. On a 2-vCPU Xeon VM
+//!   a 4 KiB page costs ~5.8 µs under FNV-1a and ~0.45 µs under XXH64.
+//! - **v4** (current): slotted record pages behind the page directory.
+//!   Under v3 a fetch pinned an offsets page and then a data page, and a
+//!   node's neighbors and labels lived in different sections. One seed-1
+//!   pass of servebench's `interactive-paged` workload (16 frames, 4 KiB
+//!   pages) read 991 133 pages under v3 and 495 962 under v4. One offset
+//!   table over per-node records would have saved only 6–10%: few
+//!   profile fetches directly follow the same node's neighbor fetch.
 //!
 //! # Determinism
 //!
@@ -61,9 +86,9 @@
 //! fetch — [`PagedGraph::neighbors`] and [`PagedGraph::labels`] return
 //! exactly the in-RAM graph's lists. Under strictly serial access the
 //! paging counters ([`PagingStats`]) are a pure function of the request
-//! sequence and the pool configuration. Storage faults keep that
-//! contract: injection is a pure hash of `(seed, page, attempt)`, so a
-//! faulty run is reproducible byte for byte.
+//! sequence, the pool configuration and the page size. Storage faults
+//! keep that contract: injection is a pure hash of `(seed, page,
+//! attempt)`, so a faulty run is reproducible byte for byte.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -77,10 +102,9 @@ use crate::{LabelId, LabeledGraph, NodeId};
 /// Versioned magic: the file type tag; the format version rides beside it.
 pub const PAGED_MAGIC: [u8; 8] = *b"LCPGCSR\0";
 
-/// Current on-disk format version (v3 = XXH64 per-page checksum table;
-/// v2 files, with an FNV-1a table, and v1 files, without one, still
-/// open).
-pub const PAGED_FORMAT_VERSION: u32 = 3;
+/// The on-disk format version this build writes and reads (v4 = slotted
+/// record pages behind a page directory, XXH64 per-page checksums).
+pub const PAGED_FORMAT_VERSION: u32 = 4;
 
 /// Default page size: 4 KiB, the common filesystem block size.
 pub const DEFAULT_PAGE_SIZE: u32 = 4096;
@@ -88,9 +112,21 @@ pub const DEFAULT_PAGE_SIZE: u32 = 4096;
 /// Smallest allowed page size (the header needs [`HEADER_BYTES`] bytes).
 pub const MIN_PAGE_SIZE: u32 = 128;
 
-/// Bytes the header actually uses inside page 0 (v1 used the first 96;
-/// v2 appends the checksum-table page pointer).
-pub const HEADER_BYTES: usize = 104;
+/// Bytes the header actually uses inside page 0.
+pub const HEADER_BYTES: usize = 96;
+
+/// A primary page's header: its first node and its slot count (u32 each).
+const PAGE_HEADER_BYTES: u64 = 8;
+
+/// One slot: a record's in-page byte offset (a u32, so slots address
+/// every page size [`PagedCsrWriter::with_page_size`] accepts).
+const SLOT_BYTES: u64 = 4;
+
+/// A record's header: the node's degree and label count (u32 each).
+const RECORD_HEADER_BYTES: u64 = 8;
+
+/// One page-directory entry: first node and primary page (u32 each).
+const DIRECTORY_ENTRY_BYTES: u64 = 8;
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -108,7 +144,11 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// XXH64 with seed 0 over a whole page — the v3 per-page checksum (the
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
+}
+
+/// XXH64 with seed 0 over a whole page — the per-page checksum (the
 /// published algorithm, tail included, so any length hashes). It guards
 /// against torn and misdirected reads, not adversarial tampering.
 pub fn page_checksum(bytes: &[u8]) -> u64 {
@@ -167,30 +207,6 @@ pub fn page_checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// FNV-1a 64-bit over a whole page — the v2 per-page checksum, kept only
-/// so v2 files stay readable; nothing writes it any more.
-fn fnv1a_page(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A per-page checksum kernel.
-type ChecksumFn = fn(&[u8]) -> u64;
-
-/// The kernel a file's format version verifies pages with (`None` for
-/// v1, which carries no table).
-fn checksum_kernel(version: u32) -> Option<ChecksumFn> {
-    match version {
-        2 => Some(fnv1a_page),
-        PAGED_FORMAT_VERSION => Some(page_checksum),
-        _ => None,
-    }
-}
-
 /// Errors produced when opening or validating a paged CSR file.
 #[derive(Debug)]
 pub enum PagedError {
@@ -235,7 +251,7 @@ pub struct PagedFileMeta {
     pub file_bytes: u64,
 }
 
-/// Writes a [`LabeledGraph`] into the paged on-disk CSR layout.
+/// Writes a [`LabeledGraph`] into the paged on-disk record layout.
 ///
 /// ```no_run
 /// # use labelcount_graph::{GraphBuilder, NodeId};
@@ -293,20 +309,13 @@ impl PagedCsrWriter {
         let label_data_len: u64 = g.nodes().map(|u| g.labels(u).len() as u64).sum();
         let max_degree = g.nodes().map(|u| g.degree(u) as u64).max().unwrap_or(0);
 
+        let (directory, directory_page) = plan_record_pages(g, ps)?;
         let pages_of = |bytes: u64| bytes.div_ceil(ps).max(1);
-        let offsets_pages = pages_of((n + 1) * 8);
-        let adjacency_pages = pages_of(adjacency_len * 4);
-        let label_offsets_pages = pages_of((n + 1) * 8);
-        let label_data_pages = pages_of(label_data_len * 4);
-
-        let neighbor_offsets_page = 1u64;
-        let adjacency_page = neighbor_offsets_page + offsets_pages;
-        let label_offsets_page = adjacency_page + adjacency_pages;
-        let label_data_page = label_offsets_page + label_offsets_pages;
         // The checksum table starts right after the data pages and is
         // itself excluded from checksumming (a torn table read surfaces as
         // a mismatch on the data page it vouches for).
-        let checksum_page = label_data_page + label_data_pages;
+        let checksum_page =
+            directory_page + pages_of(directory.len() as u64 * DIRECTORY_ENTRY_BYTES);
         let total_pages = checksum_page + pages_of(checksum_page * 8);
 
         // Every data page is summed on its way to disk, so the table costs
@@ -324,54 +333,53 @@ impl PagedCsrWriter {
         header[0..8].copy_from_slice(&PAGED_MAGIC);
         header[8..12].copy_from_slice(&PAGED_FORMAT_VERSION.to_le_bytes());
         header[12..16].copy_from_slice(&self.page_size.to_le_bytes());
-        header[16..24].copy_from_slice(&n.to_le_bytes());
-        header[24..32].copy_from_slice(&adjacency_len.to_le_bytes());
-        header[32..40].copy_from_slice(&(g.num_labels() as u64).to_le_bytes());
-        header[40..48].copy_from_slice(&label_data_len.to_le_bytes());
-        header[48..56].copy_from_slice(&max_degree.to_le_bytes());
-        header[56..64].copy_from_slice(&neighbor_offsets_page.to_le_bytes());
-        header[64..72].copy_from_slice(&adjacency_page.to_le_bytes());
-        header[72..80].copy_from_slice(&label_offsets_page.to_le_bytes());
-        header[80..88].copy_from_slice(&label_data_page.to_le_bytes());
-        header[88..96].copy_from_slice(&total_pages.to_le_bytes());
-        header[96..104].copy_from_slice(&checksum_page.to_le_bytes());
+        for (at, field) in [
+            (16, n),
+            (24, adjacency_len),
+            (32, g.num_labels() as u64),
+            (40, label_data_len),
+            (48, max_degree),
+            (56, RECORD_PAGE),
+            (64, directory_page),
+            (72, directory.len() as u64),
+            (80, checksum_page),
+            (88, total_pages),
+        ] {
+            header[at..at + 8].copy_from_slice(&field.to_le_bytes());
+        }
         w.write_all(&header)?;
 
-        // Neighbor offsets (cumulative degrees), zero-padded to a page.
-        let mut section = SectionWriter::new(&mut w, ps);
-        let mut off = 0u64;
-        section.put_u64(off)?;
-        for u in g.nodes() {
-            off += g.degree(u) as u64;
-            section.put_u64(off)?;
-        }
-        section.finish()?;
-
-        // Adjacency.
-        let mut section = SectionWriter::new(&mut w, ps);
-        for u in g.nodes() {
-            for &v in g.neighbors(u) {
-                section.put_u32(v.0)?;
+        // Record pages: each primary page's header, slots and records,
+        // zero-padded to a page boundary (a lone spilled record's pad ends
+        // its last overflow page).
+        let ends = directory.iter().skip(1).map(|&(first, _)| first);
+        for (&(first, _), end) in directory.iter().zip(ends.chain([n as u32])) {
+            let mut section = SectionWriter::new(&mut w, ps);
+            section.put_u32(first)?;
+            section.put_u32(end - first)?;
+            let mut at = PAGE_HEADER_BYTES + SLOT_BYTES * u64::from(end - first);
+            for u in first..end {
+                section.put_u32(at as u32)?;
+                at += record_bytes(g, NodeId(u));
             }
-        }
-        section.finish()?;
-
-        // Label offsets.
-        let mut section = SectionWriter::new(&mut w, ps);
-        let mut off = 0u64;
-        section.put_u64(off)?;
-        for u in g.nodes() {
-            off += g.labels(u).len() as u64;
-            section.put_u64(off)?;
-        }
-        section.finish()?;
-
-        // Label data.
-        let mut section = SectionWriter::new(&mut w, ps);
-        for u in g.nodes() {
-            for &l in g.labels(u) {
-                section.put_u32(l.0)?;
+            for u in (first..end).map(NodeId) {
+                section.put_u32(g.degree(u) as u32)?;
+                section.put_u32(g.labels(u).len() as u32)?;
+                for &l in g.labels(u) {
+                    section.put_u32(l.0)?;
+                }
+                for &v in g.neighbors(u) {
+                    section.put_u32(v.0)?;
+                }
             }
+            section.finish()?;
+        }
+
+        // Page directory.
+        let mut section = SectionWriter::new(&mut w, ps);
+        for &(first, page) in &directory {
+            section.put_u32(first)?;
+            section.put_u32(page)?;
         }
         section.finish()?;
 
@@ -396,6 +404,44 @@ impl PagedCsrWriter {
             file_bytes: total_pages * ps,
         })
     }
+}
+
+/// The first record page: the record section follows the header page.
+const RECORD_PAGE: u64 = 1;
+
+/// Bytes of `u`'s record: its header, then one u32 per label and per
+/// neighbor.
+fn record_bytes(g: &LabeledGraph, u: NodeId) -> u64 {
+    RECORD_HEADER_BYTES + 4 * (g.degree(u) + g.labels(u).len()) as u64
+}
+
+/// Packs the records into pages of `ps` bytes, greedily in node order,
+/// and returns the page directory — one `(first node, page)` entry per
+/// primary page — and the first page past the record section. A record
+/// that fits the open page's free room joins it (one slot plus the
+/// record); any other opens a new primary page, which a record too big
+/// for an empty page fills alone, spilling into overflow pages.
+fn plan_record_pages(g: &LabeledGraph, ps: u64) -> io::Result<(Vec<(u32, u32)>, u64)> {
+    let mut directory = Vec::new();
+    let mut next_page = RECORD_PAGE;
+    let mut room = 0u64;
+    for u in g.nodes() {
+        u32::try_from(g.labels(u).len())
+            .map_err(|_| io::Error::other(format!("node {u} has over 2^32 labels")))?;
+        let need = SLOT_BYTES + record_bytes(g, u);
+        if need <= room {
+            room -= need;
+            continue;
+        }
+        let page = u32::try_from(next_page)
+            .map_err(|_| io::Error::other("record section exceeds the u32 page space"))?;
+        directory.push((u.0, page));
+        let bytes = PAGE_HEADER_BYTES + need;
+        let pages = bytes.div_ceil(ps);
+        next_page += pages;
+        room = if pages == 1 { ps - bytes } else { 0 };
+    }
+    Ok((directory, next_page))
 }
 
 /// Smallest write buffer above the [`ChecksumWriter`]: 8 KiB, the
@@ -791,8 +837,8 @@ pub struct PagingStats {
     /// Page reads re-issued after an injected error or checksum mismatch
     /// (bounded per read by [`PageStore::max_retries`]).
     pub storage_retries: u64,
-    /// Page reads whose bytes failed checksum verification (torn pages a
-    /// v2+ file's table caught; always 0 for v1 files).
+    /// Page reads whose bytes failed checksum verification (torn pages
+    /// the file's table caught).
     pub checksum_failures: u64,
     /// Distinct pages whose retries were exhausted and that were
     /// recovered through the store's clean path — each counted once, on
@@ -853,10 +899,9 @@ pub struct BufferPool {
     num_pages: u64,
     budget: Option<usize>,
     policy: EvictionPolicy,
-    /// Checksum table (one sum per data page) and the kernel the file's
-    /// format version computes it with: [`page_checksum`] for v3, FNV-1a
-    /// for v2. `None` for v1 files disables verification entirely.
-    checksums: Option<(Arc<[u64]>, ChecksumFn)>,
+    /// Checksum table: one [`page_checksum`] per data page. `None`
+    /// disables verification (a bare pool over a store, for tests).
+    checksums: Option<Arc<[u64]>>,
     inner: Mutex<PoolInner>,
 }
 
@@ -868,25 +913,13 @@ impl BufferPool {
     }
 
     /// A pool over an arbitrary [`PageStore`], optionally verifying every
-    /// read against a per-page checksum table of [`page_checksum`] sums
-    /// (the current format's).
+    /// read against a per-page checksum table of [`page_checksum`] sums.
     pub fn with_store(
         store: Box<dyn PageStore>,
         page_size: usize,
         num_pages: u64,
         cfg: PoolConfig,
         checksums: Option<Arc<[u64]>>,
-    ) -> BufferPool {
-        let checksums = checksums.map(|t| (t, page_checksum as ChecksumFn));
-        BufferPool::with_kernel(store, page_size, num_pages, cfg, checksums)
-    }
-
-    fn with_kernel(
-        store: Box<dyn PageStore>,
-        page_size: usize,
-        num_pages: u64,
-        cfg: PoolConfig,
-        checksums: Option<(Arc<[u64]>, ChecksumFn)>,
     ) -> BufferPool {
         BufferPool {
             store,
@@ -907,7 +940,8 @@ impl BufferPool {
         }
     }
 
-    /// Whether reads are verified against a checksum table (v2+ files).
+    /// Whether reads are verified against a checksum table (always, for
+    /// the pool of a [`PagedGraph`]).
     pub fn verifies_checksums(&self) -> bool {
         self.checksums.is_some()
     }
@@ -917,9 +951,9 @@ impl BufferPool {
     /// coverage).
     fn page_ok(&self, page_no: u64, buf: &[u8]) -> bool {
         match &self.checksums {
-            Some((t, kernel)) => t
+            Some(t) => t
                 .get(page_no as usize)
-                .is_none_or(|&want| kernel(buf) == want),
+                .is_none_or(|&want| page_checksum(buf) == want),
             None => true,
         }
     }
@@ -954,89 +988,52 @@ impl BufferPool {
 
     /// Pins `page_no`, reading it from disk if not resident, and returns
     /// the guard. The frame cannot be evicted until the guard drops.
+    ///
+    /// A page past the end of the file is an
+    /// [`io::ErrorKind::InvalidInput`] error.
     pub fn pin(&self, page_no: u64) -> io::Result<PinnedPage<'_>> {
-        assert!(
-            page_no < self.num_pages,
-            "page {page_no} out of range (file has {} pages)",
-            self.num_pages
-        );
-        let mut inner = self.lock();
-        if let Some(&slot) = inner.map.get(&page_no) {
-            inner.stats.pool_hits += 1;
-            inner.tick += 1;
-            let tick = inner.tick;
-            let f = &mut inner.frames[slot];
-            f.referenced = true;
-            f.stamp = tick;
-            f.pins += 1;
-            let data = Arc::clone(&f.data);
-            inner.pinned_now += 1;
-            inner.stats.pinned_peak = inner.stats.pinned_peak.max(inner.pinned_now);
-            return Ok(PinnedPage {
-                pool: self,
-                slot,
-                data,
-            });
+        if page_no >= self.num_pages {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "page {page_no} out of range (file has {} pages)",
+                    self.num_pages
+                ),
+            ));
         }
-
-        // Miss: read the page (verified and retried against a faulty
-        // store), then place it in a frame.
-        inner.stats.page_reads += 1;
-        let mut buf = vec![0u8; self.page_size];
-        let max_retries = self.store.max_retries();
-        let mut attempt = 0u32;
-        loop {
-            let ok = match self.store.read_page(page_no, &mut buf, attempt) {
-                Ok(()) => {
-                    let good = self.page_ok(page_no, &buf);
-                    if !good {
-                        inner.stats.checksum_failures += 1;
-                    }
-                    good
-                }
-                Err(_) => false,
-            };
-            if ok {
-                break;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let slot = match inner.map.get(&page_no) {
+            Some(&slot) => {
+                inner.stats.pool_hits += 1;
+                slot
             }
-            if attempt >= max_retries {
-                // Retries exhausted: recover through the store's
-                // fault-free path and quarantine the page (counted once).
-                // Only a real I/O failure still escapes to the caller.
-                self.store.read_page_clean(page_no, &mut buf)?;
-                if inner.quarantined.insert(page_no) {
-                    inner.stats.quarantined_pages += 1;
+            None => {
+                inner.stats.page_reads += 1;
+                let slot = self.take_frame(inner);
+                // The frame belongs to no page while the read runs, so an
+                // error or a panic leaves it unmapped and unpinned.
+                let frame = &mut inner.frames[slot];
+                frame.page_no = u64::MAX;
+                // Read into the victim's buffer in place, unless it is
+                // fresh or a guard still shares it (a `PinnedPage` drops
+                // its `Arc` after unpinning).
+                if frame.data.len() != self.page_size || Arc::get_mut(&mut frame.data).is_none() {
+                    frame.data = std::iter::repeat_n(0u8, self.page_size).collect();
                 }
-                break;
+                let buf = Arc::get_mut(&mut frame.data).expect("the frame's buffer is unshared");
+                self.read_verified(page_no, buf, &mut inner.stats, &mut inner.quarantined)?;
+                frame.page_no = page_no;
+                inner.map.insert(page_no, slot);
+                slot
             }
-            attempt += 1;
-            inner.stats.storage_retries += 1;
-        }
-        let data: Arc<[u8]> = Arc::from(buf);
-
-        let slot = match self.budget {
-            Some(budget) if inner.frames.len() >= budget => match self.pick_victim(&mut inner) {
-                Some(victim) => {
-                    inner.stats.evictions += 1;
-                    let old = inner.frames[victim].page_no;
-                    inner.map.remove(&old);
-                    victim
-                }
-                // Every frame is pinned: overcommit rather than deadlock.
-                None => push_frame(&mut inner),
-            },
-            _ => push_frame(&mut inner),
         };
-
         inner.tick += 1;
-        let tick = inner.tick;
         let f = &mut inner.frames[slot];
-        f.page_no = page_no;
-        f.data = Arc::clone(&data);
-        f.pins = 1;
+        f.pins += 1;
         f.referenced = true;
-        f.stamp = tick;
-        inner.map.insert(page_no, slot);
+        f.stamp = inner.tick;
+        let data = Arc::clone(&f.data);
         inner.pinned_now += 1;
         inner.stats.pinned_peak = inner.stats.pinned_peak.max(inner.pinned_now);
         Ok(PinnedPage {
@@ -1044,6 +1041,64 @@ impl BufferPool {
             slot,
             data,
         })
+    }
+
+    /// The frame a miss reads into: an unpinned victim evicted per the
+    /// policy (its page unmapped) once the budget is reached, else a new
+    /// frame — also when every frame is pinned, overcommitting rather
+    /// than deadlocking.
+    fn take_frame(&self, inner: &mut PoolInner) -> usize {
+        match self.budget {
+            Some(budget) if inner.frames.len() >= budget => match self.pick_victim(inner) {
+                Some(victim) => {
+                    inner.stats.evictions += 1;
+                    let old = inner.frames[victim].page_no;
+                    inner.map.remove(&old);
+                    victim
+                }
+                None => push_frame(inner),
+            },
+            _ => push_frame(inner),
+        }
+    }
+
+    /// Reads page `page_no` into `buf`, verified against the checksum
+    /// table and retried against a faulty store. Past the retry budget
+    /// the page is recovered through the store's fault-free path and
+    /// quarantined (counted once); only a real I/O failure escapes.
+    fn read_verified(
+        &self,
+        page_no: u64,
+        buf: &mut [u8],
+        stats: &mut PagingStats,
+        quarantined: &mut HashSet<u64>,
+    ) -> io::Result<()> {
+        let max_retries = self.store.max_retries();
+        let mut attempt = 0u32;
+        loop {
+            let ok = match self.store.read_page(page_no, buf, attempt) {
+                Ok(()) => {
+                    let good = self.page_ok(page_no, buf);
+                    if !good {
+                        stats.checksum_failures += 1;
+                    }
+                    good
+                }
+                Err(_) => false,
+            };
+            if ok {
+                return Ok(());
+            }
+            if attempt >= max_retries {
+                self.store.read_page_clean(page_no, buf)?;
+                if quarantined.insert(page_no) {
+                    stats.quarantined_pages += 1;
+                }
+                return Ok(());
+            }
+            attempt += 1;
+            stats.storage_retries += 1;
+        }
     }
 
     /// Picks an unpinned victim frame per the configured policy, or `None`
@@ -1146,7 +1201,7 @@ impl Drop for PinnedPage<'_> {
     }
 }
 
-/// Validated header of an open paged CSR file.
+/// Validated header of an open paged file.
 #[derive(Clone, Copy, Debug)]
 struct Header {
     page_size: u64,
@@ -1155,20 +1210,102 @@ struct Header {
     num_labels: u64,
     label_data_len: u64,
     max_degree: u64,
-    neighbor_offsets_page: u64,
-    adjacency_page: u64,
-    label_offsets_page: u64,
-    label_data_page: u64,
-    total_pages: u64,
-    /// First page of the checksum table (0 for v1 files, which have
-    /// none — page 0 is always the header, so 0 is unambiguous).
+    record_page: u64,
+    directory_page: u64,
+    directory_len: u64,
     checksum_page: u64,
+    total_pages: u64,
 }
 
-/// A read-only out-of-core [`LabeledGraph`] view: the paged CSR file
-/// behind a [`BufferPool`]. Lists are assembled by pinning the page(s)
-/// they span, copying, and unpinning — memory residency is bounded by the
-/// pool's frame budget, not by graph size.
+impl Header {
+    /// Parses the header fields of a version-checked page 0.
+    fn parse(head: &[u8; HEADER_BYTES], page_size: u32) -> Header {
+        let u64_at = |i: usize| le_u64(&head[i..]);
+        Header {
+            page_size: page_size as u64,
+            num_nodes: u64_at(16),
+            adjacency_len: u64_at(24),
+            num_labels: u64_at(32),
+            label_data_len: u64_at(40),
+            max_degree: u64_at(48),
+            record_page: u64_at(56),
+            directory_page: u64_at(64),
+            directory_len: u64_at(72),
+            checksum_page: u64_at(80),
+            total_pages: u64_at(88),
+        }
+    }
+
+    /// Whether the sections tile the file in order: header, record pages,
+    /// directory, checksum table. Every field is untrusted, so the
+    /// arithmetic is checked: an overflow is a corrupt file, never a
+    /// wrapped value that happens to line up. The record section must
+    /// also be big enough for the records the counts describe.
+    fn layout_ok(&self) -> bool {
+        let ps = self.page_size;
+        let follows = |start: u64, entries: u64, width: u64| {
+            entries
+                .checked_mul(width)
+                .map(|bytes| bytes.div_ceil(ps).max(1))
+                .and_then(|pages| start.checked_add(pages))
+        };
+        let record_bytes = self
+            .num_nodes
+            .checked_mul(RECORD_HEADER_BYTES)
+            .zip(self.adjacency_len.checked_add(self.label_data_len))
+            .and_then(|(headers, entries)| headers.checked_add(entries.checked_mul(4)?));
+        let record_room = self
+            .directory_page
+            .checked_sub(self.record_page)
+            .and_then(|pages| pages.checked_mul(ps));
+        self.record_page == RECORD_PAGE
+            && record_bytes.zip(record_room).is_some_and(|(b, r)| b <= r)
+            && Some(self.checksum_page)
+                == follows(
+                    self.directory_page,
+                    self.directory_len,
+                    DIRECTORY_ENTRY_BYTES,
+                )
+            && Some(self.total_pages) == follows(self.checksum_page, self.checksum_page, 8)
+    }
+}
+
+/// Parses the page directory from the bytes of its pages and validates
+/// it: it starts at node 0 on the first record page, its nodes and pages
+/// both strictly increase, and its last entry names a real node and a
+/// record page.
+fn parse_directory(raw: &[u8], header: &Header) -> Result<Box<[(u32, u32)]>, PagedError> {
+    let bad = |what: &str| Err(PagedError::Format(format!("page directory {what}")));
+    let directory: Box<[(u32, u32)]> = raw
+        .chunks_exact(DIRECTORY_ENTRY_BYTES as usize)
+        .take(header.directory_len as usize)
+        .map(|e| (le_u32(e), le_u32(&e[4..])))
+        .collect();
+    let Some(&(last_node, last_page)) = directory.last() else {
+        if header.num_nodes == 0 && header.directory_page == RECORD_PAGE {
+            return Ok(directory);
+        }
+        return bad("is empty, but the header declares nodes or record pages");
+    };
+    if directory[0] != (0, RECORD_PAGE as u32) {
+        return bad("does not start at node 0 on the first record page");
+    }
+    if let Some(i) = directory
+        .windows(2)
+        .position(|w| w[0].0 >= w[1].0 || w[0].1 >= w[1].1)
+    {
+        return bad(&format!("is not strictly increasing at entry {}", i + 1));
+    }
+    if u64::from(last_node) >= header.num_nodes || u64::from(last_page) >= header.directory_page {
+        return bad("points past the last node or outside the record section");
+    }
+    Ok(directory)
+}
+
+/// A read-only out-of-core [`LabeledGraph`] view: the paged file behind a
+/// [`BufferPool`]. A fetch pins the node's record page(s) and decodes the
+/// list straight out of them — memory residency is bounded by the pool's
+/// frame budget and the page directory, not by graph size.
 ///
 /// `Sync`: all mutability is inside the pool's lock, so one `PagedGraph`
 /// can sit under many concurrent reader stacks. I/O errors after a
@@ -1177,25 +1314,40 @@ struct Header {
 pub struct PagedGraph {
     pool: BufferPool,
     header: Header,
+    /// One `(first node, page)` entry per primary page, by node.
+    directory: Box<[(u32, u32)]>,
+}
+
+/// A node's record, located: its primary page pinned and its header read.
+struct Record<'p> {
+    node: NodeId,
+    /// The primary page's guard.
+    page: PinnedPage<'p>,
+    page_no: u64,
+    /// First page past the record's pages (the next primary page or the
+    /// directory); the record may not run into it.
+    limit: u64,
+    /// In-page byte offset of the record header.
+    offset: u64,
+    degree: u32,
+    labels: u32,
 }
 
 impl PagedGraph {
     /// Opens and validates a file written by [`PagedCsrWriter`] in the
-    /// current format or an older one (v2 files are verified with their
-    /// FNV-1a table; v1 files carry no table, so read verification is
-    /// inert for them). A header page that fails its checksum is a
-    /// [`PagedError::Format`].
+    /// current format. A file of another version, a header or directory
+    /// page that fails its checksum, or an inconsistent layout or
+    /// directory is a [`PagedError::Format`].
     pub fn open(path: &Path, cfg: PoolConfig) -> Result<PagedGraph, PagedError> {
         PagedGraph::open_inner(path, cfg, None)
     }
 
     /// Opens like [`PagedGraph::open`], but serves page reads through a
-    /// [`FaultyStorage`] injecting the configured seeded faults. Against
-    /// a v2+ file the checksum table catches torn reads; read errors and
-    /// mismatches are retried and, past the retry budget, recovered
-    /// through the clean path and quarantined — so the *returned bytes*
-    /// are identical to a fault-free open, with the damage visible only
-    /// in [`PagingStats`].
+    /// [`FaultyStorage`] injecting the configured seeded faults. The
+    /// checksum table catches torn reads; read errors and mismatches are
+    /// retried and, past the retry budget, recovered through the clean
+    /// path and quarantined — so the *returned bytes* are identical to a
+    /// fault-free open, with the damage visible only in [`PagingStats`].
     pub fn open_with_faults(
         path: &Path,
         cfg: PoolConfig,
@@ -1212,36 +1364,21 @@ impl PagedGraph {
         let file = File::open(path)?;
         let mut head = [0u8; HEADER_BYTES];
         file.read_exact_at(&mut head, 0)?;
-        let u32_at = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(head[i..i + 8].try_into().expect("8 bytes"));
         if head[0..8] != PAGED_MAGIC {
             return Err(PagedError::Format("bad magic".into()));
         }
-        let version = u32_at(8);
-        if !(1..=PAGED_FORMAT_VERSION).contains(&version) {
+        let version = le_u32(&head[8..]);
+        if version != PAGED_FORMAT_VERSION {
             return Err(PagedError::Format(format!(
-                "unsupported format version {version} (expected 1 to {PAGED_FORMAT_VERSION})"
+                "unsupported format version {version} (this build reads only version \
+                 {PAGED_FORMAT_VERSION})"
             )));
         }
-        let kernel = checksum_kernel(version);
-        let page_size = u32_at(12);
+        let page_size = le_u32(&head[12..]);
         if !page_size.is_power_of_two() || page_size < MIN_PAGE_SIZE {
             return Err(PagedError::Format(format!("bad page size {page_size}")));
         }
-        let header = Header {
-            page_size: page_size as u64,
-            num_nodes: u64_at(16),
-            adjacency_len: u64_at(24),
-            num_labels: u64_at(32),
-            label_data_len: u64_at(40),
-            max_degree: u64_at(48),
-            neighbor_offsets_page: u64_at(56),
-            adjacency_page: u64_at(64),
-            label_offsets_page: u64_at(72),
-            label_data_page: u64_at(80),
-            total_pages: u64_at(88),
-            checksum_page: if kernel.is_some() { u64_at(96) } else { 0 },
-        };
+        let header = Header::parse(&head, page_size);
         if header.num_nodes > 0 && u32::try_from(header.num_nodes - 1).is_err() {
             return Err(PagedError::Format("node count exceeds u32 id space".into()));
         }
@@ -1253,65 +1390,62 @@ impl PagedGraph {
                 header.total_pages, header.page_size
             )));
         }
-        // Every header field is untrusted, so the layout arithmetic is
-        // checked: an overflow is a corrupt file, never a wrapped value
-        // that happens to line up.
-        let pages_of = |entries: u64, width: u64| {
-            entries
-                .checked_mul(width)
-                .map(|bytes| bytes.div_ceil(header.page_size).max(1))
-        };
-        let follows = |start: u64, entries: u64, width: u64| {
-            pages_of(entries, width).and_then(|pages| start.checked_add(pages))
-        };
-        let data_pages = follows(header.label_data_page, header.label_data_len, 4);
-        let layout_ok = header.neighbor_offsets_page == 1
-            && Some(header.adjacency_page) == follows(1, header.num_nodes + 1, 8)
-            && Some(header.label_offsets_page)
-                == follows(header.adjacency_page, header.adjacency_len, 4)
-            && Some(header.label_data_page)
-                == follows(header.label_offsets_page, header.num_nodes + 1, 8)
-            && if kernel.is_some() {
-                data_pages == Some(header.checksum_page)
-                    && Some(header.total_pages)
-                        == follows(header.checksum_page, header.checksum_page, 8)
-            } else {
-                data_pages == Some(header.total_pages)
-            };
-        if !layout_ok {
+        if !header.layout_ok() {
             return Err(PagedError::Format("inconsistent section layout".into()));
         }
-        // v2+: load the whole checksum table up front (8 bytes per data
-        // page — a 0.2% overhead at the default page size) through plain
-        // reads, outside any fault injection, and check the header page
-        // against its entry: the header was read before the table could
-        // vouch for it.
-        let checksums = match kernel {
-            Some(kernel) => {
-                let mut raw = vec![0u8; (header.checksum_page * 8) as usize];
-                file.read_exact_at(&mut raw, header.checksum_page * header.page_size)?;
-                let table: Arc<[u64]> = raw.chunks_exact(8).map(le_u64).collect();
-                let mut page0 = vec![0u8; page_size as usize];
-                file.read_exact_at(&mut page0, 0)?;
-                if table.first() != Some(&kernel(&page0)) {
-                    return Err(PagedError::Format("header page fails its checksum".into()));
-                }
-                Some((table, kernel))
-            }
-            None => None,
+        // Load the whole checksum table up front (8 bytes per data page —
+        // a 0.2% overhead at the default page size) through plain reads,
+        // outside any fault injection, and check the header page against
+        // its entry: the header was read before the table could vouch for
+        // it. The directory is loaded and checked the same way.
+        let ps = header.page_size;
+        let read_pages = |first: u64, pages: u64| -> Result<Vec<u8>, PagedError> {
+            let mut raw = vec![0u8; (pages * ps) as usize];
+            file.read_exact_at(&mut raw, first * ps)?;
+            Ok(raw)
         };
+        let table_pages = header.total_pages - header.checksum_page;
+        let raw = read_pages(header.checksum_page, table_pages)?;
+        let checksums: Arc<[u64]> = raw
+            .chunks_exact(8)
+            .take(header.checksum_page as usize)
+            .map(le_u64)
+            .collect();
+        let verified = |first: u64, bytes: &[u8]| {
+            bytes
+                .chunks_exact(ps as usize)
+                .zip(&checksums[first as usize..])
+                .all(|(page, &want)| page_checksum(page) == want)
+        };
+        if !verified(0, &read_pages(0, 1)?) {
+            return Err(PagedError::Format("header page fails its checksum".into()));
+        }
+        let raw = read_pages(
+            header.directory_page,
+            header.checksum_page - header.directory_page,
+        )?;
+        if !verified(header.directory_page, &raw) {
+            return Err(PagedError::Format(
+                "a page-directory page fails its checksum".into(),
+            ));
+        }
+        let directory = parse_directory(&raw, &header)?;
         let store: Box<dyn PageStore> = match faults {
             Some(f) => Box::new(FaultyStorage::new(file, f)),
             None => Box::new(file),
         };
-        let pool = BufferPool::with_kernel(
+        let pool = BufferPool::with_store(
             store,
             page_size as usize,
             header.total_pages,
             cfg,
-            checksums,
+            Some(checksums),
         );
-        Ok(PagedGraph { pool, header })
+        Ok(PagedGraph {
+            pool,
+            header,
+            directory,
+        })
     }
 
     /// Number of nodes `|V|`.
@@ -1354,84 +1488,120 @@ impl PagedGraph {
         &self.pool
     }
 
-    /// Degree `d(u)` — two offset-entry reads, no list assembly.
+    /// Degree `d(u)`, read from the record header on `u`'s primary page.
     pub fn degree(&self, u: NodeId) -> usize {
-        let (start, end) = self.offset_pair(self.header.neighbor_offsets_page, u);
-        (end - start) as usize
+        self.record(u).degree as usize
     }
 
-    /// The sorted neighbor list of `u`, assembled from the page(s) it
-    /// spans.
+    /// The sorted neighbor list of `u`, decoded from its record.
     pub fn neighbors(&self, u: NodeId) -> Arc<[NodeId]> {
-        let (start, end) = self.offset_pair(self.header.neighbor_offsets_page, u);
-        let bytes = self.read_span(
-            self.header.adjacency_page,
-            start * 4,
-            ((end - start) * 4) as usize,
-        );
-        decode_u32s(&bytes, NodeId)
+        let rec = self.record(u);
+        let (skip, count) = (rec.labels, rec.degree);
+        self.decode(rec, skip, count, NodeId)
     }
 
-    /// The sorted label list of `u`.
+    /// The sorted label list of `u`, decoded from its record.
     pub fn labels(&self, u: NodeId) -> Arc<[LabelId]> {
-        let (start, end) = self.offset_pair(self.header.label_offsets_page, u);
-        let bytes = self.read_span(
-            self.header.label_data_page,
-            start * 4,
-            ((end - start) * 4) as usize,
-        );
-        decode_u32s(&bytes, LabelId)
+        let rec = self.record(u);
+        let count = rec.labels;
+        self.decode(rec, 0, count, LabelId)
     }
 
-    /// Reads the `(offsets[u], offsets[u+1])` pair from an offsets
-    /// section — 16 contiguous bytes, at most two pages.
-    fn offset_pair(&self, section_page: u64, u: NodeId) -> (u64, u64) {
+    fn pin(&self, page_no: u64) -> PinnedPage<'_> {
+        self.pool.pin(page_no).expect("paged read failed")
+    }
+
+    /// Finds `u`'s primary page in the directory, pins it, and reads the
+    /// slot and the record header.
+    fn record(&self, u: NodeId) -> Record<'_> {
         assert!(
             (u.index() as u64) < self.header.num_nodes,
             "node {u} out of range"
         );
-        let bytes = self.read_span(section_page, u.index() as u64 * 8, 16);
-        let lo = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        let hi = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        (lo, hi)
-    }
-
-    /// Copies `len` bytes starting `start_byte` bytes into the section
-    /// that begins at `section_page`. Pins every spanned page for the
-    /// whole copy (the fetch's working set), then releases them.
-    fn read_span(&self, section_page: u64, start_byte: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        if len == 0 {
-            return out;
-        }
+        let i = self.directory.partition_point(|&(first, _)| first <= u.0) - 1;
+        let (first, page_no) = self.directory[i];
+        let page_no = u64::from(page_no);
+        let limit = self
+            .directory
+            .get(i + 1)
+            .map_or(self.header.directory_page, |&(_, p)| u64::from(p));
+        let page = self.pin(page_no);
         let ps = self.header.page_size;
-        let abs = section_page * ps + start_byte;
-        let first_page = abs / ps;
-        let last_page = (abs + len as u64 - 1) / ps;
-        let pins: Vec<PinnedPage<'_>> = (first_page..=last_page)
-            .map(|p| self.pool.pin(p).expect("paged CSR read failed"))
-            .collect();
-        let mut copied = 0usize;
-        let mut pos = abs;
-        for pin in &pins {
-            let in_page = (pos % ps) as usize;
-            let take = (self.page_size() - in_page).min(len - copied);
-            out[copied..copied + take].copy_from_slice(&pin[in_page..in_page + take]);
-            copied += take;
-            pos += take as u64;
+        let slot = u64::from(u.0 - first);
+        let slots = u64::from(le_u32(&page[4..]));
+        let slot_at = PAGE_HEADER_BYTES + SLOT_BYTES * slot;
+        assert!(
+            le_u32(&page[..4]) == first && slot < slots && slot_at + SLOT_BYTES <= ps,
+            "page {page_no} has no slot for node {u} (corrupt paged file)"
+        );
+        let offset = u64::from(le_u32(&page[slot_at as usize..]));
+        assert!(
+            offset.is_multiple_of(4) && offset + RECORD_HEADER_BYTES <= ps,
+            "node {u}'s record header is misaligned or past page {page_no} (corrupt paged file)"
+        );
+        let at = offset as usize;
+        Record {
+            node: u,
+            degree: le_u32(&page[at..]),
+            labels: le_u32(&page[at + 4..]),
+            page,
+            page_no,
+            limit,
+            offset,
         }
-        debug_assert_eq!(copied, len);
-        out
     }
-}
 
-/// Decodes little-endian `u32`s into ids.
-fn decode_u32s<T>(bytes: &[u8], wrap: impl Fn(u32) -> T) -> Arc<[T]> {
-    let v: Vec<T> = bytes
-        .chunks_exact(4)
-        .map(|c| wrap(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-        .collect();
-    Arc::from(v)
+    /// Decodes `count` u32s, starting `skip` entries past `rec`'s header,
+    /// straight from the pinned page(s) into the returned list. The run is
+    /// checked against the record's pages before anything is pinned or
+    /// allocated; overflow pages are pinned, together, only when it
+    /// leaves the primary page.
+    fn decode<T>(
+        &self,
+        rec: Record<'_>,
+        skip: u32,
+        count: u32,
+        wrap: impl Fn(u32) -> T,
+    ) -> Arc<[T]> {
+        let ps = self.header.page_size;
+        // Absolute byte offsets in the file; no overflow, as page numbers
+        // are u32 and page sizes at most 2^31.
+        let start = rec.page_no * ps + rec.offset + RECORD_HEADER_BYTES + 4 * u64::from(skip);
+        let end = start + 4 * u64::from(count);
+        assert!(
+            end <= rec.limit * ps,
+            "node {}'s record runs past its pages (corrupt paged file)",
+            rec.node
+        );
+        // The run's bytes on the page starting at byte `base`; a u32
+        // never straddles two pages (records and pages are 4-byte aligned).
+        let span =
+            |base: u64| (start.max(base) - base) as usize..(end.min(base + ps) - base) as usize;
+        if end <= (rec.page_no + 1) * ps {
+            return rec.page[span(rec.page_no * ps)]
+                .chunks_exact(4)
+                .map(|c| wrap(le_u32(c)))
+                .collect();
+        }
+        if count == 0 {
+            return Arc::from([]);
+        }
+        let (first, last) = (start / ps, (end - 1) / ps);
+        let mut pins = Vec::with_capacity((last - first + 1) as usize);
+        // The primary page stays pinned with the run's pages either way.
+        let _primary = if first == rec.page_no {
+            pins.push(rec.page);
+            None
+        } else {
+            Some(rec.page)
+        };
+        pins.extend((first + pins.len() as u64..=last).map(|p| self.pin(p)));
+        let mut out = Vec::with_capacity(count as usize);
+        for (page, p) in pins.iter().zip(first..) {
+            out.extend(page[span(p * ps)].chunks_exact(4).map(|c| wrap(le_u32(c))));
+        }
+        Arc::from(out)
+    }
 }
 
 #[cfg(test)]
@@ -1465,6 +1635,23 @@ mod tests {
         b.build()
     }
 
+    /// A graph whose records fill many 128-byte pages (the 5-node
+    /// fixture fits on one): a labeled 64-ring plus a hub adjacent to
+    /// every other node, whose record spills into an overflow page.
+    fn wide_fixture() -> LabeledGraph {
+        let n = 64u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for u in 0..n {
+            b.add_edge(NodeId(u), NodeId((u + 1) % n));
+            if u % 2 == 1 {
+                b.add_edge(NodeId(0), NodeId(u));
+            }
+            let labels: Vec<LabelId> = (0..u % 3).map(|j| LabelId(u % 5 + j)).collect();
+            b.set_labels(NodeId(u), &labels);
+        }
+        b.build()
+    }
+
     fn roundtrip(g: &LabeledGraph, page_size: u32, cfg: PoolConfig, tag: &str) -> PagedGraph {
         let path = temp_file(tag);
         PagedCsrWriter::with_page_size(page_size)
@@ -1484,12 +1671,46 @@ mod tests {
         }
     }
 
+    /// The bytes of `g` written at 128-byte pages.
+    fn file_bytes(g: &LabeledGraph, tag: &str) -> Vec<u8> {
+        let path = temp_file(tag);
+        PagedCsrWriter::with_page_size(128).write(g, &path).unwrap();
+        std::fs::read(&path).unwrap()
+    }
+
+    fn field(bytes: &[u8], at: usize) -> u64 {
+        le_u64(&bytes[at..])
+    }
+
+    /// Recomputes the checksum of every data page into the table at
+    /// `checksum_page` — what a test that edits a page must do for the
+    /// edit, not its checksum, to be what `open` or a read sees.
+    fn resum(bytes: &mut [u8], checksum_page: usize) {
+        for page in 0..checksum_page {
+            let sum = page_checksum(&bytes[page * 128..][..128]);
+            let entry = checksum_page * 128 + page * 8;
+            bytes[entry..entry + 8].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+
+    fn open_bytes(bytes: &[u8], tag: &str) -> Result<PagedGraph, PagedError> {
+        let path = temp_file(tag);
+        std::fs::write(&path, bytes).unwrap();
+        PagedGraph::open(&path, PoolConfig::unbounded())
+    }
+
+    fn is_format_error(r: Result<PagedGraph, PagedError>) -> bool {
+        matches!(r, Err(PagedError::Format(_)))
+    }
+
     #[test]
     fn roundtrip_matches_in_ram_graph() {
         let g = fixture();
         let p = roundtrip(&g, 128, PoolConfig::unbounded(), "roundtrip");
         assert_matches(&g, &p);
         assert_eq!(p.max_degree(), 3);
+        let g = wide_fixture();
+        assert_matches(&g, &roundtrip(&g, 128, PoolConfig::unbounded(), "wide"));
     }
 
     #[test]
@@ -1503,8 +1724,9 @@ mod tests {
 
     #[test]
     fn adjacency_straddles_page_boundaries() {
-        // A 128-byte page holds 32 adjacency entries; a 100-neighbor star
-        // center spans four pages.
+        // A 100-neighbor star center's record is 408 bytes: at 128-byte
+        // pages it fills its primary page alone and spills into three
+        // overflow pages.
         let n = 101;
         let mut b = GraphBuilder::new(n);
         for v in 1..n as u32 {
@@ -1519,31 +1741,78 @@ mod tests {
         ] {
             let p = roundtrip(&g, 128, cfg, "straddle");
             assert_matches(&g, &p);
-            // The 100-entry center list spans multiple pinned pages at
-            // once; the pool must have recorded that working set.
-            assert!(p.paging_stats().pinned_peak >= 2, "cfg {cfg:?}");
+            // The center's list spans multiple pinned pages at once; the
+            // pool must have recorded that working set.
+            assert_eq!(p.paging_stats().pinned_peak, 4, "cfg {cfg:?}");
         }
     }
 
     #[test]
+    fn a_fetch_of_a_one_page_record_pins_exactly_one_page() {
+        let g = wide_fixture();
+        let p = roundtrip(&g, 128, PoolConfig::unbounded(), "one_pin");
+        let pins = || {
+            let s = p.paging_stats();
+            s.page_reads + s.pool_hits
+        };
+        // A record alone on a page shares it with the page header and one
+        // slot; labels lead the record, so a label fetch fits whenever
+        // they do.
+        let overhead = PAGE_HEADER_BYTES + SLOT_BYTES + RECORD_HEADER_BYTES;
+        let fits = |entries: usize| overhead as usize + 4 * entries <= 128;
+        let mut spilled = 0;
+        for u in g.nodes() {
+            let (d, l) = (g.degree(u), g.labels(u).len());
+            let before = pins();
+            assert_eq!(p.degree(u), d);
+            assert_eq!(pins() - before, 1, "degree({u})");
+            let before = pins();
+            assert_eq!(&*p.labels(u), g.labels(u));
+            if fits(l) {
+                assert_eq!(pins() - before, 1, "labels({u})");
+            }
+            let before = pins();
+            assert_eq!(&*p.neighbors(u), g.neighbors(u));
+            if fits(l + d) {
+                assert_eq!(pins() - before, 1, "neighbors({u})");
+            } else {
+                spilled += 1;
+                assert!(pins() - before > 1, "neighbors({u}) spills");
+            }
+        }
+        assert_eq!(spilled, 1, "the hub's record spills, no other");
+    }
+
+    #[test]
     fn every_policy_returns_identical_bytes_at_every_budget() {
-        let g = fixture();
-        for policy in EvictionPolicy::all() {
-            for frames in [1usize, 2, 7] {
-                let p = roundtrip(
-                    &g,
-                    128,
-                    PoolConfig::bounded(frames, policy),
-                    "policy_budget",
-                );
-                assert_matches(&g, &p);
+        for g in [fixture(), wide_fixture()] {
+            for policy in EvictionPolicy::all() {
+                for frames in [1usize, 2, 7] {
+                    let p = roundtrip(
+                        &g,
+                        128,
+                        PoolConfig::bounded(frames, policy),
+                        "policy_budget",
+                    );
+                    assert_matches(&g, &p);
+                }
             }
         }
     }
 
     #[test]
     fn tight_pool_evicts_and_unbounded_never_does() {
-        let g = fixture();
+        // Two passes over every node: an unbounded pool reads each touched
+        // page once, a 1-frame pool evicts and reads pages again.
+        let g = wide_fixture();
+        let unbounded = roundtrip(&g, 128, PoolConfig::unbounded(), "unbounded");
+        assert_matches(&g, &unbounded);
+        assert_matches(&g, &unbounded);
+        let once = unbounded.paging_stats();
+        assert_eq!(once.evictions, 0);
+        assert!(once.page_reads <= unbounded.pool.num_pages());
+        assert!(once.pool_hits > 0);
+
         let tight = roundtrip(
             &g,
             128,
@@ -1551,25 +1820,15 @@ mod tests {
             "tight",
         );
         assert_matches(&g, &tight);
+        assert_matches(&g, &tight);
         let s = tight.paging_stats();
         assert!(s.evictions > 0, "a 1-frame pool must evict: {s:?}");
-        assert!(
-            s.page_reads > tight.pool.num_pages(),
-            "pages re-read: {s:?}"
-        );
-
-        let unbounded = roundtrip(&g, 128, PoolConfig::unbounded(), "unbounded");
-        assert_matches(&g, &unbounded);
-        let s = unbounded.paging_stats();
-        assert_eq!(s.evictions, 0);
-        // Every touched page read exactly once.
-        assert!(s.page_reads <= unbounded.pool.num_pages());
-        assert!(s.pool_hits > 0);
+        assert!(s.page_reads > once.page_reads, "pages re-read: {s:?}");
     }
 
     #[test]
     fn paging_counters_are_deterministic_under_serial_access() {
-        let g = fixture();
+        let g = wide_fixture();
         let run = || {
             let p = roundtrip(
                 &g,
@@ -1603,101 +1862,215 @@ mod tests {
     #[test]
     fn open_rejects_corrupt_files() {
         let g = fixture();
-        let path = temp_file("corrupt");
-        PagedCsrWriter::with_page_size(128)
-            .write(&g, &path)
-            .unwrap();
+        let bytes = file_bytes(&g, "corrupt");
 
         // Bad magic.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] ^= 0xFF;
-        let bad = temp_file("bad_magic");
-        std::fs::write(&bad, &bytes).unwrap();
-        assert!(matches!(
-            PagedGraph::open(&bad, PoolConfig::unbounded()),
-            Err(PagedError::Format(_))
-        ));
+        let mut bad = bytes.clone();
+        bad[0] ^= 0xFF;
+        assert!(is_format_error(open_bytes(&bad, "bad_magic")));
 
         // Bad version.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 99;
-        let bad = temp_file("bad_version");
-        std::fs::write(&bad, &bytes).unwrap();
-        assert!(matches!(
-            PagedGraph::open(&bad, PoolConfig::unbounded()),
-            Err(PagedError::Format(_))
-        ));
+        let mut bad = bytes.clone();
+        bad[8] = 99;
+        assert!(is_format_error(open_bytes(&bad, "bad_version")));
 
         // Truncated file.
-        let bytes = std::fs::read(&path).unwrap();
-        let bad = temp_file("truncated");
-        std::fs::write(&bad, &bytes[..bytes.len() - 64]).unwrap();
-        assert!(matches!(
-            PagedGraph::open(&bad, PoolConfig::unbounded()),
-            Err(PagedError::Format(_))
-        ));
+        assert!(is_format_error(open_bytes(
+            &bytes[..bytes.len() - 64],
+            "truncated"
+        )));
 
-        // Header fields whose layout arithmetic overflows, in the current
-        // format and in v1 (whose header no checksum covers). 2^62 + the
-        // real adjacency length wraps back onto the real layout when
-        // multiplied by the 4-byte entry width.
-        let adjacency_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        // Header fields whose layout arithmetic overflows, both as a torn
+        // header (its checksum fails) and re-summed (so the arithmetic
+        // itself must catch them). 2^62 + the real adjacency length wraps
+        // back onto the real record bytes when multiplied by the 4-byte
+        // entry width.
+        let adjacency_len = field(&bytes, 24);
         let huge = [1u64 << 62, (1 << 63) - 1, u64::MAX];
         let mut fields: Vec<(usize, u64)> = Vec::new();
-        for offset in [24, 40, 88] {
+        for offset in [24, 40, 72, 88] {
             fields.extend(huge.map(|v| (offset, v)));
         }
         fields.extend([
             (24, (1 << 62) + adjacency_len),
             (56, u64::MAX),
+            (64, u64::MAX),
+            (64, 1),
             (80, u64::MAX),
         ]);
-        for source in [path.clone(), downgrade_to_v1(&path, "overflow_v1")] {
-            for &(offset, value) in &fields {
-                let mut bytes = std::fs::read(&source).unwrap();
-                bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-                let bad = temp_file("overflow");
-                std::fs::write(&bad, &bytes).unwrap();
-                assert!(
-                    matches!(
-                        PagedGraph::open(&bad, PoolConfig::unbounded()),
-                        Err(PagedError::Format(_))
-                    ),
-                    "header field at {offset} = {value} must be rejected"
-                );
-            }
+        let checksum_page = field(&bytes, 80) as usize;
+        for &(offset, value) in &fields {
+            let mut bad = bytes.clone();
+            bad[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                is_format_error(open_bytes(&bad, "overflow")),
+                "header field at {offset} = {value} must be rejected"
+            );
+            resum(&mut bad, checksum_page);
+            assert!(
+                is_format_error(open_bytes(&bad, "overflow_resummed")),
+                "re-summed header field at {offset} = {value} must be rejected"
+            );
         }
     }
 
     #[test]
     fn header_page_is_verified_at_open() {
-        let g = fixture();
-        let path = temp_file("header_sum");
-        PagedCsrWriter::with_page_size(128)
-            .write(&g, &path)
-            .unwrap();
-        let flip_max_degree = |src: &PathBuf, tag: &str| {
-            let mut bytes = std::fs::read(src).unwrap();
-            bytes[48] ^= 0x40;
-            let out = temp_file(tag);
-            std::fs::write(&out, &bytes).unwrap();
-            out
-        };
-        assert!(matches!(
-            PagedGraph::open(
-                &flip_max_degree(&path, "header_flip"),
-                PoolConfig::unbounded()
-            ),
-            Err(PagedError::Format(_))
-        ));
-        // v1 files carry no table, so their header still opens unverified.
-        let v1 = downgrade_to_v1(&path, "header_v1");
-        let p = PagedGraph::open(
-            &flip_max_degree(&v1, "header_v1_flip"),
-            PoolConfig::unbounded(),
-        )
-        .unwrap();
-        assert_eq!(p.max_degree(), 3 ^ 0x40);
+        let mut bytes = file_bytes(&fixture(), "header_sum");
+        bytes[48] ^= 0x40;
+        assert!(is_format_error(open_bytes(&bytes, "header_flip")));
+    }
+
+    #[test]
+    fn files_of_older_versions_fail_naming_their_version() {
+        let bytes = file_bytes(&fixture(), "old_version");
+        let checksum_page = field(&bytes, 80) as usize;
+        for version in [1u32, 2, 3] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            resum(&mut old, checksum_page);
+            match open_bytes(&old, "old_version_stamped") {
+                Err(PagedError::Format(msg)) => assert!(
+                    msg.contains(&format!("version {version} ")),
+                    "the error must name version {version}: {msg}"
+                ),
+                Err(e) => panic!("version {version}: expected a format error, got {e}"),
+                Ok(_) => panic!("a version-{version} file must not open"),
+            }
+        }
+    }
+
+    /// Where a file's page directory lives: its first page and its entry
+    /// count, from the header.
+    fn directory_of(bytes: &[u8]) -> (usize, usize) {
+        (field(bytes, 64) as usize, field(bytes, 72) as usize)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_single_byte_change_changes_the_page_checksum(
+            page in proptest::collection::vec(proptest::prelude::any::<u8>(), 128..4097),
+            at in proptest::prelude::any::<usize>(),
+            delta in 1u8..=255,
+        ) {
+            let mut changed = page.clone();
+            changed[at % page.len()] ^= delta;
+            proptest::prop_assert_ne!(page_checksum(&page), page_checksum(&changed));
+        }
+
+        #[test]
+        fn any_single_byte_flip_in_the_header_or_directory_fails_open(
+            which in proptest::prelude::any::<usize>(),
+            at in 0usize..128,
+            delta in 1u8..=255,
+        ) {
+            let mut bytes = file_bytes(&wide_fixture(), "flip_src");
+            let (directory_page, _) = directory_of(&bytes);
+            let directory_pages = field(&bytes, 80) as usize - directory_page;
+            // Page 0 or one of the directory pages.
+            let page = match which % (1 + directory_pages) {
+                0 => 0,
+                k => directory_page + k - 1,
+            };
+            bytes[page * 128 + at] ^= delta;
+            proptest::prop_assert!(is_format_error(open_bytes(&bytes, "flip")));
+        }
+    }
+
+    #[test]
+    fn resummed_bad_directories_fail_open() {
+        let bytes = file_bytes(&wide_fixture(), "bad_dir");
+        let (directory_page, entries) = directory_of(&bytes);
+        let checksum_page = field(&bytes, 80) as usize;
+        assert!(entries >= 3);
+        let entry = |i: usize| directory_page * 128 + i * 8;
+        let set =
+            |b: &mut Vec<u8>, at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+        // Nodes out of order: entries 1 and 2 swapped.
+        let mut b = bytes.clone();
+        let (e1, e2) = (entry(1), entry(2));
+        let (one, two) = (b[e1..e1 + 8].to_vec(), b[e2..e2 + 8].to_vec());
+        b[e1..e1 + 8].copy_from_slice(&two);
+        b[e2..e2 + 8].copy_from_slice(&one);
+        cases.push(("non-monotone", b));
+        // Two entries on one page.
+        let mut b = bytes.clone();
+        let page1 = le_u32(&bytes[entry(1) + 4..]);
+        set(&mut b, entry(2) + 4, page1);
+        cases.push(("repeated page", b));
+        // Not starting at node 0.
+        let mut b = bytes.clone();
+        set(&mut b, entry(0), 1);
+        cases.push(("starts at node 1", b));
+        // The last entry pointing at the directory, past the records.
+        let mut b = bytes.clone();
+        set(&mut b, entry(entries - 1) + 4, directory_page as u32);
+        cases.push(("page outside the record section", b));
+        let mut b = bytes.clone();
+        set(&mut b, entry(entries - 1) + 4, u32::MAX);
+        cases.push(("page past the file", b));
+        // The last entry naming a node past the graph.
+        let mut b = bytes.clone();
+        set(&mut b, entry(entries - 1), 64);
+        cases.push(("node past the graph", b));
+        for (what, mut b) in cases {
+            resum(&mut b, checksum_page);
+            assert!(
+                is_format_error(open_bytes(&b, "bad_dir_case")),
+                "{what} must be a format error"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_claiming_too_long_a_run_panics_with_a_message() {
+        let bytes = file_bytes(&wide_fixture(), "long_run");
+        let checksum_page = field(&bytes, 80) as usize;
+        // Node 1 sits in slot 1 of the second primary page (the hub, node
+        // 0, fills the first); its record header is where the slot says.
+        let (directory_page, _) = directory_of(&bytes);
+        let page = le_u32(&bytes[directory_page * 128 + 12..]) as usize;
+        assert_eq!(le_u32(&bytes[page * 128..]), 1, "first node of the page");
+        let record = page * 128 + le_u32(&bytes[page * 128 + 8..]) as usize;
+        for (at, value) in [(0usize, 1u32 << 20), (0, u32::MAX), (4, u32::MAX)] {
+            let mut b = bytes.clone();
+            b[record + at..record + at + 4].copy_from_slice(&value.to_le_bytes());
+            resum(&mut b, checksum_page);
+            let p = open_bytes(&b, "long_run_case").unwrap();
+            let fetch = || {
+                if at == 0 {
+                    p.neighbors(NodeId(1)).len()
+                } else {
+                    p.labels(NodeId(1)).len()
+                }
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fetch));
+            let payload = caught.expect_err("a run past the record's pages must panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("runs past its pages"), "panic message: {msg}");
+        }
+    }
+
+    #[test]
+    fn pin_past_the_end_of_the_file_is_an_invalid_input_error() {
+        let p = roundtrip(&fixture(), 128, PoolConfig::unbounded(), "pin_past_end");
+        let pages = p.pool().num_pages();
+        assert!(p.pool().pin(pages - 1).is_ok());
+        for page in [pages, u64::MAX] {
+            let err = p.pool().pin(page).err().expect("no such page");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "page {page}");
+        }
+        assert_eq!(
+            p.paging_stats().page_reads,
+            1,
+            "a refused pin reads nothing"
+        );
     }
 
     #[test]
@@ -1719,23 +2092,6 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn any_single_byte_change_changes_both_kernels(
-            page in proptest::collection::vec(proptest::prelude::any::<u8>(), 128..4097),
-            at in proptest::prelude::any::<usize>(),
-            delta in 1u8..=255,
-        ) {
-            let mut changed = page.clone();
-            changed[at % page.len()] ^= delta;
-            for kernel in [page_checksum as ChecksumFn, fnv1a_page] {
-                proptest::prop_assert_ne!(kernel(&page), kernel(&changed));
-            }
-        }
-    }
-
     #[test]
     fn writer_rejects_bad_page_sizes() {
         for bad in [0u32, 64, 100, 129] {
@@ -1750,95 +2106,6 @@ mod tests {
             assert_eq!(EvictionPolicy::parse(p.name()), Some(p));
         }
         assert_eq!(EvictionPolicy::parse("fifo"), None);
-    }
-
-    /// Rewrites a current-format file as its v1 equivalent: drop the
-    /// checksum table, stamp version 1, and shrink `total_pages` back to
-    /// the data pages — exactly what a file written before v2 looks like.
-    fn downgrade_to_v1(path: &PathBuf, tag: &str) -> PathBuf {
-        let mut bytes = std::fs::read(path).unwrap();
-        let page_size = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as u64;
-        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap());
-        bytes.truncate((checksum_page * page_size) as usize);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        bytes[88..96].copy_from_slice(&checksum_page.to_le_bytes());
-        bytes[96..104].fill(0);
-        let out = temp_file(tag);
-        std::fs::write(&out, &bytes).unwrap();
-        out
-    }
-
-    #[test]
-    fn v1_files_without_checksums_still_open_and_match() {
-        let g = fixture();
-        let path = temp_file("v1_src");
-        PagedCsrWriter::with_page_size(128)
-            .write(&g, &path)
-            .unwrap();
-        let v1 = downgrade_to_v1(&path, "v1");
-        let p = PagedGraph::open(&v1, PoolConfig::unbounded()).unwrap();
-        assert!(!p.pool().verifies_checksums());
-        assert_matches(&g, &p);
-        // And the faulty opener still works (retries fire on read errors
-        // even without a table; torn pages are simply invisible).
-        let p = PagedGraph::open_with_faults(
-            &v1,
-            PoolConfig::unbounded(),
-            StorageFaultConfig::clean(7),
-        )
-        .unwrap();
-        assert_matches(&g, &p);
-    }
-
-    /// The bytes of a current-format file restamped as `version`, with
-    /// its checksum table recomputed by `kernel` — with version 2 and
-    /// FNV-1a, exactly what a file written before v3 looks like.
-    fn restamp(path: &PathBuf, version: u32, kernel: ChecksumFn) -> Vec<u8> {
-        let mut bytes = std::fs::read(path).unwrap();
-        let page_size = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap()) as usize;
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        for page in 0..checksum_page {
-            let sum = kernel(&bytes[page * page_size..][..page_size]);
-            let entry = checksum_page * page_size + page * 8;
-            bytes[entry..entry + 8].copy_from_slice(&sum.to_le_bytes());
-        }
-        bytes
-    }
-
-    #[test]
-    fn v2_files_verify_with_fnv_and_the_version_picks_the_kernel() {
-        let g = fixture();
-        let path = temp_file("v2_src");
-        PagedCsrWriter::with_page_size(128)
-            .write(&g, &path)
-            .unwrap();
-        let v2 = temp_file("v2");
-        std::fs::write(&v2, restamp(&path, 2, fnv1a_page)).unwrap();
-        let p = PagedGraph::open(&v2, PoolConfig::bounded(2, EvictionPolicy::Lru)).unwrap();
-        assert!(p.pool().verifies_checksums());
-        assert_matches(&g, &p);
-        assert_eq!(p.paging_stats().checksum_failures, 0);
-
-        // The same FNV-1a table under version 3 fails: at open on the
-        // header page, and — once the header's entry is made to pass — on
-        // every data page read.
-        let mut bytes = restamp(&path, 3, fnv1a_page);
-        let fnv_v3 = temp_file("v3_fnv");
-        std::fs::write(&fnv_v3, &bytes).unwrap();
-        assert!(matches!(
-            PagedGraph::open(&fnv_v3, PoolConfig::unbounded()),
-            Err(PagedError::Format(_))
-        ));
-        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap()) as usize;
-        let header_sum = page_checksum(&bytes[..128]);
-        bytes[checksum_page * 128..][..8].copy_from_slice(&header_sum.to_le_bytes());
-        std::fs::write(&fnv_v3, &bytes).unwrap();
-        let p = PagedGraph::open(&fnv_v3, PoolConfig::bounded(2, EvictionPolicy::Lru)).unwrap();
-        assert_matches(&g, &p);
-        let s = p.paging_stats();
-        assert!(s.page_reads > 0);
-        assert_eq!(s.checksum_failures, s.page_reads, "{s:?}");
     }
 
     #[test]
@@ -1857,23 +2124,19 @@ mod tests {
     }
 
     #[test]
-    fn v3_files_carry_a_checksum_per_data_page() {
-        let g = fixture();
-        let path = temp_file("v3_sums");
+    fn v4_files_carry_a_checksum_per_data_page() {
+        let g = wide_fixture();
+        let path = temp_file("v4_sums");
         let meta = PagedCsrWriter::with_page_size(128)
             .write(&g, &path)
             .unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
-        let checksum_page = u64::from_le_bytes(bytes[96..104].try_into().unwrap());
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+        let checksum_page = field(&bytes, 80);
         assert!(checksum_page > 0 && checksum_page < meta.total_pages);
         for page in 0..checksum_page {
             let start = (page * 128) as usize;
-            let want = u64::from_le_bytes(
-                bytes[(checksum_page * 128) as usize + page as usize * 8..][..8]
-                    .try_into()
-                    .unwrap(),
-            );
+            let want = field(&bytes, (checksum_page * 128 + page * 8) as usize);
             assert_eq!(
                 page_checksum(&bytes[start..start + 128]),
                 want,
@@ -1884,7 +2147,7 @@ mod tests {
 
     #[test]
     fn faulty_storage_returns_clean_bytes_and_counts_the_damage() {
-        let g = fixture();
+        let g = wide_fixture();
         let path = temp_file("faulty");
         PagedCsrWriter::with_page_size(128)
             .write(&g, &path)
@@ -1913,7 +2176,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_once_per_page() {
-        let g = fixture();
+        let g = wide_fixture();
         let path = temp_file("quarantine");
         PagedCsrWriter::with_page_size(128)
             .write(&g, &path)
@@ -1946,7 +2209,7 @@ mod tests {
 
     #[test]
     fn clean_faulty_storage_is_identical_to_plain_file() {
-        let g = fixture();
+        let g = wide_fixture();
         let path = temp_file("clean_ident");
         PagedCsrWriter::with_page_size(128)
             .write(&g, &path)
@@ -2022,6 +2285,68 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.page_reads, 2);
         assert_eq!(pool.stats().pinned_peak, 1, "the unwound pin must not leak");
+    }
+
+    #[test]
+    fn a_fault_reads_into_the_evicted_frames_buffer() {
+        let bytes = file_bytes(&wide_fixture(), "reuse");
+        let path = temp_file("reuse_file");
+        std::fs::write(&path, &bytes).unwrap();
+        let p = PagedGraph::open(&path, PoolConfig::bounded(1, EvictionPolicy::Lru)).unwrap();
+        let first = p.pool().pin(1).unwrap().as_ptr();
+        let second = p.pool().pin(2).unwrap();
+        assert_eq!(
+            second.as_ptr(),
+            first,
+            "page 2 must land in page 1's buffer"
+        );
+        assert_eq!(&second[..], &bytes[256..384]);
+        assert_eq!(p.paging_stats().evictions, 1);
+    }
+
+    /// A store whose every read of one page fails, the clean path too —
+    /// a real I/O error that escapes the pool's retries.
+    struct BrokenPageStore {
+        file: File,
+        broken: u64,
+    }
+
+    impl PageStore for BrokenPageStore {
+        fn read_page(&self, page_no: u64, buf: &mut [u8], _attempt: u32) -> io::Result<()> {
+            self.read_page_clean(page_no, buf)
+        }
+
+        fn read_page_clean(&self, page_no: u64, buf: &mut [u8]) -> io::Result<()> {
+            if page_no == self.broken {
+                return Err(io::Error::other("injected hard read error"));
+            }
+            self.file.read_exact_at(buf, page_no * buf.len() as u64)
+        }
+    }
+
+    #[test]
+    fn a_failed_fault_leaves_no_page_mapped_to_its_frame() {
+        let bytes = file_bytes(&wide_fixture(), "broken");
+        let path = temp_file("broken_file");
+        std::fs::write(&path, &bytes).unwrap();
+        let pool = BufferPool::with_store(
+            Box::new(BrokenPageStore {
+                file: File::open(&path).unwrap(),
+                broken: 2,
+            }),
+            128,
+            bytes.len() as u64 / 128,
+            PoolConfig::bounded(1, EvictionPolicy::Lru),
+            None,
+        );
+        drop(pool.pin(1).unwrap());
+        // The fault evicts page 1 from the only frame, then fails.
+        assert!(pool.pin(2).is_err());
+        assert!(pool.pin(2).is_err(), "a failed page is never served");
+        // Page 1 is read again, not served from the frame that held it.
+        assert_eq!(&pool.pin(1).unwrap()[..], &bytes[128..256]);
+        let s = pool.stats();
+        assert_eq!((s.page_reads, s.pool_hits), (4, 0), "{s:?}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! whole L1/L2/adversarial/serving stack runs unchanged and bit-identical
 //! on top of it at any frame budget.
 //!
-//! Fetches return [`SliceRef::Shared`] (the list is assembled from page
-//! frames into an `Arc<[T]>`), so the L2 cache above can retain entries
-//! without copying.
+//! Fetches return [`SliceRef::Shared`]: the list is decoded from the
+//! node's pinned record page (plus any overflow pages) straight into an
+//! `Arc<[T]>`, so the L2 cache above can retain entries without copying.
 
 use std::path::Path;
 

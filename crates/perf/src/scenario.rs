@@ -1534,7 +1534,7 @@ fn paging(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
         // Page-fault latency probe: a fresh single-frame pool makes every
         // distinct page touch a miss, so elapsed / page_reads is the cost
         // of one fault (read + decode + frame bookkeeping). A fixed node
-        // stride walks the adjacency section end to end deterministically.
+        // stride walks the record pages end to end deterministically.
         let stride = (cx.n / 256).max(1);
         let probe = PagedGraphOsn::open(&file.path, PoolConfig::bounded(1, EvictionPolicy::Lru))
             .expect("reopen the paged CSR file just written");
