@@ -1,22 +1,28 @@
 //! One query's access stack, built in one place.
 //!
 //! Every executor runs a query through the same tower: a fault layer
-//! ([`AdversarialOsn::with_resilience`]) over the shared backend, a private
-//! [`CachedOsn`] over that (stale serving opted in with the resilience
-//! knobs), one session armed with the query's hard budget and, for a
-//! deadline slice, a tick ceiling, and the estimator on that session. The
-//! batch executor ([`crate::workload::run_workload`]) runs the stack once
-//! per query; the serving layer's deadline scheduler runs it once per
-//! replicate slice. Both go through [`QueryStack::run`], so the tower and
-//! the way its counters are read exist once.
+//! ([`AdversarialOsn::with_resilience`]) over the shared backend, one
+//! [`SliceSession`] over that — the run's private access cache, armed with
+//! the query's hard budget and, for a deadline slice, a tick ceiling — and
+//! the estimator on that session. The batch executor
+//! ([`crate::workload::run_workload`]) runs the stack once per query; the
+//! serving layer's deadline scheduler runs it once per replicate slice.
+//! Both go through [`QueryStack::run`], so the tower and the way its
+//! counters are read exist once.
+//!
+//! The session's cache keeps the guards the shared backend returned (a
+//! borrow of an in-RAM graph's CSR, a paged or churned backend's own
+//! `Arc`), so a miss copies no adjacency and a hit is one hash probe. It
+//! bills exactly what an unbounded [`labelcount_osn::CachedOsn`] session
+//! over the same fault layer bills
+//! (`crates/core/tests/proptest_slice_session.rs`).
 //!
 //! The stack is private to the run: per-query budgets, retry charges, and
 //! fault patterns never leak between queries, and a run's outcome is a
 //! pure function of the backend's bytes and the [`Slice`] coordinates.
 
 use labelcount_osn::{
-    AdversarialOsn, CacheConfig, CachedOsn, FaultConfig, OsnApi, OsnBackend, ResilienceConfig,
-    RetryPolicy,
+    AdversarialOsn, FaultConfig, OsnApi, OsnBackend, ResilienceConfig, RetryPolicy, SliceSession,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,18 +30,8 @@ use rand::SeedableRng;
 use crate::algorithm::RunConfig;
 use crate::request::{QueryOutcome, QuerySpec};
 
-/// Lock shards of each run's private cache (see [`QueryStack`]).
-const SLICE_CACHE_SHARDS: usize = 1;
-
 /// The knobs every query's access stack is built from — shared by every
 /// query of a workload.
-///
-/// The stack's cache has one lock shard, not [`CacheConfig`]'s default
-/// 64. It is unbounded and read by one session on one thread, so there is
-/// no contention to spread; more shards would only add allocations to
-/// every build and drop of the stack and scatter its entries. For an
-/// unbounded cache the shard count changes no estimate, RNG stream, or
-/// miss count (`crates/core/tests/proptest_cached.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct QueryStack {
     /// Run parameters (burn-in, thinning) handed to the estimator.
@@ -46,8 +42,8 @@ pub struct QueryStack {
     /// Retry policy of the fault layer.
     pub retry: RetryPolicy,
     /// Reactive resilience knobs of the fault layer; `serve_stale` also
-    /// lets the stack's cache answer from stale entries while an endpoint
-    /// is degraded.
+    /// lets the stack's session answer from stale entries while an
+    /// endpoint is degraded.
     pub resilience: ResilienceConfig,
 }
 
@@ -82,30 +78,38 @@ pub struct SliceOutcome {
 }
 
 impl QueryStack {
-    /// Builds `query`'s stack over `shared`, runs the estimator once, and
-    /// reads the run's accounting back out of the session and the fault
-    /// layer.
-    pub fn run<B: OsnBackend>(&self, shared: &B, query: &QuerySpec, slice: Slice) -> SliceOutcome {
+    /// Builds `query`'s stack over `shared` for the run at `slice` without
+    /// running it: the fault layer seeded and clocked for the slice, under
+    /// a fresh [`SliceSession`] armed with the query's hard budget and the
+    /// slice's tick ceiling. [`QueryStack::run`] runs the estimator on
+    /// exactly this session.
+    pub fn session<'s, B: OsnBackend>(
+        &self,
+        shared: &'s B,
+        query: &QuerySpec,
+        slice: Slice,
+    ) -> SliceSession<'s, B> {
         let faults = FaultConfig {
             seed: slice.fault_seed,
             ..self.faults
         };
-        let backend = AdversarialOsn::with_resilience(shared, faults, self.retry, self.resilience);
-        backend.set_clock_base(slice.start_tick);
-        let cache = CachedOsn::with_config(
-            backend,
-            CacheConfig::builder()
-                .shards(SLICE_CACHE_SHARDS)
-                .serve_stale(self.resilience.serve_stale)
-                .build(),
-        );
-        let session = cache.session();
+        let faults = AdversarialOsn::with_resilience(shared, faults, self.retry, self.resilience);
+        faults.set_clock_base(slice.start_tick);
+        let session = SliceSession::new(faults);
         if let Some(b) = query.hard_budget {
             session.set_budget(b);
         }
         if let Some(t) = slice.tick_ceiling {
             session.set_tick_ceiling(t);
         }
+        session
+    }
+
+    /// Builds `query`'s stack over `shared`, runs the estimator once, and
+    /// reads the run's accounting back out of the session and the fault
+    /// layer.
+    pub fn run<B: OsnBackend>(&self, shared: &B, query: &QuerySpec, slice: Slice) -> SliceOutcome {
+        let session = self.session(shared, query, slice);
         let mut rng = StdRng::seed_from_u64(slice.rng_seed);
         let estimate = query.algorithm.estimate(
             &session,
@@ -120,8 +124,7 @@ impl QueryStack {
         let retry_charges = session.retry_charges();
         let latency_ticks = session.latency_ticks();
         let stale_served = session.stale_served();
-        drop(session);
-        let faults = cache.backend().fault_stats();
+        let faults = session.backend().fault_stats();
         SliceOutcome {
             outcome: QueryOutcome {
                 id: query.id,

@@ -14,10 +14,10 @@
 //! * a pool of `workers` threads pops queries off the arrival queue
 //!   dynamically (stragglers never idle a whole worker);
 //! * every query gets its **own access stack** — a [`QueryStack`]
-//!   (`CachedOsn<AdversarialOsn<&B>>`) over the shared backend — so
-//!   per-query budgets, retry charges, and fault patterns are fully
-//!   isolated, like one crawler client per query against the same remote
-//!   OSN;
+//!   (a `SliceSession` over `AdversarialOsn<&B>`) over the shared
+//!   backend — so per-query budgets, retry charges, and fault patterns are
+//!   fully isolated, like one crawler client per query against the same
+//!   remote OSN;
 //! * anytime progress is observable through [`WorkloadProgress`]: a
 //!   [`RunningStats`] over completed-query estimates that a dashboard can
 //!   poll mid-run.

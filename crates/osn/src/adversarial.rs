@@ -904,9 +904,13 @@ impl<B: OsnBackend> AdversarialOsn<B> {
         (attempts, latency)
     }
 
-    /// Simulates a whole (possibly paginated) fetch of `len` items,
-    /// returning its realized per-fetch cost.
-    fn simulate_fetch(&self, kind: u64, node: u32, len: usize) -> FetchCost {
+    /// Bills one fetch of `u`'s friend list of `len` entries: simulates
+    /// every page of the (possibly paginated) fetch under the fault model
+    /// and returns its realized cost. The fault counters and the virtual
+    /// clock advance as for [`OsnBackend::fetch_neighbors_cost`], which is
+    /// the inner backend's fetch followed by this call; a cache that reads
+    /// the data from the inner backend itself bills through here.
+    pub fn bill_neighbors(&self, u: NodeId, len: usize) -> FetchCost {
         let pages = match self.cfg.page_size {
             // An empty list still costs one (empty) page.
             Some(p) if p > 0 => len.div_ceil(p).max(1) as u64,
@@ -917,11 +921,19 @@ impl<B: OsnBackend> AdversarialOsn<B> {
         }
         let mut cost = FetchCost::default();
         for page in 0..pages {
-            let (attempts, ticks) = self.simulate_page(kind, node, page);
+            let (attempts, ticks) = self.simulate_page(KIND_NEIGHBORS, u.0, page);
             cost.attempts += attempts;
             cost.ticks = cost.ticks.saturating_add(ticks);
         }
         cost
+    }
+
+    /// Bills one fetch of `u`'s profile labels (see
+    /// [`AdversarialOsn::bill_neighbors`]). Profiles are one document:
+    /// never paginated.
+    pub fn bill_labels(&self, u: NodeId) -> FetchCost {
+        let (attempts, ticks) = self.simulate_page(KIND_LABELS, u.0, 0);
+        FetchCost { attempts, ticks }
     }
 }
 
@@ -958,15 +970,14 @@ impl<B: OsnBackend> OsnBackend for AdversarialOsn<B> {
 
     fn fetch_neighbors_cost(&self, u: NodeId) -> (SliceRef<'_, NodeId>, FetchCost) {
         let data = self.inner.fetch_neighbors(u);
-        let cost = self.simulate_fetch(KIND_NEIGHBORS, u.0, data.len());
+        let cost = self.bill_neighbors(u, data.len());
         (data, cost)
     }
 
     fn fetch_labels_cost(&self, u: NodeId) -> (SliceRef<'_, LabelId>, FetchCost) {
         let data = self.inner.fetch_labels(u);
-        // Profiles are one document: never paginated.
-        let (attempts, ticks) = self.simulate_page(KIND_LABELS, u.0, 0);
-        (data, FetchCost { attempts, ticks })
+        let cost = self.bill_labels(u);
+        (data, cost)
     }
 
     fn epoch_of(&self, u: NodeId) -> Epoch {

@@ -246,8 +246,8 @@ pub trait OsnBackend {
 
 /// Backends pass through shared references, so one `Sync` backend (e.g. a
 /// [`crate::GraphOsn`] over the served graph) can sit under many
-/// independent decorator stacks — the multi-query workload service builds
-/// one `CachedOsn<AdversarialOsn<&GraphOsn>>` per query this way.
+/// independent decorator stacks — every query slice runs its own
+/// [`crate::SliceSession`] over an `AdversarialOsn<&B>` this way.
 impl<B: OsnBackend + ?Sized> OsnBackend for &B {
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()

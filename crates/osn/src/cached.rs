@@ -66,6 +66,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use labelcount_graph::{Epoch, LabelId, LabeledGraph, NodeId};
 
+use crate::accounting::SessionAccounting;
 use crate::api::{EndpointKind, FetchCost, OsnApi, OsnBackend};
 use crate::guard::SliceRef;
 
@@ -338,7 +339,7 @@ impl CallStats {
 /// the hit path combined; node ids need no DoS resistance, so a Fibonacci
 /// multiply gives full avalanche on the high bits at ~1 cycle.
 #[derive(Default)]
-struct NodeKeyHasher(u64);
+pub(crate) struct NodeKeyHasher(u64);
 
 impl Hasher for NodeKeyHasher {
     #[inline]
@@ -645,13 +646,8 @@ impl<B: OsnBackend> CachedOsn<B> {
         OsnSession {
             cache: self,
             l1: (l1_slots > 0).then(|| SessionL1::new(l1_slots.next_power_of_two())),
-            neighbor_calls: Cell::new(0),
-            label_calls: Cell::new(0),
-            retry_charges: Cell::new(0),
-            latency_ticks: Cell::new(0),
+            acct: SessionAccounting::default(),
             l2_stale_served: Cell::new(0),
-            budget: Cell::new(None),
-            tick_ceiling: Cell::new(None),
         }
     }
 
@@ -721,11 +717,11 @@ impl<B: OsnBackend> CachedOsn<B> {
         (u.0 as usize).wrapping_mul(0x9E37_79B9) >> 7 & self.shard_mask
     }
 
-    /// Cache-through neighbor fetch. Returns the data plus the *extra*
-    /// billable cost beyond the logical call itself (`attempts − 1` and
-    /// the latency ticks of the backend fetch on a miss, zero on a hit) —
-    /// how an adversarial backend's retries, pagination, and simulated
-    /// latency reach the calling session's budget and tick accounting.
+    /// Cache-through neighbor fetch. Returns the data plus the backend
+    /// fetch's realized cost on a miss ([`FetchCost::default`], which
+    /// charges nothing, on a hit) — how an adversarial backend's retries,
+    /// pagination, and simulated latency reach the calling session's
+    /// budget and tick accounting.
     /// Hits are fault-free *and tick-free*: a caching crawler pays the
     /// remote API's latency only when it actually goes to the network.
     ///
@@ -788,21 +784,13 @@ impl<B: OsnBackend> CachedOsn<B> {
         }
         self.neighbor_misses.fetch_add(1, Ordering::Relaxed);
         let (fetched, cost) = self.backend.fetch_neighbors_cost(u);
-        let value: Arc<[NodeId]> = Arc::from(&*fetched);
+        let value = into_arc(fetched);
         shard.insert(u.0, Arc::clone(&value), current);
-        (
-            value,
-            FetchCost {
-                attempts: cost.extra_attempts(),
-                ticks: cost.ticks,
-            },
-            false,
-        )
+        (value, cost, false)
     }
 
     /// Cache-through label fetch (same locking discipline, staleness,
-    /// degradation, and extra-charge contract as
-    /// [`CachedOsn::neighbors_shared`]).
+    /// degradation, and cost contract as [`CachedOsn::neighbors_shared`]).
     fn labels_shared(
         &self,
         u: NodeId,
@@ -834,16 +822,21 @@ impl<B: OsnBackend> CachedOsn<B> {
         }
         self.label_misses.fetch_add(1, Ordering::Relaxed);
         let (fetched, cost) = self.backend.fetch_labels_cost(u);
-        let value: Arc<[LabelId]> = Arc::from(&*fetched);
+        let value = into_arc(fetched);
         shard.insert(u.0, Arc::clone(&value), current);
-        (
-            value,
-            FetchCost {
-                attempts: cost.extra_attempts(),
-                ticks: cost.ticks,
-            },
-            false,
-        )
+        (value, cost, false)
+    }
+}
+
+/// The shared handle an L2 entry keeps: the backend's own `Arc` when it
+/// handed one out (a paged decode, a churned graph's per-node list),
+/// otherwise a copy of the borrowed bytes. An `Arc<[T]>` cannot change
+/// while it is shared, so keeping the backend's handle serves the bytes
+/// of the fetch; a churned node gets a new `Arc` and a new epoch.
+fn into_arc<T: Clone>(fetched: SliceRef<'_, T>) -> Arc<[T]> {
+    match fetched {
+        SliceRef::Shared(a) => a,
+        other => Arc::from(&*other),
     }
 }
 
@@ -982,13 +975,8 @@ impl SessionL1 {
 pub struct OsnSession<'c, B> {
     cache: &'c CachedOsn<B>,
     l1: Option<SessionL1>,
-    neighbor_calls: Cell<u64>,
-    label_calls: Cell<u64>,
-    retry_charges: Cell<u64>,
-    latency_ticks: Cell<u64>,
+    acct: SessionAccounting,
     l2_stale_served: Cell<u64>,
-    budget: Cell<Option<u64>>,
-    tick_ceiling: Cell<Option<u64>>,
 }
 
 impl<'c, B: OsnBackend> OsnSession<'c, B> {
@@ -1001,26 +989,24 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// plus retry charges; the same contract as `SimulatedOsn::set_budget`
     /// against a well-behaved backend, where the two coincide).
     pub fn set_budget(&self, calls: u64) {
-        self.budget.set(Some(calls));
+        self.acct.set_budget(Some(calls));
     }
 
     /// Removes the budget.
     pub fn clear_budget(&self) {
-        self.budget.set(None);
+        self.acct.set_budget(None);
     }
 
     /// Remaining charged neighbor-list calls under the budget, if one is
     /// set.
     pub fn budget_remaining(&self) -> Option<u64> {
-        self.budget
-            .get()
-            .map(|b| b.saturating_sub(self.charged_neighbor_calls()))
+        self.acct.budget_remaining()
     }
 
     /// Extra billable attempts this session's misses cost beyond their
     /// logical calls (0 against a well-behaved backend).
     pub fn retry_charges(&self) -> u64 {
-        self.retry_charges.get()
+        self.acct.retry_charges()
     }
 
     /// Simulated latency ticks this session's misses spent (0 against a
@@ -1028,7 +1014,7 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// session's share of the backend's virtual time — the currency a
     /// deadline scheduler advances its clock in.
     pub fn latency_ticks(&self) -> u64 {
-        self.latency_ticks.get()
+        self.acct.latency_ticks()
     }
 
     /// Sets a ceiling on this session's simulated latency ticks. Once
@@ -1039,22 +1025,19 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// ticks and the estimator stops at the next step boundary after the
     /// allowance runs out, without any estimator-side changes.
     pub fn set_tick_ceiling(&self, ticks: u64) {
-        self.tick_ceiling.set(Some(ticks));
+        self.acct.set_tick_ceiling(Some(ticks));
     }
 
     /// Removes the tick ceiling.
     pub fn clear_tick_ceiling(&self) {
-        self.tick_ceiling.set(None);
+        self.acct.set_tick_ceiling(None);
     }
 
     /// Whether the tick ceiling (if any) has been reached — distinguishes
     /// a deadline cut from an ordinary call-budget exhaustion when both
     /// feed [`OsnApi::budget_exhausted`].
     pub fn ticks_exceeded(&self) -> bool {
-        match self.tick_ceiling.get() {
-            Some(t) => self.latency_ticks.get() >= t,
-            None => false,
-        }
+        self.acct.ticks_exceeded()
     }
 
     /// Logical calls this session served from its private L1 (no lock, no
@@ -1092,15 +1075,7 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// Total charged API calls of both kinds: logical calls plus retry
     /// charges — the realized cost a billed crawler pays.
     pub fn charged_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.label_calls.get() + self.retry_charges.get()
-    }
-
-    /// Logical neighbor-list calls plus retry charges — what the budget is
-    /// checked against. (Charges are not split per endpoint; they all
-    /// weigh on the neighbor-call budget, the currency the paper's
-    /// stopping rules are quoted in.)
-    fn charged_neighbor_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.retry_charges.get()
+        self.acct.charged_calls()
     }
 }
 
@@ -1114,7 +1089,7 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
     }
 
     fn neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
-        self.neighbor_calls.set(self.neighbor_calls.get() + 1);
+        self.acct.count_neighbor_call();
         // One epoch read per logical call, shared by both cache layers —
         // a constant for every static backend, a lock-free region stamp
         // for churning ones. Reading it before the lookup (not after)
@@ -1138,15 +1113,8 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
                 return SliceRef::Local(hit);
             }
         }
-        let (value, extra, served_stale) = self.cache.neighbors_shared(u, current, degraded);
-        if extra.attempts > 0 {
-            self.retry_charges
-                .set(self.retry_charges.get() + extra.attempts);
-        }
-        if extra.ticks > 0 {
-            self.latency_ticks
-                .set(self.latency_ticks.get() + extra.ticks);
-        }
+        let (value, cost, served_stale) = self.cache.neighbors_shared(u, current, degraded);
+        self.acct.charge(cost);
         if served_stale {
             // Not refilled into the L1: stamping the stale bytes with
             // `current` would launder them into fresh ones after recovery.
@@ -1160,7 +1128,7 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
     }
 
     fn labels(&self, u: NodeId) -> SliceRef<'_, LabelId> {
-        self.label_calls.set(self.label_calls.get() + 1);
+        self.acct.count_label_call();
         // Label reads compare against the *label* epoch, so backends that
         // split per-endpoint epochs (label-only churn) don't needlessly
         // invalidate this session's neighbor entries — and vice versa.
@@ -1172,15 +1140,8 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
                 return SliceRef::Local(hit);
             }
         }
-        let (value, extra, served_stale) = self.cache.labels_shared(u, current, degraded);
-        if extra.attempts > 0 {
-            self.retry_charges
-                .set(self.retry_charges.get() + extra.attempts);
-        }
-        if extra.ticks > 0 {
-            self.latency_ticks
-                .set(self.latency_ticks.get() + extra.ticks);
-        }
+        let (value, cost, served_stale) = self.cache.labels_shared(u, current, degraded);
+        self.acct.charge(cost);
         if served_stale {
             self.l2_stale_served.set(self.l2_stale_served.get() + 1);
             return SliceRef::Shared(value);
@@ -1196,20 +1157,11 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
     }
 
     fn api_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.label_calls.get()
+        self.acct.api_calls()
     }
 
     fn budget_exhausted(&self) -> bool {
-        // Either ceiling stops the estimator at its next step-boundary
-        // poll: the charged-call budget (the paper's stopping currency) or
-        // the latency-tick ceiling (a deadline scheduler's slice
-        // allowance). `ticks_exceeded` disambiguates after the fact.
-        if let Some(b) = self.budget.get() {
-            if self.charged_neighbor_calls() >= b {
-                return true;
-            }
-        }
-        self.ticks_exceeded()
+        self.acct.budget_exhausted()
     }
 }
 
@@ -1223,11 +1175,11 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
 /// stats stay interleaving-independent.
 impl<B> Drop for OsnSession<'_, B> {
     fn drop(&mut self) {
-        let n = self.neighbor_calls.get();
+        let n = self.acct.neighbor_calls();
         if n > 0 {
             self.cache.logical_neighbor.fetch_add(n, Ordering::Relaxed);
         }
-        let l = self.label_calls.get();
+        let l = self.acct.label_calls();
         if l > 0 {
             self.cache.logical_label.fetch_add(l, Ordering::Relaxed);
         }
@@ -2014,5 +1966,29 @@ mod tests {
         assert_eq!(st.stale_served, 0);
         assert_eq!(st.neighbor_misses, 2);
         assert_eq!(st.l2_stale_evictions, 1);
+    }
+
+    #[test]
+    fn a_miss_keeps_the_backends_own_arc() {
+        let g = path4();
+        let churn = crate::ChurnOsn::new(
+            &g,
+            labelcount_graph::ChurnConfig {
+                seed: 1,
+                events_per_batch: 0,
+                batch_interval_ticks: 1,
+                region_shift: 0,
+            },
+        );
+        let cache = CachedOsn::new(churn);
+        let own_neighbors = cache.backend().fetch_neighbors(NodeId(1));
+        let own_labels = cache.backend().fetch_labels(NodeId(0));
+        let session = cache.session();
+        // Misses, answered from the L2 entry the fetch just filled.
+        let neighbors = session.neighbors(NodeId(1));
+        let labels = session.labels(NodeId(0));
+        assert_eq!(cache.stats().misses(), 2);
+        assert!(std::ptr::eq(neighbors.as_ptr(), own_neighbors.as_ptr()));
+        assert!(std::ptr::eq(labels.as_ptr(), own_labels.as_ptr()));
     }
 }

@@ -29,6 +29,13 @@
 //!   neighbor lists), retried under a [`RetryPolicy`]; composes under
 //!   [`CachedOsn`], with the realized attempt cost charged to session
 //!   budgets as [`OsnSession::retry_charges`].
+//! * [`SliceSession`] — one query slice's private access cache: an
+//!   unbounded node-keyed map per endpoint holding the [`SliceRef`]
+//!   guards a shared backend returned (a CSR borrow, or the backend's own
+//!   `Arc`), billed through the slice's [`AdversarialOsn`]. A miss copies
+//!   nothing; it bills exactly what an [`OsnSession`] over an unbounded
+//!   [`CachedOsn`] would. `labelcount_core::QueryStack` runs every query
+//!   slice on one.
 //! * [`PagedGraphOsn`] — the out-of-core sibling of [`GraphOsn`]: an
 //!   [`OsnBackend`] over an on-disk paged CSR file served through a
 //!   pinned-page buffer pool (`labelcount_graph::paged`), bit-identical
@@ -47,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+mod accounting;
 pub mod adversarial;
 pub mod api;
 pub mod cached;
@@ -55,6 +63,7 @@ pub mod guard;
 pub mod linegraph;
 pub mod paged;
 pub mod simulated;
+pub mod slice;
 
 pub use adversarial::{
     AdversarialOsn, BreakerConfig, BurstConfig, FaultConfig, FaultStats, ResilienceConfig,
@@ -69,3 +78,4 @@ pub use guard::SliceRef;
 pub use linegraph::{LineGraphView, LineNode};
 pub use paged::PagedGraphOsn;
 pub use simulated::{AccessStats, SimulatedOsn};
+pub use slice::SliceSession;

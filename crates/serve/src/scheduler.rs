@@ -50,7 +50,7 @@ use labelcount_core::{
     EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, QueryStack, Schedule,
     Slice, SliceOutcome, WorkloadProgress,
 };
-use labelcount_osn::{ChurnOsn, GraphOsn, OsnBackend};
+use labelcount_osn::{ChurnOsn, OsnBackend};
 use labelcount_stats::{replication_seed, RunningStats};
 
 use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
@@ -556,10 +556,10 @@ impl EventIndex {
 /// the loop IS the graph's single virtual timeline, which is what makes
 /// the per-graph progress fallback (and everything else) deterministic.
 ///
-/// Generic over the backend: the in-RAM [`GraphOsn`] and the out-of-core
-/// `labelcount_osn::PagedGraphOsn` both serve identical bytes, so the
-/// loop's virtual timeline — and every counter derived from it — is
-/// backend-independent.
+/// Generic over the backend: the in-RAM `labelcount_osn::GraphOsn` and
+/// the out-of-core `labelcount_osn::PagedGraphOsn` both serve identical
+/// bytes, so the loop's virtual timeline — and every counter derived from
+/// it — is backend-independent.
 ///
 /// For dynamic graphs, `churn` hands the loop the churn schedule behind
 /// `shared`: every iteration applies the batches due by the current
@@ -809,7 +809,7 @@ impl<'g> ShardedService<'g> {
                             let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
                             let result = match &self.graphs[gi].2 {
                                 AnyEngine::Ram(e) => run_graph_loop(
-                                    &GraphOsn::new(e.graph()),
+                                    e.backend(),
                                     None,
                                     tasks,
                                     stack,
@@ -962,7 +962,7 @@ mod tests {
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
     use labelcount_graph::{LabeledGraph, NodeId, TargetLabel};
-    use labelcount_osn::{FaultConfig, OsnApi, ResilienceConfig, RetryPolicy};
+    use labelcount_osn::{FaultConfig, GraphOsn, OsnApi, ResilienceConfig, RetryPolicy};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
