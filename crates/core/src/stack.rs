@@ -11,8 +11,9 @@
 //! counters are read exist once.
 //!
 //! The session's cache keeps the guards the shared backend returned (a
-//! borrow of an in-RAM graph's CSR, a paged or churned backend's own
-//! `Arc`), so a miss copies no adjacency and a hit is one hash probe. It
+//! borrow of an in-RAM graph's CSR or of a churned graph's current list
+//! through its `ChurnView`, a paged or bare churned backend's own `Arc`),
+//! so a miss copies no adjacency and a hit is one hash probe. It
 //! bills exactly what an unbounded [`labelcount_osn::CachedOsn`] session
 //! over the same fault layer bills
 //! (`crates/core/tests/proptest_slice_session.rs`).

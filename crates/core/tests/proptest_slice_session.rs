@@ -27,15 +27,25 @@
 //! Compared per run: every `QueryOutcome` field (the estimate as bits),
 //! the tick-ceiling verdict, the fault layer's full `FaultStats`, the
 //! estimator RNG's next draw, and the backend's own counters.
+//!
+//! A sibling property holds a `ChurnView` to the per-call reads of the
+//! `ChurnOsn` it views. The scheduler runs each churned slice on one view,
+//! which lends the current lists under one read lock, where per-call reads
+//! lock and clone an `Arc` each time. Between random clock advances, with
+//! live epochs reported or hidden, every algorithm's run over the view
+//! must match its run over the backend and over a `MutableGraph` churned
+//! in lock step, in the same fields; the runs must not churn; and the view
+//! must read the snapshot's `|V|`, `|E|`, degree bound, lists and epochs.
 
 use std::cell::Cell;
 use std::fmt::Debug;
 use std::path::PathBuf;
 
 use labelcount_core::{
-    algorithms, EstimateError, QueryOutcome, QuerySpec, QueryStack, RunConfig, Schedule, Slice,
+    algorithms, Algorithm, EstimateError, QueryOutcome, QuerySpec, QueryStack, RunConfig, Schedule,
+    Slice,
 };
-use labelcount_graph::churn::ChurnConfig;
+use labelcount_graph::churn::{ChurnConfig, ChurnSchedule, ChurnStats, MutableGraph};
 use labelcount_graph::gen::barabasi_albert;
 use labelcount_graph::labels::{assign_binary_labels, with_labels};
 use labelcount_graph::paged::{EvictionPolicy, PagedCsrWriter, PoolConfig};
@@ -312,7 +322,6 @@ struct Case {
     hard_budget: Option<u64>,
     tick_ceiling: Option<u64>,
     start_tick: u64,
-    churn_every: u64,
 }
 
 /// Totals over a case's churned reference runs, to show which paths ran.
@@ -332,10 +341,9 @@ fn temp_paged(tag: u64) -> PathBuf {
     ))
 }
 
-fn check_case(c: Case) -> Result<Coverage, TestCaseError> {
-    // Minimum degree 6, so the few edge deletions a slice's churn
-    // applies do not leave a walk standing on an isolated node.
-    let g = labeled_ba(c.nodes, 6, c.graph_seed);
+/// The case's stack: a hostile fault model with outage bursts, under the
+/// case's breaker, retry budget and stale serving.
+fn stack_of(c: &Case) -> QueryStack {
     let burst = BurstConfig {
         window_ticks: 16,
         start_rate: 0.25,
@@ -343,7 +351,7 @@ fn check_case(c: Case) -> Result<Coverage, TestCaseError> {
         max_burst_windows: 4,
         outage_fault_rate: 1.0,
     };
-    let stack = QueryStack {
+    QueryStack {
         run_config: RunConfig {
             burn_in: 20,
             ..RunConfig::default()
@@ -359,7 +367,36 @@ fn check_case(c: Case) -> Result<Coverage, TestCaseError> {
             retry_budget: c.retry_budget,
             serve_stale: c.serve_stale,
         },
+    }
+}
+
+/// Algorithm `ai`'s query and slice under case `c`.
+fn query_of(c: &Case, ai: u64, algorithm: Box<dyn Algorithm>) -> (QuerySpec, Slice) {
+    let q = QuerySpec {
+        id: ai,
+        algorithm,
+        target: TargetLabel::new(1.into(), 2.into()),
+        budget: 60,
+        hard_budget: c.hard_budget,
+        seed: 0,
+        schedule: Schedule::default(),
     };
+    let slice = Slice {
+        fault_seed: c.seed ^ ai,
+        rng_seed: c.seed.wrapping_add(ai),
+        start_tick: c.start_tick,
+        tick_ceiling: c.tick_ceiling,
+    };
+    (q, slice)
+}
+
+/// Checks case `c` on all three backends; the churned one applies a batch
+/// every `churn_every` fetches.
+fn check_case(c: Case, churn_every: u64) -> Result<Coverage, TestCaseError> {
+    // Minimum degree 6, so the few edge deletions a slice's churn
+    // applies do not leave a walk standing on an isolated node.
+    let g = labeled_ba(c.nodes, 6, c.graph_seed);
+    let stack = stack_of(&c);
     let path = temp_paged(c.seed);
     PagedCsrWriter::with_page_size(256)
         .write(&g, &path)
@@ -371,22 +408,7 @@ fn check_case(c: Case) -> Result<Coverage, TestCaseError> {
         .into_iter()
         .map(|a| (a, true));
     for (ai, (algorithm, static_adjacency)) in walk_g.chain(walk_line_graph).enumerate() {
-        let ai = ai as u64;
-        let q = QuerySpec {
-            id: ai,
-            algorithm,
-            target: TargetLabel::new(1.into(), 2.into()),
-            budget: 60,
-            hard_budget: c.hard_budget,
-            seed: 0,
-            schedule: Schedule::default(),
-        };
-        let slice = Slice {
-            fault_seed: c.seed ^ ai,
-            rng_seed: c.seed.wrapping_add(ai),
-            start_tick: c.start_tick,
-            tick_ceiling: c.tick_ceiling,
-        };
+        let (q, slice) = query_of(&c, ai as u64, algorithm);
         assert_equivalent(|| GraphOsn::new(&g), |_| (), &stack, &q, slice)?;
         assert_equivalent(
             || {
@@ -399,7 +421,7 @@ fn check_case(c: Case) -> Result<Coverage, TestCaseError> {
             slice,
         )?;
         let churned = assert_equivalent(
-            || ChurnEvery::new(&g, c.graph_seed, c.churn_every, static_adjacency),
+            || ChurnEvery::new(&g, c.graph_seed, churn_every, static_adjacency),
             |b| (b.fetches.get(), b.osn.churn_stats()),
             &stack,
             &q,
@@ -446,8 +468,7 @@ proptest! {
             hard_budget: budgeted.then_some(hard_budget),
             tick_ceiling: capped.then_some(tick_ceiling),
             start_tick,
-            churn_every,
-        })?;
+        }, churn_every)?;
     }
 }
 
@@ -469,9 +490,8 @@ fn fixed_cases_reach_stale_serving_refetching_and_both_cuts() {
             hard_budget: seed.is_multiple_of(2).then_some(40),
             tick_ceiling: (!seed.is_multiple_of(2)).then_some(150),
             start_tick: 1_000 * seed,
-            churn_every: 3,
         };
-        let got = check_case(c).unwrap_or_else(|e| panic!("{c:?}: {e:?}"));
+        let got = check_case(c, 3).unwrap_or_else(|e| panic!("{c:?}: {e:?}"));
         cov.stale_served += got.stale_served;
         cov.stale_refetched += got.stale_refetched;
         cov.breaker_opens += got.breaker_opens;
@@ -481,6 +501,261 @@ fn fixed_cases_reach_stale_serving_refetching_and_both_cuts() {
     assert!(cov.breaker_opens > 0, "no breaker opened");
     assert!(cov.stale_served > 0, "no stale entry was served");
     assert!(cov.stale_refetched > 0, "no stale entry was refetched");
+    assert!(cov.budget_cuts > 0, "no run hit its hard budget");
+    assert!(cov.tick_cuts > 0, "no run hit its tick ceiling");
+}
+
+/// One run of a query: what [`QueryStack::run`] reports, and the estimate,
+/// fault counters and next RNG draw of the same run on
+/// [`QueryStack::session`], driven by hand.
+#[derive(Debug, PartialEq)]
+struct Run {
+    outcome: OutcomeBits,
+    ticks_exceeded: bool,
+    estimate: Result<u64, EstimateError>,
+    faults: FaultStats,
+    next_draw: u64,
+}
+
+fn run_on<B: OsnBackend>(shared: &B, stack: &QueryStack, q: &QuerySpec, slice: Slice) -> Run {
+    let got = stack.run(shared, q, slice);
+    let session = stack.session(shared, q, slice);
+    let mut rng = StdRng::seed_from_u64(slice.rng_seed);
+    let estimate = q
+        .algorithm
+        .estimate(&session, q.target, q.budget, &stack.run_config, &mut rng);
+    Run {
+        outcome: OutcomeBits::from(&got.outcome),
+        ticks_exceeded: got.ticks_exceeded,
+        estimate: estimate.map(f64::to_bits),
+        faults: session.backend().fault_stats(),
+        next_draw: rng.next_u64(),
+    }
+}
+
+/// Everything a backend tells a slice: `|V|`, `|E|`, the degree bound,
+/// and every node's lists and epochs.
+#[derive(Debug, PartialEq)]
+struct Reads {
+    num_nodes: usize,
+    num_edges: usize,
+    max_degree_bound: usize,
+    nodes: Vec<(Vec<NodeId>, Vec<LabelId>, Epoch, Epoch)>,
+}
+
+fn reads<B: OsnBackend>(b: &B) -> Reads {
+    Reads {
+        num_nodes: b.num_nodes(),
+        num_edges: b.num_edges(),
+        max_degree_bound: b.max_degree_bound(),
+        nodes: (0..b.num_nodes() as u32)
+            .map(NodeId)
+            .map(|u| {
+                (
+                    b.fetch_neighbors(u).to_vec(),
+                    b.fetch_labels(u).to_vec(),
+                    b.epoch_of(u),
+                    b.label_epoch_of(u),
+                )
+            })
+            .collect(),
+    }
+}
+
+/// Totals over a view case's runs, to show which paths ran.
+#[derive(Default)]
+struct ViewCoverage {
+    edges_deleted: u64,
+    /// Comparisons at which the degree bound exceeded every current
+    /// degree, so a view reporting the current maximum would differ.
+    bound_above_max: u64,
+    /// Comparisons at which some epoch had moved off `Epoch::STATIC`.
+    epochs_moved: u64,
+    breaker_opens: u64,
+    budget_cuts: u64,
+    tick_cuts: u64,
+}
+
+/// The snapshot a `ChurnOsn` should serve, read straight off a
+/// `MutableGraph` churned in lock step with it: the oracle for the reads
+/// a view and the per-call path share.
+struct Snapshot<'m> {
+    graph: &'m MutableGraph,
+    report_epochs: bool,
+}
+
+impl OsnBackend for Snapshot<'_> {
+    fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.graph.num_edges()
+    }
+
+    fn max_degree_bound(&self) -> usize {
+        self.graph.max_degree_bound()
+    }
+
+    fn fetch_neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
+        SliceRef::Borrowed(self.graph.neighbors(u))
+    }
+
+    fn fetch_labels(&self, u: NodeId) -> SliceRef<'_, LabelId> {
+        SliceRef::Borrowed(self.graph.labels(u))
+    }
+
+    fn epoch_of(&self, u: NodeId) -> Epoch {
+        match self.report_epochs {
+            true => self.graph.epoch_of(u),
+            false => Epoch::STATIC,
+        }
+    }
+
+    fn label_epoch_of(&self, u: NodeId) -> Epoch {
+        match self.report_epochs {
+            true => self.graph.label_epoch_of(u),
+            false => Epoch::STATIC,
+        }
+    }
+}
+
+/// Runs every algorithm of case `c` over one `ChurnOsn`, advancing its
+/// clock by the next of `advances` before each, once over a view and once
+/// per call, and checks that both match the lock-stepped snapshot.
+fn check_view_case(
+    c: Case,
+    report_epochs: bool,
+    advances: &[u64],
+) -> Result<ViewCoverage, TestCaseError> {
+    let g = labeled_ba(c.nodes, 6, c.graph_seed);
+    let stack = stack_of(&c);
+    let cfg = ChurnConfig {
+        seed: c.graph_seed,
+        events_per_batch: (c.nodes / 4).max(1),
+        batch_interval_ticks: 1,
+        region_shift: 2,
+    };
+    let churn = ChurnOsn::new(&g, cfg).set_report_epochs(report_epochs);
+    let mut graph = MutableGraph::new(&g, cfg.region_shift);
+    let mut schedule = ChurnSchedule::new(cfg);
+    let mut stats = ChurnStats::default();
+    let mut cov = ViewCoverage::default();
+    let mut tick = 0;
+    for (ai, algorithm) in algorithms::all_paper(0.2, 0.5).into_iter().enumerate() {
+        tick += advances[ai % advances.len()];
+        churn.advance_to(tick);
+        schedule.advance_to(&mut graph, tick, &mut stats);
+        prop_assert_eq!(churn.churn_stats(), stats);
+        let snapshot = Snapshot {
+            graph: &graph,
+            report_epochs,
+        };
+        let (q, slice) = query_of(&c, ai as u64, algorithm);
+        let abbrev = q.algorithm.abbrev();
+
+        let want = run_on(&snapshot, &stack, &q, slice);
+        let viewed = run_on(&churn.view(), &stack, &q, slice);
+        let per_call = run_on(&churn, &stack, &q, slice);
+        prop_assert_eq!(&viewed, &per_call, "{}", abbrev);
+        prop_assert_eq!(&viewed, &want, "{}", abbrev);
+        prop_assert_eq!(churn.churn_stats(), stats, "{}: a run churned", abbrev);
+
+        let view = churn.view();
+        let seen = reads(&view);
+        drop(view);
+        let truth = reads(&snapshot);
+        prop_assert_eq!(&seen, &truth, "{}", abbrev);
+        prop_assert_eq!(&reads(&churn), &truth, "{}", abbrev);
+
+        let max_degree = truth.nodes.iter().map(|n| n.0.len()).max().unwrap_or(0);
+        cov.bound_above_max += u64::from(truth.max_degree_bound > max_degree);
+        cov.epochs_moved += u64::from(
+            truth
+                .nodes
+                .iter()
+                .any(|n| n.2 != Epoch::STATIC || n.3 != Epoch::STATIC),
+        );
+        cov.breaker_opens += want.outcome.breaker_opens;
+        cov.budget_cuts += u64::from(want.outcome.budget_exhausted);
+        cov.tick_cuts += u64::from(want.ticks_exceeded);
+    }
+    cov.edges_deleted = stats.edges_deleted;
+    Ok(cov)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_churn_view_runs_exactly_what_per_call_reads_run(
+        graph_seed in any::<u64>(),
+        nodes in 20usize..60,
+        seed in any::<u64>(),
+        fault_pct in 0u32..60,
+        breaker in any::<bool>(),
+        budgeted_retries in any::<bool>(),
+        retry_budget in 0u64..40,
+        serve_stale in any::<bool>(),
+        budgeted in any::<bool>(),
+        hard_budget in 5u64..200,
+        capped in any::<bool>(),
+        tick_ceiling in 10u64..3_000,
+        start_tick in 0u64..10_000,
+        report_epochs in any::<bool>(),
+        advances in proptest::collection::vec(0u64..4, 1..10),
+    ) {
+        check_view_case(Case {
+            graph_seed,
+            nodes,
+            seed,
+            fault_pct,
+            breaker,
+            retry_budget: budgeted_retries.then_some(retry_budget),
+            serve_stale,
+            hard_budget: budgeted.then_some(hard_budget),
+            tick_ceiling: capped.then_some(tick_ceiling),
+            start_tick,
+        }, report_epochs, &advances)?;
+    }
+}
+
+/// The view property is only as strong as the states it compares: churn
+/// deletes edges, leaves the degree bound above every current degree
+/// (where a recomputed maximum would differ), and moves epochs; the
+/// breaker opens, and the budget and the tick ceiling each cut runs.
+#[test]
+fn fixed_view_cases_reach_deletes_a_stale_bound_and_both_cuts() {
+    let mut cov = ViewCoverage::default();
+    for seed in 0..4u64 {
+        let c = Case {
+            graph_seed: seed,
+            nodes: 40,
+            seed,
+            fault_pct: 30,
+            breaker: true,
+            retry_budget: Some(20),
+            serve_stale: true,
+            hard_budget: seed.is_multiple_of(2).then_some(40),
+            tick_ceiling: (!seed.is_multiple_of(2)).then_some(150),
+            start_tick: 1_000 * seed,
+        };
+        let got =
+            check_view_case(c, seed < 2, &[1, 2, 0, 3]).unwrap_or_else(|e| panic!("{c:?}: {e:?}"));
+        cov.edges_deleted += got.edges_deleted;
+        cov.bound_above_max += got.bound_above_max;
+        cov.epochs_moved += got.epochs_moved;
+        cov.breaker_opens += got.breaker_opens;
+        cov.budget_cuts += got.budget_cuts;
+        cov.tick_cuts += got.tick_cuts;
+    }
+    assert!(cov.edges_deleted > 0, "no edge was deleted");
+    assert!(
+        cov.bound_above_max > 0,
+        "the bound never exceeded the maximum"
+    );
+    assert!(cov.epochs_moved > 0, "no epoch moved");
+    assert!(cov.breaker_opens > 0, "no breaker opened");
     assert!(cov.budget_cuts > 0, "no run hit its hard budget");
     assert!(cov.tick_cuts > 0, "no run hit its tick ceiling");
 }

@@ -29,6 +29,7 @@
 //! The cache layers in `labelcount-osn` stamp each entry with the epoch
 //! it was filled at and treat a mismatched stamp as a miss.
 
+use std::iter;
 use std::sync::Arc;
 
 use labelcount_stats::replication_seed;
@@ -244,19 +245,19 @@ impl MutableGraph {
         b.build()
     }
 
-    fn with_inserted<T: Copy + Ord>(list: &[T], x: T, at: usize) -> Arc<[T]> {
-        let mut next = Vec::with_capacity(list.len() + 1);
-        next.extend_from_slice(&list[..at]);
-        next.push(x);
-        next.extend_from_slice(&list[at..]);
-        Arc::from(next)
+    // Both rebuilds collect an exact-size iterator straight into the
+    // `Arc`: one allocation and one copy per rebuilt list.
+    fn with_inserted<T: Copy>(list: &[T], x: T, at: usize) -> Arc<[T]> {
+        let (head, tail) = list.split_at(at);
+        head.iter()
+            .copied()
+            .chain(iter::once(x))
+            .chain(tail.iter().copied())
+            .collect()
     }
 
-    fn with_removed<T: Copy + Ord>(list: &[T], at: usize) -> Arc<[T]> {
-        let mut next = Vec::with_capacity(list.len() - 1);
-        next.extend_from_slice(&list[..at]);
-        next.extend_from_slice(&list[at + 1..]);
-        Arc::from(next)
+    fn with_removed<T: Copy>(list: &[T], at: usize) -> Arc<[T]> {
+        list[..at].iter().chain(&list[at + 1..]).copied().collect()
     }
 
     /// Applies one event. Returns `true` if the graph changed (and the

@@ -1,15 +1,17 @@
-//! A dynamic (churning) OSN backend: [`ChurnOsn`].
+//! A dynamic (churning) OSN backend, [`ChurnOsn`], and its per-slice read
+//! view, [`ChurnView`].
 //!
 //! Every other backend in the crate serves a frozen graph — the paper's
 //! standing assumption. [`ChurnOsn`] drops that assumption: it owns a
 //! [`MutableGraph`] plus a seeded [`ChurnSchedule`] and mutates the served
 //! graph whenever its virtual clock is advanced ([`ChurnOsn::advance_to`]),
 //! bumping per-region [`Epoch`] stamps as it goes. Downstream caches
-//! ([`crate::CachedOsn`] L2 entries, [`crate::OsnSession`] L1 slots) store
-//! the epoch they were filled at and treat a changed stamp as a miss, so
-//! invalidation rides the existing read path — no callbacks, no
-//! subscription machinery, just generation stamps (the same protocol
-//! hardware caches and MVCC storage engines use).
+//! ([`crate::CachedOsn`] L2 entries, [`crate::OsnSession`] L1 slots,
+//! [`crate::SliceSession`] entries) store the epoch they were filled at
+//! and treat a changed stamp as a miss, so invalidation rides the
+//! existing read path — no callbacks, no subscription machinery, just
+//! generation stamps (the same protocol hardware caches and MVCC storage
+//! engines use).
 //!
 //! # Determinism
 //!
@@ -23,6 +25,25 @@
 //! backend behaves exactly like a static [`crate::GraphOsn`] over the seed
 //! graph.
 //!
+//! # Views: one lock per slice
+//!
+//! Every fetch through [`ChurnOsn`]'s own [`OsnBackend`] impl takes the
+//! read lock and clones the node's `Arc` out, so the caller may keep the
+//! list across later batches ([`crate::CachedOsn`] L2 entries do). A
+//! caller that reads many times between two `advance_to` calls opens a
+//! [`ChurnView`] instead ([`ChurnOsn::view`]): it holds the read guard, so
+//! its reads borrow the current lists and take no further lock and no
+//! refcount. The scheduler runs each churned query slice on one view, so
+//! a slice takes one read lock in all, not one per logical call and miss.
+//! Between two `advance_to` calls both paths read the same bytes and the
+//! same epochs.
+//!
+//! The lock discipline: a view blocks [`ChurnOsn::advance_to`] until it
+//! is dropped, and a `std` `RwLock` may deadlock or panic when the thread
+//! holding a read guard asks for the write lock. So scope a view to the
+//! reads between two `advance_to` calls, and call none of [`ChurnOsn`]'s
+//! own methods while it lives.
+//!
 //! # Stale-read mode
 //!
 //! [`ChurnOsn::set_report_epochs`]`(false)` keeps the churn but hides the
@@ -30,9 +51,9 @@
 //! serving filled entries however stale they get. That is the *control
 //! arm* of the `staleness` experiment — the measured gap between the
 //! invalidating and stale-read runs is exactly what epoch invalidation
-//! buys.
+//! buys. Views honour the setting too.
 
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use labelcount_graph::{
     ChurnConfig, ChurnSchedule, ChurnStats, Epoch, LabelId, LabeledGraph, MutableGraph, NodeId,
@@ -51,9 +72,11 @@ struct Inner {
 
 /// An [`OsnBackend`] over a churning graph (see the [module docs](self)).
 ///
-/// `Sync`: readers take the inner `RwLock` in read mode and clone the
-/// per-node `Arc` lists out, so fetches from many threads proceed in
-/// parallel; only [`ChurnOsn::advance_to`] takes the write lock.
+/// `Sync`: readers take the inner `RwLock` in read mode, so fetches from
+/// many threads proceed in parallel; only [`ChurnOsn::advance_to`] takes
+/// the write lock. Each fetch through this type locks once and hands out
+/// the node's own `Arc`, which stays valid across later batches; a
+/// [`ChurnView`] locks once for many reads and lends the lists instead.
 pub struct ChurnOsn {
     inner: RwLock<Inner>,
     report_epochs: bool,
@@ -91,11 +114,27 @@ impl ChurnOsn {
         self.report_epochs
     }
 
+    /// Opens a read view of the current snapshot: one read lock held until
+    /// the view drops (see the module docs' [lock
+    /// discipline](self#views-one-lock-per-slice)).
+    #[inline]
+    pub fn view(&self) -> ChurnView<'_> {
+        ChurnView {
+            inner: self.read(),
+            report_epochs: self.report_epochs,
+        }
+    }
+
+    #[inline]
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Applies every churn batch due at or before virtual `tick`. Call at
     /// serial control points only (between scheduler slices, between
-    /// experiment phases); ticks are the scheduler's virtual time, never
-    /// wall time, which is what keeps churned runs bit-identical across
-    /// thread counts.
+    /// experiment phases), with no [`ChurnView`] of this backend open;
+    /// ticks are the scheduler's virtual time, never wall time, which is
+    /// what keeps churned runs bit-identical across thread counts.
     pub fn advance_to(&self, tick: u64) {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let Inner {
@@ -109,40 +148,24 @@ impl ChurnOsn {
     /// The next virtual tick at which a batch is due, or `None` when the
     /// stream is empty (churn rate 0).
     pub fn next_due_tick(&self) -> Option<u64> {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .schedule
-            .next_due_tick()
+        self.read().schedule.next_due_tick()
     }
 
     /// Snapshot of the churn accounting so far.
     pub fn churn_stats(&self) -> ChurnStats {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats
+        self.read().stats
     }
 
     /// The churn configuration in force.
     pub fn churn_config(&self) -> ChurnConfig {
-        *self
-            .inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .schedule
-            .config()
+        *self.read().schedule.config()
     }
 
     /// Neighbor-list invalidations the per-endpoint epoch split avoided
     /// so far (one per applied label flip — see
     /// [`MutableGraph::avoided_neighbor_invalidations`]).
     pub fn avoided_neighbor_invalidations(&self) -> u64 {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .avoided_neighbor_invalidations()
+        self.read().graph.avoided_neighbor_invalidations()
     }
 
     /// Materializes the current snapshot as an immutable
@@ -150,92 +173,117 @@ impl ChurnOsn {
     /// ground truth against the churned graph. Estimators must not use
     /// this.
     pub fn ground_truth_snapshot(&self) -> LabeledGraph {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .to_labeled_graph()
+        self.read().graph.to_labeled_graph()
     }
 }
 
+/// Each call opens a view, reads, and drops it: one read lock per call,
+/// and fetched lists are the node's own `Arc`s, valid after later batches.
 impl OsnBackend for ChurnOsn {
     fn num_nodes(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .num_nodes()
+        self.view().num_nodes()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.view().num_edges()
+    }
+
+    fn max_degree_bound(&self) -> usize {
+        self.view().max_degree_bound()
+    }
+
+    fn fetch_neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
+        SliceRef::Shared(Arc::clone(self.view().neighbors(u)))
+    }
+
+    fn fetch_labels(&self, u: NodeId) -> SliceRef<'_, LabelId> {
+        SliceRef::Shared(Arc::clone(self.view().labels(u)))
+    }
+
+    fn epoch_of(&self, u: NodeId) -> Epoch {
+        self.view().epoch_of(u)
+    }
+
+    fn label_epoch_of(&self, u: NodeId) -> Epoch {
+        self.view().label_epoch_of(u)
+    }
+}
+
+/// A read view of a [`ChurnOsn`]'s current snapshot, from
+/// [`ChurnOsn::view`].
+///
+/// It holds the backend's read guard, so its reads take no lock, and
+/// fetches return [`SliceRef::Borrowed`] borrows of the current lists: no
+/// refcount is touched. While it lives no batch can land, so every read
+/// sees one snapshot.
+///
+/// Scope a view to the reads between two [`ChurnOsn::advance_to`] calls
+/// and call none of the [`ChurnOsn`]'s own methods while it lives: with
+/// the read lock held, a write lock on the same thread may deadlock or
+/// panic, and so may a second read lock when a writer waits.
+pub struct ChurnView<'a> {
+    inner: RwLockReadGuard<'a, Inner>,
+    report_epochs: bool,
+}
+
+impl ChurnView<'_> {
+    /// The current friend list of `u`: the node's own `Arc`.
+    fn neighbors(&self, u: NodeId) -> &Arc<[NodeId]> {
+        self.inner.graph.neighbors(u)
+    }
+
+    /// The current profile labels of `u`: the node's own `Arc`.
+    fn labels(&self, u: NodeId) -> &Arc<[LabelId]> {
+        self.inner.graph.labels(u)
+    }
+}
+
+impl OsnBackend for ChurnView<'_> {
+    fn num_nodes(&self) -> usize {
+        self.inner.graph.num_nodes()
     }
 
     fn num_edges(&self) -> usize {
         // Prior knowledge tracks the live graph: the OSN owner republishes
         // |E| as it drifts.
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .num_edges()
+        self.inner.graph.num_edges()
     }
 
     fn max_degree_bound(&self) -> usize {
         // Monotone: raised by inserts, never lowered, so a bound handed to
         // a running estimator stays valid across batches.
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .max_degree_bound()
+        self.inner.graph.max_degree_bound()
     }
 
     fn fetch_neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
-        SliceRef::Shared(
-            self.inner
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .graph
-                .neighbors(u)
-                .clone(),
-        )
+        SliceRef::Borrowed(self.neighbors(u))
     }
 
     fn fetch_labels(&self, u: NodeId) -> SliceRef<'_, LabelId> {
-        SliceRef::Shared(
-            self.inner
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .graph
-                .labels(u)
-                .clone(),
-        )
+        SliceRef::Borrowed(self.labels(u))
     }
 
     fn epoch_of(&self, u: NodeId) -> Epoch {
         if !self.report_epochs {
             return Epoch::STATIC;
         }
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .epoch_of(u)
+        self.inner.graph.epoch_of(u)
     }
 
     fn label_epoch_of(&self, u: NodeId) -> Epoch {
         if !self.report_epochs {
             return Epoch::STATIC;
         }
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .label_epoch_of(u)
+        self.inner.graph.label_epoch_of(u)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversarial::{AdversarialOsn, FaultConfig, RetryPolicy};
     use crate::cached::{CachedOsn, GraphOsn};
+    use crate::slice::SliceSession;
     use crate::OsnApi;
     use labelcount_graph::{ChurnEvent, GraphBuilder};
 
@@ -434,5 +482,95 @@ mod tests {
             after.num_edges() as i64 - g.num_edges() as i64,
             st.edges_inserted as i64 - st.edges_deleted as i64
         );
+    }
+
+    fn star(n: u32) -> LabeledGraph {
+        let mut b = GraphBuilder::new(n as usize);
+        for i in 1..n {
+            b.add_edge(NodeId(0), NodeId(i));
+            b.set_labels(NodeId(i), &[LabelId(1 + i % 2)]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_session_over_a_view_lends_the_nodes_own_lists_untouched() {
+        let churn = ChurnOsn::new(&ring(16), cfg(5, 6, 10));
+        churn.advance_to(40);
+        assert!(churn.churn_stats().events_applied() > 0);
+        let u = NodeId(3);
+        let (SliceRef::Shared(adj), SliceRef::Shared(labels)) =
+            (churn.fetch_neighbors(u), churn.fetch_labels(u))
+        else {
+            panic!("a per-call fetch hands out the node's own Arc");
+        };
+        // Ours and the graph's.
+        assert_eq!(
+            (Arc::strong_count(&adj), Arc::strong_count(&labels)),
+            (2, 2)
+        );
+        let view = churn.view();
+        let session = SliceSession::new(AdversarialOsn::new(
+            &view,
+            FaultConfig::hostile(3, 0.4),
+            RetryPolicy::default(),
+        ));
+        for _ in 0..3 {
+            let n = session.neighbors(u);
+            let l = session.labels(u);
+            assert!(std::ptr::eq(n.as_ptr(), adj.as_ptr()));
+            assert!(std::ptr::eq(l.as_ptr(), labels.as_ptr()));
+            assert_eq!(
+                (Arc::strong_count(&adj), Arc::strong_count(&labels)),
+                (2, 2)
+            );
+        }
+    }
+
+    /// `|V|`, `|E|`, the degree bound and every node's epochs, as `b`
+    /// reports them.
+    fn reads(b: &dyn OsnBackend) -> (usize, usize, usize, Vec<(Epoch, Epoch)>) {
+        let epochs = (0..b.num_nodes() as u32)
+            .map(NodeId)
+            .map(|u| (b.epoch_of(u), b.label_epoch_of(u)))
+            .collect();
+        (b.num_nodes(), b.num_edges(), b.max_degree_bound(), epochs)
+    }
+
+    #[test]
+    fn a_view_reads_the_live_edges_bound_and_epochs() {
+        for report in [true, false] {
+            let churn = ChurnOsn::new(&star(16), cfg(11, 6, 10)).set_report_epochs(report);
+            churn.advance_to(50);
+            let want = {
+                let mut inner = churn.inner.write().unwrap();
+                // Shrink the hub below the bound it set.
+                for v in 1..4 {
+                    inner
+                        .graph
+                        .apply(ChurnEvent::DeleteEdge(NodeId(0), NodeId(v)));
+                }
+                let g = &inner.graph;
+                let max_degree = (0..16u32).map(|u| g.degree(NodeId(u))).max();
+                assert!(Some(g.max_degree_bound()) > max_degree);
+                let epochs = (0..16u32)
+                    .map(NodeId)
+                    .map(|u| match report {
+                        true => (g.epoch_of(u), g.label_epoch_of(u)),
+                        false => (Epoch::STATIC, Epoch::STATIC),
+                    })
+                    .collect();
+                (g.num_nodes(), g.num_edges(), g.max_degree_bound(), epochs)
+            };
+            let st = churn.churn_stats();
+            assert!(st.edges_deleted > 0 && st.edges_inserted > 0, "{st:?}");
+            let view = churn.view();
+            let seen = reads(&view);
+            drop(view);
+            assert_eq!(seen, want, "report_epochs {report}");
+            assert_eq!(reads(&churn), want, "report_epochs {report}");
+            let moved = want.3.iter().any(|&e| e != (Epoch::STATIC, Epoch::STATIC));
+            assert_eq!(moved, report, "report_epochs {report}");
+        }
     }
 }

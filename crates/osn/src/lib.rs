@@ -44,7 +44,10 @@
 //!   stream mutates the served graph on virtual ticks
 //!   ([`ChurnOsn::advance_to`]), bumping per-region
 //!   [`labelcount_graph::Epoch`] stamps that the cache layers compare via
-//!   [`OsnBackend::epoch_of`] to invalidate stale L1/L2 entries.
+//!   [`OsnBackend::epoch_of`] to invalidate stale L1/L2 entries. A
+//!   [`ChurnView`] ([`ChurnOsn::view`]) holds its read lock across the
+//!   reads between two batches and lends the current lists, so a query
+//!   slice over it takes one lock in all and touches no refcount.
 //! * [`SliceRef`] — the borrow-or-share guard `neighbors`/`labels` return,
 //!   so caching implementations neither leak nor copy.
 //! * [`linegraph`] — the implicit transformed graph `G'` of §5.1 (one node
@@ -73,7 +76,7 @@ pub use api::{EndpointKind, FetchCost, OsnApi, OsnApiExt, OsnBackend};
 pub use cached::{
     CacheConfig, CacheConfigBuilder, CachedOsn, CallStats, GraphOsn, OsnSession, DEFAULT_L1_SLOTS,
 };
-pub use churn::ChurnOsn;
+pub use churn::{ChurnOsn, ChurnView};
 pub use guard::SliceRef;
 pub use linegraph::{LineGraphView, LineNode};
 pub use paged::PagedGraphOsn;

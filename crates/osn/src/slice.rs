@@ -6,10 +6,11 @@
 //! which [`Epoch`]; it does not need its own copy of their bytes. A
 //! [`SliceSession`] keeps, per endpoint, one node-keyed map of the
 //! [`SliceRef`] guards the shared backend returned — a borrow of the CSR
-//! for [`crate::GraphOsn`], the backend's own `Arc` for
-//! [`crate::PagedGraphOsn`] and [`crate::ChurnOsn`] — so a miss copies
-//! nothing and a hit is one hash probe with no lock and no copy (an
-//! `Arc`-backed entry adds one uncontended refcount bump).
+//! for [`crate::GraphOsn`] or of the current list for a
+//! [`crate::ChurnView`], the backend's own `Arc` for
+//! [`crate::PagedGraphOsn`] and a bare [`crate::ChurnOsn`] — so a miss
+//! copies nothing and a hit is one hash probe with no lock and no copy
+//! (an `Arc`-backed entry adds one uncontended refcount bump).
 //!
 //! This works because the session borrows the backend for the slice's
 //! whole life (`&'s B`): the data is read straight from it, and the fault

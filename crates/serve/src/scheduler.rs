@@ -33,6 +33,12 @@
 //! are counted as the arrival cursor passes the tasks that landed during
 //! it. No event scans the task list.
 //!
+//! A churned graph's loop applies the batches due at the top of each
+//! iteration and runs the slice on one [`ChurnView`] opened after that and
+//! dropped before the next: a slice takes one read lock in all, and its
+//! session keeps borrows of the current lists, so no logical call or miss
+//! takes a lock or touches a refcount.
+//!
 //! # Determinism
 //!
 //! The event order inside a graph loop is a pure function of `(workload
@@ -50,7 +56,7 @@ use labelcount_core::{
     EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, QueryStack, Schedule,
     Slice, SliceOutcome, WorkloadProgress,
 };
-use labelcount_osn::{ChurnOsn, OsnBackend};
+use labelcount_osn::{ChurnOsn, ChurnView, GraphOsn, OsnBackend, PagedGraphOsn};
 use labelcount_stats::{replication_seed, RunningStats};
 
 use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
@@ -552,6 +558,57 @@ impl EventIndex {
     }
 }
 
+/// What a graph loop serves: the backend its slices read, and the churn
+/// it applies between them.
+trait LoopBackend {
+    /// What one slice reads.
+    type View<'a>: OsnBackend
+    where
+        Self: 'a;
+
+    /// Applies every change due by virtual `tick`. Static graphs have
+    /// none.
+    fn advance_to(&self, _tick: u64) {}
+
+    /// The read path of one slice. The loop drops it before its next
+    /// `advance_to`.
+    fn view(&self) -> Self::View<'_>;
+}
+
+impl LoopBackend for GraphOsn<'_> {
+    type View<'a>
+        = &'a Self
+    where
+        Self: 'a;
+
+    fn view(&self) -> &Self {
+        self
+    }
+}
+
+impl LoopBackend for PagedGraphOsn {
+    type View<'a> = &'a Self;
+
+    fn view(&self) -> &Self {
+        self
+    }
+}
+
+/// A slice reads one [`ChurnView`], so it takes the backend's read lock
+/// once; holding it is safe because churn lands only at the loop's
+/// `advance_to`, after the view of the previous slice is dropped.
+impl LoopBackend for ChurnOsn {
+    type View<'a> = ChurnView<'a>;
+
+    fn advance_to(&self, tick: u64) {
+        ChurnOsn::advance_to(self, tick);
+    }
+
+    fn view(&self) -> ChurnView<'_> {
+        ChurnOsn::view(self)
+    }
+}
+
 /// Runs one graph's discrete-event loop to completion. Strictly serial:
 /// the loop IS the graph's single virtual timeline, which is what makes
 /// the per-graph progress fallback (and everything else) deterministic.
@@ -561,15 +618,14 @@ impl EventIndex {
 /// bytes, so the loop's virtual timeline — and every counter derived from
 /// it — is backend-independent.
 ///
-/// For dynamic graphs, `churn` hands the loop the churn schedule behind
-/// `shared`: every iteration applies the batches due by the current
-/// virtual tick *before* any slice reads the graph. The loop is the
-/// graph's single serial timeline, so batches land at deterministic
+/// For dynamic graphs every iteration applies the batches due by the
+/// current virtual tick *before* any slice reads the graph. The loop is
+/// the graph's single serial timeline, so batches land at deterministic
 /// points — between slices, never mid-slice — and the report stays
-/// bit-identical at any shard or worker count.
-fn run_graph_loop<B: OsnBackend>(
-    shared: &B,
-    churn: Option<&ChurnOsn>,
+/// bit-identical at any shard or worker count. Each slice runs on a
+/// [`LoopBackend::view`] opened after that iteration's batches.
+fn run_graph_loop<B: LoopBackend>(
+    backend: &B,
     tasks: Vec<QuerySpec>,
     stack: &QueryStack,
     fault_base: u64,
@@ -587,9 +643,7 @@ fn run_graph_loop<B: OsnBackend>(
         // Dynamic graphs: drain the churn schedule up to the current
         // virtual tick. A batch due exactly at a slice boundary is applied
         // before that slice reads a byte.
-        if let Some(c) = churn {
-            c.advance_to(clock);
-        }
+        backend.advance_to(clock);
 
         // Cancellation sweep: any unfinished task whose absolute deadline
         // the clock has reached can no longer produce a timely answer —
@@ -617,10 +671,12 @@ fn run_graph_loop<B: OsnBackend>(
             continue;
         };
 
-        // One replicate slice. Advance virtual time by exactly what it
-        // billed, and charge priority inversions: higher-priority arrivals
-        // that landed while this (lower-priority) slice held the loop.
-        let (slice_ticks, ticks_cut) = tasks[ti].run_slice(shared, stack, fault_base, clock);
+        // One replicate slice, on a view that drops at the end of this
+        // statement. Advance virtual time by exactly what it billed, and
+        // charge priority inversions: higher-priority arrivals that landed
+        // while this (lower-priority) slice held the loop.
+        let (slice_ticks, ticks_cut) =
+            tasks[ti].run_slice(&backend.view(), stack, fault_base, clock);
         clock = clock.saturating_add(slice_ticks);
         counters.priority_inversions += index.arrive(&tasks, clock, tasks[ti].rank());
 
@@ -810,7 +866,6 @@ impl<'g> ShardedService<'g> {
                             let result = match &self.graphs[gi].2 {
                                 AnyEngine::Ram(e) => run_graph_loop(
                                     e.backend(),
-                                    None,
                                     tasks,
                                     stack,
                                     fault_base,
@@ -819,7 +874,6 @@ impl<'g> ShardedService<'g> {
                                 ),
                                 AnyEngine::Paged(e) => run_graph_loop(
                                     e.backend(),
-                                    None,
                                     tasks,
                                     stack,
                                     fault_base,
@@ -828,7 +882,6 @@ impl<'g> ShardedService<'g> {
                                 ),
                                 AnyEngine::Churn(e) => run_graph_loop(
                                     e.backend(),
-                                    Some(e.backend()),
                                     tasks,
                                     stack,
                                     fault_base,
@@ -1343,7 +1396,7 @@ mod tests {
             let tasks = || hand_set(seed, &schedules);
             let progress = WorkloadProgress::new;
             let indexed =
-                run_graph_loop(&osn, None, tasks(), &stack, seed, replicates, &progress());
+                run_graph_loop(&osn, tasks(), &stack, seed, replicates, &progress());
             let scanning =
                 scanning_graph_loop(&osn, tasks(), &stack, seed, replicates, &progress());
             prop_assert_eq!(fingerprints(&indexed), fingerprints(&scanning));

@@ -519,8 +519,12 @@ impl<'g> ShardedService<'g> {
     /// Registers a dynamic (churned) graph under `key`, returning the
     /// shard that owns it. The [`ChurnOsn`] owns its mutable snapshot; the
     /// scheduler's virtual-time loop advances its churn schedule between
-    /// slices, and the engine's epoch-stamped caches invalidate entries
-    /// whose node region churned since the fill.
+    /// slices and runs each slice on one [`labelcount_osn::ChurnView`] of
+    /// the snapshot, whose session keeps borrows of the current lists.
+    /// Scheduled slices never read the engine's shared cache (`cache`
+    /// configures it); [`ShardedService::churn_engine`] sessions do, and
+    /// its epoch-stamped entries invalidate when their node region
+    /// churned since the fill.
     ///
     /// # Panics
     /// Panics if `key` is already registered.
