@@ -259,7 +259,7 @@ mod tests {
             q.hard_budget = Some(25);
         }
         let collected = |workers: usize| -> Vec<usize> {
-            run_workload(&GraphOsn::new(&g), &wl, workers, None)
+            run_workload(&GraphOsn::new(&g), &wl, workers)
                 .outcomes
                 .into_iter()
                 .map(|o| match o.estimate {

@@ -65,6 +65,4 @@ pub use neighbor_exploration::{NeHansenHurwitz, NeHorvitzThompson, NeReweighted}
 pub use neighbor_sample::{NsHansenHurwitz, NsHorvitzThompson};
 pub use request::{Priority, QueryOutcome, QuerySpec, Schedule};
 pub use stack::{QueryStack, Slice, SliceOutcome};
-pub use workload::{
-    run_workload, ProgressSnapshot, Workload, WorkloadBuilder, WorkloadProgress, WorkloadReport,
-};
+pub use workload::{run_workload, Workload, WorkloadBuilder, WorkloadReport};

@@ -11,16 +11,14 @@
 //!
 //! * queries arrive in a **seeded arrival order** (a Fisher–Yates shuffle
 //!   of the query list under the workload seed);
-//! * a pool of `workers` threads pops queries off the arrival queue
-//!   dynamically (stragglers never idle a whole worker);
+//! * up to `workers` threads take queries off the arrival queue
+//!   dynamically ([`replicate`](fn@replicate)), so stragglers never idle a
+//!   whole worker;
 //! * every query gets its **own access stack** — a [`QueryStack`]
 //!   (a `SliceSession` over `AdversarialOsn<&B>`) over the shared
 //!   backend — so per-query budgets, retry charges, and fault patterns are
 //!   fully isolated, like one crawler client per query against the same
-//!   remote OSN;
-//! * anytime progress is observable through [`WorkloadProgress`]: a
-//!   [`RunningStats`] over completed-query estimates that a dashboard can
-//!   poll mid-run.
+//!   remote OSN.
 //!
 //! # Determinism
 //!
@@ -28,17 +26,11 @@
 //! ([`labelcount_osn::AdversarialOsn`]) and every query owns its RNG and
 //! its cache, so the [`WorkloadReport`] — estimates, retry counts, latency
 //! ticks, budget verdicts, and the summary statistics (accumulated in
-//! query-id order) — is **bit-identical at any worker count**. Only the
-//! *live* [`WorkloadProgress`] view is interleaving-dependent: it
-//! aggregates in completion order, which is the point of an anytime
-//! estimate.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+//! query-id order) — is **bit-identical at any worker count**.
 
 use labelcount_graph::TargetLabel;
 use labelcount_osn::{FaultConfig, OsnBackend, ResilienceConfig, RetryPolicy};
-use labelcount_stats::{replication_seed, RunningStats};
+use labelcount_stats::{replicate, replication_seed, RunningStats};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -192,8 +184,7 @@ impl WorkloadBuilder {
 pub struct WorkloadReport {
     /// Per-query outcomes, in **query-id order** (not completion order).
     pub outcomes: Vec<QueryOutcome>,
-    /// Summary over the successful estimates, accumulated in id order —
-    /// deterministic, unlike the live progress view.
+    /// Summary over the successful estimates, accumulated in id order.
     pub summary: RunningStats,
 }
 
@@ -234,146 +225,10 @@ impl WorkloadReport {
     }
 }
 
-/// An immutable point-in-time view of partial estimate statistics — what
-/// [`WorkloadProgress::partial_estimates`] hands to pollers.
-///
-/// Previously that method leaked the live [`RunningStats`] accumulator
-/// itself, which invited pollers to `push`/`merge` into their copy (a
-/// mutation the tracker never sees) and coupled the polling API to the
-/// accumulator's full surface. The snapshot exposes only the read side,
-/// plus the derived quantity every anytime consumer wants: a normal-
-/// approximation 95% confidence halfwidth.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProgressSnapshot {
-    count: u64,
-    mean: f64,
-    min: f64,
-    max: f64,
-    sample_variance: f64,
-}
-
-impl From<RunningStats> for ProgressSnapshot {
-    fn from(s: RunningStats) -> ProgressSnapshot {
-        ProgressSnapshot {
-            count: s.count(),
-            mean: s.mean(),
-            min: s.min(),
-            max: s.max(),
-            sample_variance: s.sample_variance(),
-        }
-    }
-}
-
-impl ProgressSnapshot {
-    /// Number of estimates observed when the snapshot was taken.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean of the observed estimates (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Smallest observed estimate (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observed estimate (`−∞` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sample variance of the observed estimates (0 below two
-    /// observations).
-    pub fn sample_variance(&self) -> f64 {
-        self.sample_variance
-    }
-
-    /// Halfwidth of the normal-approximation 95% confidence interval
-    /// around [`ProgressSnapshot::mean`] (`1.96·√(s²/n)`; 0 below two
-    /// observations). The anytime answer a cancelled query reports is
-    /// `mean ± ci_halfwidth`.
-    pub fn ci_halfwidth(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * (self.sample_variance / self.count as f64).sqrt()
-        }
-    }
-
-    /// Whether no estimates had been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
-/// Live, anytime view of a running workload: completed-query count and a
-/// [`RunningStats`] over the estimates seen so far.
-///
-/// Aggregated in **completion order**, so the low bits of the mean may
-/// differ run to run — that is inherent to an anytime estimate; the
-/// [`WorkloadReport::summary`] recomputed in id order is the
-/// deterministic number.
-#[derive(Default)]
-pub struct WorkloadProgress {
-    completed: AtomicUsize,
-    partial: Mutex<RunningStats>,
-}
-
-impl WorkloadProgress {
-    /// A fresh progress tracker.
-    pub fn new() -> Self {
-        WorkloadProgress::default()
-    }
-
-    /// Queries finished so far.
-    pub fn completed(&self) -> usize {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the running estimate statistics.
-    ///
-    /// Poison-tolerant: a worker that panics while holding the lock marks
-    /// the mutex poisoned, but the payload is a `Copy` accumulator that is
-    /// valid at every instant (`RunningStats::push` cannot be observed
-    /// half-applied through the lock), so the progress view recovers the
-    /// inner value instead of cascading the panic into every later read —
-    /// one bad query must not take the anytime path down for the rest of
-    /// a long-lived server's life.
-    pub fn partial_estimates(&self) -> ProgressSnapshot {
-        ProgressSnapshot::from(*self.partial.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Records one finished query: `Some(estimate)` on success (only
-    /// finite values enter the statistics), `None` for a query that
-    /// finished without an estimate. Called by the runners
-    /// ([`run_workload`] and the serving layer's scheduler); pollers only
-    /// read.
-    pub fn record(&self, estimate: Option<f64>) {
-        // Same filter as the deterministic summary: only finite estimates
-        // enter the statistics (an HT estimator can return a non-finite
-        // value on a degenerate sample).
-        if let Some(e) = estimate {
-            if e.is_finite() {
-                // Recover from poisoning for the same reason as
-                // `partial_estimates`: the accumulator is always valid.
-                self.partial
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(e);
-            }
-        }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Runs `workload` over any shared [`OsnBackend`] — the in-RAM
 /// [`GraphOsn`](labelcount_osn::GraphOsn), the out-of-core
 /// `labelcount_osn::PagedGraphOsn`, or any decorator over them — on up to
-/// `workers` threads, recording each finished query into `progress` when
-/// one is given. See the [module docs](self) for the execution and
+/// `workers` threads. See the [module docs](self) for the execution and
 /// determinism model.
 ///
 /// Every query runs once through its own [`QueryStack`] over `backend`, so
@@ -382,11 +237,8 @@ pub fn run_workload<B: OsnBackend + Sync>(
     backend: &B,
     workload: &Workload,
     workers: usize,
-    progress: Option<&WorkloadProgress>,
 ) -> WorkloadReport {
     let order = workload.arrival_order();
-    let n = order.len();
-    let workers = workers.max(1).min(n.max(1));
     let stack = QueryStack {
         run_config: workload.run_config,
         faults: workload.faults,
@@ -395,44 +247,18 @@ pub fn run_workload<B: OsnBackend + Sync>(
     };
     let fault_root = replication_seed(workload.seed, stream::QUERY_FAULT);
 
-    let run_one = |qi: usize| -> QueryOutcome {
-        let q = &workload.queries[qi];
+    // Positions in the arrival order are handed out dynamically. Each
+    // query's seeds derive from its own id, so `replicate`'s per-index
+    // seed goes unused.
+    let mut outcomes = replicate(order.len(), workers, 0, |pos, _| {
+        let q = &workload.queries[order[pos]];
         let slice = Slice {
             fault_seed: replication_seed(fault_root, q.id),
             rng_seed: q.seed,
             ..Slice::default()
         };
-        let outcome = stack.run(backend, q, slice).outcome;
-        if let Some(p) = progress {
-            p.record(outcome.estimate.as_ref().ok().copied());
-        }
-        outcome
-    };
-
-    let mut outcomes: Vec<QueryOutcome> = if workers == 1 || n <= 1 {
-        order.iter().map(|&qi| run_one(qi)).collect()
-    } else {
-        // Dynamic handout over the arrival queue, merged once per worker —
-        // the same scheduling discipline as `labelcount_stats::replicate`.
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<QueryOutcome>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= n {
-                            break;
-                        }
-                        local.push(run_one(order[pos]));
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
-            }
-        });
-        collected.into_inner().unwrap()
-    };
+        stack.run(backend, q, slice).outcome
+    });
 
     outcomes.sort_by_key(|o| o.id);
     let mut summary = RunningStats::new();
@@ -521,7 +347,7 @@ mod tests {
     #[test]
     fn report_is_in_id_order_with_sound_accounting() {
         let g = fixture(1);
-        let report = run_workload(&GraphOsn::new(&g), &mixed(10, 7, 0.3), 2, None);
+        let report = run_workload(&GraphOsn::new(&g), &mixed(10, 7, 0.3), 2);
         assert_eq!(report.outcomes.len(), 10);
         for (i, o) in report.outcomes.iter().enumerate() {
             assert_eq!(o.id, i as u64);
@@ -543,7 +369,7 @@ mod tests {
     fn clean_faults_charge_nothing() {
         let g = fixture(2);
         let w = Workload::mixed(6, target(), 80, 3, cfg());
-        let report = run_workload(&GraphOsn::new(&g), &w, 3, None);
+        let report = run_workload(&GraphOsn::new(&g), &w, 3);
         assert_eq!(report.total_retry_charges(), 0);
         assert_eq!(report.budget_exhausted_queries(), 0);
         for o in &report.outcomes {
@@ -558,9 +384,9 @@ mod tests {
     fn worker_count_never_changes_the_report() {
         let g = fixture(3);
         let w = mixed(9, 11, 0.35);
-        let baseline = run_workload(&GraphOsn::new(&g), &w, 1, None);
+        let baseline = run_workload(&GraphOsn::new(&g), &w, 1);
         for workers in [2usize, 4, 8] {
-            let r = run_workload(&GraphOsn::new(&g), &w, workers, None);
+            let r = run_workload(&GraphOsn::new(&g), &w, workers);
             assert_eq!(r.outcomes.len(), baseline.outcomes.len());
             for (a, b) in baseline.outcomes.iter().zip(&r.outcomes) {
                 assert_eq!(a.id, b.id);
@@ -591,7 +417,7 @@ mod tests {
             q.hard_budget = Some(60); // far below the 100-call sample budget
             q.budget = 1_000;
         }
-        let report = run_workload(&GraphOsn::new(&g), &w, 2, None);
+        let report = run_workload(&GraphOsn::new(&g), &w, 2);
         assert!(
             report.budget_exhausted_queries() > 0,
             "a 0.5-fault-rate API under a 60-call budget must exhaust"
@@ -608,52 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn progress_view_reaches_the_final_count() {
-        let g = fixture(5);
-        let w = mixed(7, 17, 0.2);
-        let progress = WorkloadProgress::new();
-        let report = run_workload(&GraphOsn::new(&g), &w, 4, Some(&progress));
-        assert_eq!(progress.completed(), 7);
-        // The anytime view saw every successful estimate (order may
-        // differ; count and extremes cannot).
-        let partial = progress.partial_estimates();
-        assert_eq!(partial.count(), report.summary.count());
-        assert_eq!(partial.min().to_bits(), report.summary.min().to_bits());
-        assert_eq!(partial.max().to_bits(), report.summary.max().to_bits());
-    }
-
-    #[test]
-    fn poisoned_progress_lock_recovers_instead_of_cascading() {
-        // Regression: `partial.lock().unwrap()` turned one panicked worker
-        // into a cascade — every later progress read re-panicked on the
-        // poisoned mutex, exactly wrong for a long-lived server.
-        let progress = WorkloadProgress::new();
-        progress.record(Some(10.0));
-
-        // A worker dies while holding the progress lock.
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = progress.partial.lock().unwrap();
-            panic!("worker panicked mid-update");
-        }));
-        assert!(poison.is_err());
-        assert!(progress.partial.is_poisoned(), "lock must be poisoned");
-
-        // Reads and writes recover the (always-valid) payload.
-        let snapshot = progress.partial_estimates();
-        assert_eq!(snapshot.count(), 1);
-        assert_eq!(snapshot.min(), 10.0);
-        progress.record(Some(20.0));
-        let snapshot = progress.partial_estimates();
-        assert_eq!(snapshot.count(), 2);
-        assert_eq!(snapshot.max(), 20.0);
-        assert_eq!(progress.completed(), 2);
-    }
-
-    #[test]
     fn fault_rate_raises_realized_cost() {
         let g = fixture(6);
-        let clean = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.0), 2, None);
-        let hostile = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.4), 2, None);
+        let clean = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.0), 2);
+        let hostile = run_workload(&GraphOsn::new(&g), &mixed(8, 19, 0.4), 2);
         assert!(
             hostile.total_backend_attempts() > clean.total_backend_attempts(),
             "faults must raise the realized API cost: {} vs {}",

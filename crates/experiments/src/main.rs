@@ -5,13 +5,16 @@
 //!                [--data-seed S] [--scale F] [--alpha A] [--delta D]
 //!                [--out DIR] [--csv] [--list]
 //!
-//! IDS: table1..table26, fig1, fig2, mixing, all, tables, figs
-//!      (default: table4 — the quickest full sweep)
+//! IDS: any id `--list` prints (table1..table26, fig1, fig2, mixing, the
+//!      ablation-* ids, bias-decomposition, and the serving-stack sweeps
+//!      resilience, serving, deadlines, eviction, chaos, staleness),
+//!      or all, tables, figs (default: table4 — the quickest full sweep)
 //! ```
 //!
 //! Results are printed to stdout and, when `--out` is given, written to
 //! `DIR/<id>.txt`; `--csv` additionally writes `DIR/<id>.csv` for the
-//! sweep tables (4–17), for plotting pipelines.
+//! sweep tables (4–17) and the six serving-stack sweeps, for plotting
+//! pipelines. `--csv` without `--out` is a usage error.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -31,7 +34,7 @@ struct Cli {
     csv: bool,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         ids: Vec::new(),
         sweep: SweepConfig::default(),
@@ -40,7 +43,7 @@ fn parse_args() -> Result<Cli, String> {
         out: None,
         csv: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut grab = |name: &str| -> Result<String, String> {
             args.next().ok_or_else(|| format!("{name} needs a value"))
@@ -70,12 +73,17 @@ fn parse_args() -> Result<Cli, String> {
                 println!("usage: labelcount-exp [IDS...] [--reps N] [--threads N] [--seed S]");
                 println!("                      [--data-seed S] [--scale F] [--alpha A]");
                 println!("                      [--delta D] [--out DIR] [--csv] [--list]");
-                println!("IDS: table1..table26, fig1, fig2, mixing, all, tables, figs");
+                println!("IDS: any id --list prints, or all, tables, figs (default: table4)");
+                println!("--csv also writes DIR/<id>.csv for the experiments that have one");
+                println!("(tables 4-17 and the serving-stack sweeps); it needs --out DIR");
                 std::process::exit(0);
             }
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             id => cli.ids.push(id.to_string()),
         }
+    }
+    if cli.csv && cli.out.is_none() {
+        return Err("--csv needs --out DIR: the CSV files are written there".to_string());
     }
     if cli.ids.is_empty() {
         cli.ids.push("table4".to_string());
@@ -105,7 +113,7 @@ fn expand_ids(ids: &[String]) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let cli = match parse_args(std::env::args().skip(1)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
@@ -166,5 +174,27 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn csv_without_out_is_a_usage_error() {
+        let err = parse(&["staleness", "--csv"])
+            .err()
+            .expect("--csv alone must fail");
+        assert!(err.contains("--out"), "{err}");
+        let cli = parse(&["staleness", "--csv", "--out", "dir"]).expect("--csv --out parses");
+        assert!(cli.csv);
+        assert_eq!(cli.out, Some(PathBuf::from("dir")));
+        assert_eq!(cli.ids, ["staleness"]);
+        assert!(parse(&["staleness", "--out", "dir"]).is_ok());
     }
 }

@@ -99,7 +99,7 @@ pub fn resilience_sweep(
                     RetryPolicy::default(),
                 )
                 .build();
-            let report = run_workload(&GraphOsn::new(&dataset.graph), &workload, workers, None);
+            let report = run_workload(&GraphOsn::new(&dataset.graph), &workload, workers);
             let estimates: Vec<f64> = report
                 .outcomes
                 .iter()

@@ -738,8 +738,7 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// poisons the shard. The shard's own state is consistent at every
     /// panic point — the map is only mutated after a successful fetch —
     /// so poisoning is recovered with [`PoisonError::into_inner`] rather
-    /// than cascading the panic to every other query on the shard (the
-    /// same discipline `WorkloadProgress` uses).
+    /// than cascading the panic to every other query on the shard.
     /// Entries are compared and re-stamped against `current`, the
     /// backend's epoch for `u` as observed by the calling session at the
     /// top of the logical call — a stamp mismatch is served as a miss and

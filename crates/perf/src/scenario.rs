@@ -1250,8 +1250,8 @@ fn workload(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
         .faults(cx.faults(seed), RetryPolicy::default())
         .build();
     let g_osn = GraphOsn::new(cx.g);
-    let (serial, workload_serial_ms) = timed(|| run_workload(&g_osn, &wl, 1, None));
-    let (parallel, workload_parallel_ms) = timed(|| run_workload(&g_osn, &wl, cx.threads, None));
+    let (serial, workload_serial_ms) = timed(|| run_workload(&g_osn, &wl, 1));
+    let (parallel, workload_parallel_ms) = timed(|| run_workload(&g_osn, &wl, cx.threads));
     let serial_bits = workload_bits(&serial);
     assert_eq!(
         serial_bits,
@@ -1271,7 +1271,7 @@ fn workload(cx: &Ctx<'_>, carry: &mut Carry) -> Section {
         "paged workload must be bit-identical to the in-RAM pass, faults included",
         |file| {
             let backend = file.open();
-            let report = run_workload(&backend, &wl, 1, None);
+            let report = run_workload(&backend, &wl, 1);
             (workload_bits(&report), backend.paging_stats())
         },
     );

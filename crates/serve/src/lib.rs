@@ -27,9 +27,10 @@
 //!   workload runs as a plain batch and a [`SchedulePolicy`] turns
 //!   deadline-aware;
 //! * shed and quota-rejected queries receive **anytime answers**: the
-//!   deterministic report answers them from the running summary of their
-//!   graph's completed queries, and the live [`ServiceProgress`] view
-//!   exposes the same estimate mid-run for deadline-hit callers.
+//!   deterministic report answers them from the summary of their graph's
+//!   completed queries, and a query cancelled at its deadline before any
+//!   replicate finished gets the mean of the answers its graph had
+//!   completed by then.
 //!
 //! # Determinism
 //!
@@ -45,9 +46,9 @@
 //!    (service seed, graph key, query id, replicate) on its graph's
 //!    virtual clock — the shard that hosts it only decides *where* the
 //!    work runs;
-//! 3. the report aggregates in query-id order; only the live
-//!    [`ServiceProgress`] view is interleaving-dependent, which is the
-//!    point of an anytime estimate.
+//! 3. the report aggregates in query-id order, and each graph's loop
+//!    accumulates its cancellation fallback in its own completion order,
+//!    on its own virtual timeline.
 
 #![warn(missing_docs)]
 
@@ -60,6 +61,6 @@ pub use admission::{AdmissionConfig, AdmissionDecision, QuotaPolicy, RateLimit, 
 pub use router::{GraphKey, ShardRouter, TenantId};
 pub use scheduler::{SchedulePolicy, SchedulingCounters};
 pub use service::{
-    ServiceOutcome, ServiceProgress, ServiceReport, ServiceRequest, ServiceStatus, ServiceWorkload,
+    ServiceOutcome, ServiceReport, ServiceRequest, ServiceStatus, ServiceWorkload,
     ServiceWorkloadBuilder, ServingCounters, ShardedService,
 };

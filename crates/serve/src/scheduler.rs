@@ -19,8 +19,8 @@
 //!   no preemption;
 //! * when a deadline passes, the query is cancelled into an **anytime
 //!   answer** ([`ServiceStatus::DeadlineAnytime`]): the running mean ± a
-//!   95% CI over the replicates that finished, falling back to the graph's
-//!   live partial estimate when none did.
+//!   95% CI over the replicates that finished, falling back to the mean of
+//!   the answers the graph completed before the deadline when none did.
 //!
 //! # Cost per event
 //!
@@ -53,8 +53,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use labelcount_core::{
-    EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, QueryStack, Schedule,
-    Slice, SliceOutcome, WorkloadProgress,
+    EstimateError, Priority, QueryOutcome, QuerySpec, QueryStack, Schedule, Slice, SliceOutcome,
 };
 use labelcount_osn::{ChurnOsn, ChurnView, GraphOsn, OsnBackend, PagedGraphOsn};
 use labelcount_stats::{replication_seed, RunningStats};
@@ -62,8 +61,8 @@ use labelcount_stats::{replication_seed, RunningStats};
 use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
 use crate::router::{GraphKey, TenantId};
 use crate::service::{
-    AnyEngine, ServiceOutcome, ServiceProgress, ServiceReport, ServiceRequest, ServiceStatus,
-    ServiceWorkload, ServingCounters, ShardedService,
+    AnyEngine, ServiceOutcome, ServiceReport, ServiceRequest, ServiceStatus, ServiceWorkload,
+    ServingCounters, ShardedService,
 };
 
 /// Stream ids for the scheduler's internal seed derivations.
@@ -422,15 +421,14 @@ impl TaskState {
 
     /// Cancels the task into an anytime answer at the deadline tick it
     /// missed: the running mean ± CI over its finished replicates, falling
-    /// back to the graph's live partial estimate when none finished.
-    fn cancel(&mut self, deadline: u64, counters: &mut LoopCounters, progress: &WorkloadProgress) {
+    /// back to the mean of `completed`, the finite answers of the graph's
+    /// tasks completed so far, when none finished.
+    fn cancel(&mut self, deadline: u64, counters: &mut LoopCounters, completed: &RunningStats) {
         counters.cancellations += 1;
-        let own = ProgressSnapshot::from(self.stats);
-        let (anytime, ci) = if !own.is_empty() {
-            (Some(own.mean()), own.ci_halfwidth())
+        let (anytime, ci) = if self.stats.count() > 0 {
+            (Some(self.stats.mean()), ci_halfwidth(&self.stats))
         } else {
-            let graph = progress.partial_estimates();
-            ((!graph.is_empty()).then(|| graph.mean()), 0.0)
+            ((completed.count() > 0).then(|| completed.mean()), 0.0)
         };
         self.finished = Some(TaskStatus::Cancelled {
             completed_replicates: self.next_rep,
@@ -438,15 +436,14 @@ impl TaskState {
             ci_halfwidth: ci,
             cancelled_at_tick: deadline,
         });
-        progress.record(None);
     }
 
     /// Completes the task at `clock`, counting a deadline hit if `clock`
     /// is at or before its deadline. The outcome is the slices' summed
     /// costs and the mean over the finite replicate estimates — failing
     /// that the last error, failing that the last slice's own
-    /// (non-finite) answer.
-    fn complete(&mut self, clock: u64, counters: &mut LoopCounters, progress: &WorkloadProgress) {
+    /// (non-finite) answer. A finite answer is pushed onto `completed`.
+    fn complete(&mut self, clock: u64, counters: &mut LoopCounters, completed: &mut RunningStats) {
         if let Some(d) = self.deadline().filter(|&d| clock <= d) {
             counters.deadline_hits += 1;
             counters.slack_sum += u128::from(d - clock);
@@ -461,7 +458,11 @@ impl TaskState {
             outcome.estimate = Err(err);
         }
         outcome.budget_exhausted = self.budget_exhausted;
-        progress.record(outcome.estimate.as_ref().ok().copied());
+        if let Ok(e) = outcome.estimate {
+            if e.is_finite() {
+                completed.push(e);
+            }
+        }
         self.finished = Some(TaskStatus::Done(outcome));
     }
 
@@ -475,6 +476,16 @@ impl TaskState {
 
     fn rank(&self) -> u8 {
         self.spec.schedule.priority.rank()
+    }
+}
+
+/// Halfwidth of the normal-approximation 95% confidence interval around
+/// `stats`' mean: `1.96·√(s²/n)`, 0 below two samples.
+fn ci_halfwidth(stats: &RunningStats) -> f64 {
+    if stats.count() < 2 {
+        0.0
+    } else {
+        1.96 * (stats.sample_variance() / stats.count() as f64).sqrt()
     }
 }
 
@@ -611,7 +622,10 @@ impl LoopBackend for ChurnOsn {
 
 /// Runs one graph's discrete-event loop to completion. Strictly serial:
 /// the loop IS the graph's single virtual timeline, which is what makes
-/// the per-graph progress fallback (and everything else) deterministic.
+/// the cancellation fallback (and everything else) deterministic: the
+/// loop keeps its completed tasks' finite answers in completion order,
+/// and a task cancelled before any replicate finished answers with their
+/// mean at its deadline.
 ///
 /// Generic over the backend: the in-RAM `labelcount_osn::GraphOsn` and
 /// the out-of-core `labelcount_osn::PagedGraphOsn` both serve identical
@@ -630,11 +644,15 @@ fn run_graph_loop<B: LoopBackend>(
     stack: &QueryStack,
     fault_base: u64,
     replicates: u64,
-    progress: &WorkloadProgress,
 ) -> GraphLoopResult {
     let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
     let mut index = EventIndex::new(&tasks);
     let mut counters = LoopCounters::default();
+    // The finite answers of completed tasks, in completion order: what a
+    // task cancelled with no finished replicate answers from. Not the
+    // result's id-order `summary`, which sums in another order and counts
+    // completions after the cancellation.
+    let mut completed = RunningStats::new();
     let mut clock = 0u64;
     // No slice has held the loop yet, so no tick-0 arrival is an inversion.
     index.arrive(&tasks, clock, Priority::High.rank());
@@ -652,7 +670,7 @@ fn run_graph_loop<B: LoopBackend>(
         // order, changes no answer: a cancellation records no estimate.
         while let Some((ti, d)) = index.expire(&tasks, clock) {
             if tasks[ti].finished.is_none() {
-                tasks[ti].cancel(d, &mut counters, progress);
+                tasks[ti].cancel(d, &mut counters, &completed);
             }
         }
 
@@ -691,7 +709,7 @@ fn run_graph_loop<B: LoopBackend>(
             continue;
         }
         if tasks[ti].next_rep >= replicates {
-            tasks[ti].complete(clock, &mut counters, progress);
+            tasks[ti].complete(clock, &mut counters, &mut completed);
         }
     }
     GraphLoopResult::collect(tasks, counters)
@@ -710,25 +728,6 @@ impl<'g> ShardedService<'g> {
     /// [`ServiceReport`] is bit-identical at any shard count and any
     /// worker count.
     pub fn run_scheduled(&self, workload: ServiceWorkload, workers: usize) -> ServiceReport {
-        let progress = ServiceProgress::for_service(self);
-        self.run_scheduled_observed(workload, workers, &progress)
-    }
-
-    /// [`ShardedService::run_scheduled`] with a caller-owned
-    /// [`ServiceProgress`] that another thread can poll for live anytime
-    /// estimates — the same estimates a cancelled query's
-    /// [`ServiceStatus::DeadlineAnytime`] falls back to.
-    pub fn run_scheduled_observed(
-        &self,
-        workload: ServiceWorkload,
-        workers: usize,
-        progress: &ServiceProgress,
-    ) -> ServiceReport {
-        assert_eq!(
-            progress.slots.len(),
-            self.graphs.len(),
-            "progress view was not built for this service"
-        );
         let n = workload.requests.len();
         for w in workload.requests.windows(2) {
             assert!(
@@ -870,7 +869,6 @@ impl<'g> ShardedService<'g> {
                                     stack,
                                     fault_base,
                                     replicates,
-                                    &progress.slots[gi].1,
                                 ),
                                 AnyEngine::Paged(e) => run_graph_loop(
                                     e.backend(),
@@ -878,7 +876,6 @@ impl<'g> ShardedService<'g> {
                                     stack,
                                     fault_base,
                                     replicates,
-                                    &progress.slots[gi].1,
                                 ),
                                 AnyEngine::Churn(e) => run_graph_loop(
                                     e.backend(),
@@ -886,7 +883,6 @@ impl<'g> ShardedService<'g> {
                                     stack,
                                     fault_base,
                                     replicates,
-                                    &progress.slots[gi].1,
                                 ),
                             };
                             *slots[gi].lock().unwrap() = Some(result);
@@ -1124,9 +1120,37 @@ mod tests {
         }
     }
 
-    /// `wl`'s requests run as plain [`QueryStack::run`]s, one after
-    /// another on one virtual clock from tick 0, with the loop's seeds for
-    /// graph 0 and no tick ceiling.
+    /// `spec`'s first `reps` replicate slices as plain [`QueryStack::run`]s,
+    /// one after another on one virtual clock from tick `start`, with the
+    /// loop's seeds and no tick ceiling: their outcomes, and the tick the
+    /// last one ends on.
+    fn replicate_runs(
+        osn: &GraphOsn<'_>,
+        stack: &QueryStack,
+        fault_base: u64,
+        spec: &QuerySpec,
+        start: u64,
+        reps: u64,
+    ) -> (Vec<QueryOutcome>, u64) {
+        let mut clock = start;
+        let outcomes = (0..reps)
+            .map(|rep| {
+                let slice = Slice {
+                    fault_seed: replication_seed(replication_seed(fault_base, spec.id), rep),
+                    rng_seed: replication_seed(spec.seed, rep),
+                    start_tick: clock,
+                    tick_ceiling: None,
+                };
+                let outcome = stack.run(osn, spec, slice).outcome;
+                clock += outcome.latency_ticks;
+                outcome
+            })
+            .collect();
+        (outcomes, clock)
+    }
+
+    /// `wl`'s requests run one replicate each, one after another from tick
+    /// 0, with the loop's seeds for graph 0 ([`replicate_runs`]).
     fn plain_runs(g: &LabeledGraph, wl: &ServiceWorkload) -> Vec<QueryOutcome> {
         let stack = QueryStack {
             run_config: wl.run_config,
@@ -1142,22 +1166,11 @@ mod tests {
         let mut clock = 0;
         wl.requests
             .iter()
-            .map(|req| {
-                let q = &req.query;
-                let want = stack
-                    .run(
-                        &osn,
-                        q,
-                        Slice {
-                            fault_seed: replication_seed(replication_seed(fault_base, q.id), 0),
-                            rng_seed: replication_seed(q.seed, 0),
-                            start_tick: clock,
-                            tick_ceiling: None,
-                        },
-                    )
-                    .outcome;
-                clock += want.latency_ticks;
-                want
+            .flat_map(|req| {
+                let (outcomes, end) =
+                    replicate_runs(&osn, &stack, fault_base, &req.query, clock, 1);
+                clock = end;
+                outcomes
             })
             .collect()
     }
@@ -1250,15 +1263,15 @@ mod tests {
         stack: &QueryStack,
         fault_base: u64,
         replicates: u64,
-        progress: &WorkloadProgress,
     ) -> GraphLoopResult {
         let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
         let mut counters = LoopCounters::default();
+        let mut completed = RunningStats::new();
         let mut clock = 0u64;
         loop {
             for t in tasks.iter_mut().filter(|t| t.finished.is_none()) {
                 if let Some(d) = t.deadline().filter(|&d| clock >= d) {
-                    t.cancel(d, &mut counters, progress);
+                    t.cancel(d, &mut counters, &completed);
                 }
             }
             let running = tasks
@@ -1297,7 +1310,7 @@ mod tests {
             }
             let t = &mut tasks[ti];
             if t.finished.is_none() && t.next_rep >= replicates {
-                t.complete(clock, &mut counters, progress);
+                t.complete(clock, &mut counters, &mut completed);
             }
         }
         GraphLoopResult::collect(tasks, counters)
@@ -1394,11 +1407,8 @@ mod tests {
                 resilience: ResilienceConfig::default(),
             };
             let tasks = || hand_set(seed, &schedules);
-            let progress = WorkloadProgress::new;
-            let indexed =
-                run_graph_loop(&osn, tasks(), &stack, seed, replicates, &progress());
-            let scanning =
-                scanning_graph_loop(&osn, tasks(), &stack, seed, replicates, &progress());
+            let indexed = run_graph_loop(&osn, tasks(), &stack, seed, replicates);
+            let scanning = scanning_graph_loop(&osn, tasks(), &stack, seed, replicates);
             prop_assert_eq!(fingerprints(&indexed), fingerprints(&scanning));
             prop_assert_eq!(indexed.counters, scanning.counters);
             prop_assert_eq!(indexed.summary.count(), scanning.summary.count());
@@ -1407,6 +1417,94 @@ mod tests {
                 scanning.summary.mean().to_bits()
             );
         }
+    }
+
+    /// A cancelled task's anytime answer, bit for bit: the mean of its own
+    /// finished replicates ± `1.96·√(s²/k)` when it has k ≥ 2 of them,
+    /// even once other tasks have completed; with none, the mean of the
+    /// finite answers its graph completed before the cancellation, with
+    /// no spread; and `None` when nothing had completed yet.
+    #[test]
+    fn a_cancelled_task_answers_from_what_finished_before_its_deadline() {
+        let g = fixture();
+        let osn = GraphOsn::new(&g);
+        let stack = QueryStack {
+            run_config: RunConfig {
+                burn_in: 20,
+                thinning_frac: 0.0,
+            },
+            faults: FaultConfig::hostile(3, 0.2),
+            retry: RetryPolicy::default(),
+            resilience: ResilienceConfig::default(),
+        };
+        let (seed, fault_base, replicates) = (3, 3, 3);
+        let at = |priority, deadline_ticks| {
+            let schedule = Schedule {
+                arrival_tick: 0,
+                deadline_ticks,
+                priority,
+            };
+            (schedule, None)
+        };
+        // Every task arrives at tick 0, and the High ones run in id order.
+        // A runs to completion; Z then runs and is cut where its second
+        // replicate ends; C runs last. Y's deadline fires before any slice
+        // runs, X's the moment A completes, so neither ever gets the loop.
+        let specs = hand_set(seed, &[at(Priority::High, None); 3]);
+        let (_, a_done) = replicate_runs(&osn, &stack, fault_base, &specs[0], 0, replicates);
+        let (z_runs, z_cut) = replicate_runs(&osn, &stack, fault_base, &specs[2], a_done, 2);
+        let tasks = hand_set(
+            seed,
+            &[
+                at(Priority::High, None),        // A
+                at(Priority::Normal, Some(0)),   // Y
+                at(Priority::High, Some(z_cut)), // Z
+                at(Priority::High, None),        // C
+                at(Priority::Low, Some(a_done)), // X
+            ],
+        );
+        let result = run_graph_loop(&osn, tasks, &stack, fault_base, replicates);
+
+        let done = |id: u64| match result.status_of(id) {
+            TaskStatus::Done(q) => *q.estimate.as_ref().expect("task completes"),
+            TaskStatus::Cancelled { .. } => panic!("task {id} was cancelled"),
+        };
+        let cancelled = |id: u64| match result.status_of(id) {
+            TaskStatus::Cancelled {
+                completed_replicates,
+                anytime,
+                ci_halfwidth,
+                cancelled_at_tick,
+            } => (
+                *completed_replicates,
+                anytime.map(f64::to_bits),
+                ci_halfwidth.to_bits(),
+                *cancelled_at_tick,
+            ),
+            TaskStatus::Done(_) => panic!("task {id} completed"),
+        };
+        let (a, c) = (done(0), done(3));
+        assert!(
+            a_done > 0 && z_cut > a_done,
+            "the hostile API bills no ticks"
+        );
+        assert!(a.is_finite() && c.is_finite() && a != c, "A {a} and C {c}");
+        // X: A's answer alone; C completed after the cancellation.
+        assert_eq!(cancelled(4), (0, Some(a.to_bits()), 0, a_done));
+        // Y: nothing had completed.
+        assert_eq!(cancelled(1), (0, None, 0, 0));
+        // Z: its own two replicates, not A's answer.
+        let mut own = RunningStats::new();
+        for run in &z_runs {
+            own.push(*run.estimate.as_ref().expect("Z's replicates finish"));
+        }
+        assert!(own.mean().is_finite() && own.sample_variance() > 0.0);
+        let ci = 1.96 * (own.sample_variance() / 2.0).sqrt();
+        assert_eq!(
+            cancelled(2),
+            (2, Some(own.mean().to_bits()), ci.to_bits(), z_cut)
+        );
+        assert_eq!(result.counters.cancellations, 3);
     }
 
     /// An estimator whose every answer is non-finite (an HT estimator on a

@@ -21,7 +21,7 @@
 //!    **anytime answers** for shed / quota-rejected requests taken from
 //!    their graph's deterministic summary.
 
-use labelcount_core::{Engine, QueryOutcome, QuerySpec, RunConfig, Schedule, WorkloadProgress};
+use labelcount_core::{Engine, QueryOutcome, QuerySpec, RunConfig, Schedule};
 use labelcount_graph::{LabeledGraph, TargetLabel};
 use labelcount_osn::{
     CacheConfig, ChurnOsn, FaultConfig, PagedGraphOsn, ResilienceConfig, RetryPolicy,
@@ -390,49 +390,6 @@ impl ServiceReport {
     }
 }
 
-/// Live, anytime view of a running service: one [`WorkloadProgress`] per
-/// registered graph, in registration order.
-///
-/// Like [`WorkloadProgress`] itself, the per-graph views aggregate in
-/// completion order and are therefore interleaving-dependent; the
-/// [`ServiceReport`] is the deterministic record.
-pub struct ServiceProgress {
-    pub(crate) slots: Vec<(GraphKey, WorkloadProgress)>,
-}
-
-impl ServiceProgress {
-    /// A progress view shaped for `service` (one slot per registered
-    /// graph). [`ShardedService::run_scheduled_observed`] requires the view
-    /// to be built from the same service.
-    pub fn for_service(service: &ShardedService<'_>) -> ServiceProgress {
-        ServiceProgress {
-            slots: service
-                .graphs
-                .iter()
-                .map(|(key, _, _)| (*key, WorkloadProgress::new()))
-                .collect(),
-        }
-    }
-
-    /// The live progress view of one graph's workload.
-    pub fn graph(&self, key: GraphKey) -> Option<&WorkloadProgress> {
-        self.slots.iter().find(|(k, _)| *k == key).map(|(_, p)| p)
-    }
-
-    /// Total queries completed so far, across every graph.
-    pub fn completed(&self) -> usize {
-        self.slots.iter().map(|(_, p)| p.completed()).sum()
-    }
-
-    /// The live anytime estimate for `key`: the mean of its completed
-    /// estimates so far (`None` before the first completion, or for an
-    /// unknown graph). This is what a deadline-hit caller reads mid-run.
-    pub fn anytime_estimate(&self, key: GraphKey) -> Option<f64> {
-        let stats = self.graph(key)?.partial_estimates();
-        (stats.count() > 0).then(|| stats.mean())
-    }
-}
-
 /// One registered graph's engine: in-RAM (borrowing the caller's
 /// [`LabeledGraph`]), out-of-core (owning a [`PagedGraphOsn`] whose
 /// residency the buffer pool bounds), or churned. All run the identical
@@ -768,26 +725,6 @@ mod tests {
             o.tenant == TenantId(0) && matches!(o.status, ServiceStatus::QuotaExhausted { .. })
         });
         assert!(heavy_rejected, "the hog tenant was never quota-limited");
-    }
-
-    #[test]
-    fn progress_view_tracks_per_graph_completions() {
-        let g = fixture(6);
-        let mut svc = ShardedService::new(2, 4);
-        let gks = keys(2);
-        for &k in &gks {
-            svc.register(k, &g);
-        }
-        let wl = ServiceWorkload::mixed_multi_tenant(8, &gks, 2, 0.2, target(), 40, 23, cfg());
-        let progress = ServiceProgress::for_service(&svc);
-        let report = svc.run_scheduled_observed(wl, 2, &progress);
-        assert_eq!(progress.completed() as u64, report.serving.admitted);
-        for &k in &gks {
-            let live = progress.anytime_estimate(k);
-            assert!(live.is_some(), "graph {k:?} completed nothing");
-            assert!(live.unwrap().is_finite());
-        }
-        assert!(progress.anytime_estimate(GraphKey(42)).is_none());
     }
 
     #[test]

@@ -258,13 +258,13 @@ fn workload_over_adversarial_osn_is_bit_identical_across_worker_counts() {
         .build();
     let osn = GraphOsn::new(&d.graph);
 
-    let reference = run_workload(&osn, &workload, 1, None);
+    let reference = run_workload(&osn, &workload, 1);
     assert!(
         reference.total_retry_charges() > 0,
         "a 0.3 fault rate must charge retries, or this test is vacuous"
     );
     for workers in [2usize, 8] {
-        let run = run_workload(&osn, &workload, workers, None);
+        let run = run_workload(&osn, &workload, workers);
         assert_eq!(run.outcomes.len(), reference.outcomes.len());
         for (a, b) in reference.outcomes.iter().zip(&run.outcomes) {
             assert_eq!(a.id, b.id);
