@@ -22,7 +22,9 @@
 //! stale counter reads 0; as the rate grows, the invalidating arm tracks
 //! fresh truth at the cost of stale evictions while the stale arm's error
 //! inflates. Every column is **bit-identical at any thread count** —
-//! churn advances at serial control points, never mid-replication.
+//! churn advances at serial control points, never mid-replication, and
+//! the bounded-L2 arm runs its replicates on one thread (which entries
+//! its evictions keep depends on how concurrent replicates interleave).
 
 use labelcount_core::{Engine, NsHansenHurwitz, RunConfig};
 use labelcount_graph::churn::ChurnConfig;
@@ -95,6 +97,13 @@ fn run_arm(
         ..RunConfig::default()
     };
     let alg = NsHansenHurwitz;
+    // A bounded L2 evicts in the order concurrent replicates reach it, so
+    // its arm runs them serially to keep its rows thread-independent.
+    let threads = if cache.capacity().is_some() {
+        1
+    } else {
+        sweep.threads
+    };
     let backend = ChurnOsn::new(&dataset.graph, churn_cfg).set_report_epochs(report_epochs);
     let engine = Engine::on_backend_with_config(backend, cache);
 
@@ -107,7 +116,7 @@ fn run_arm(
         &run_config,
         sweep.seed,
         replicates,
-        sweep.threads,
+        threads,
     );
 
     // Churn: the only mutation point, serial by construction.
@@ -139,7 +148,7 @@ fn run_arm(
             &run_config,
             sweep.seed,
             replicates,
-            sweep.threads,
+            threads,
         )
         .into_iter()
         .map(|r| r.expect("unbudgeted estimation cannot fail"))
@@ -317,10 +326,19 @@ mod tests {
             l1_row.l1_stale_evictions > 0,
             "the session probe never saw L1 staleness"
         );
-        // Bit-identical at any thread count: churn advances serially.
-        for threads in [2usize, 8] {
-            let rows_t = staleness_sweep(&d, &[0.1], 4, 60, &quick_sweep(threads));
-            assert_eq!(rows1, rows_t, "report diverged at {threads} threads");
+        // Bit-identical at any thread count: churn advances serially. The
+        // second graph has more nodes than the bounded L2 holds entries, so
+        // that arm evicts, and concurrent replicates would reorder the
+        // evictions.
+        let evicting = build(DatasetKind::FacebookLike, 0.1, 7);
+        let bound = cache_grid()[2].1.capacity().expect("a bounded arm");
+        assert!(evicting.graph.num_nodes() > bound);
+        for (d, reps, budget) in [(&d, 4, 60), (&evicting, 16, 100)] {
+            let rows1 = staleness_sweep(d, &[0.1], reps, budget, &quick_sweep(1));
+            for threads in [2usize, 8, 2, 8] {
+                let rows_t = staleness_sweep(d, &[0.1], reps, budget, &quick_sweep(threads));
+                assert_eq!(rows1, rows_t, "report diverged at {threads} threads");
+            }
         }
     }
 

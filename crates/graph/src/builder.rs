@@ -109,66 +109,69 @@ impl GraphBuilder {
 
     /// Finalizes into an immutable CSR graph: sorts, deduplicates, and packs
     /// adjacency and label lists.
-    pub fn build(mut self) -> LabeledGraph {
-        // Deduplicate edges.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
-        // Degree counting pass.
-        let n = self.num_nodes;
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degree[u.index()] += 1;
-            degree[v.index()] += 1;
-        }
-
-        // Prefix sums → offsets.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-
-        // Fill adjacency. Edges are sorted by (u, v) so per-node lists come
-        // out sorted for the first endpoint; the reverse direction needs a
-        // final per-node sort.
-        let mut cursor = offsets.clone();
-        let mut adjacency = vec![NodeId::default(); acc];
-        for &(u, v) in &self.edges {
-            adjacency[cursor[u.index()]] = v;
-            cursor[u.index()] += 1;
-            adjacency[cursor[v.index()]] = u;
-            cursor[v.index()] += 1;
-        }
-        for i in 0..n {
-            adjacency[offsets[i]..offsets[i + 1]].sort_unstable();
-        }
-
-        // Labels: sort + dedup per node, then pack.
-        let mut num_labels = 0usize;
-        for ls in &mut self.labels {
-            ls.sort_unstable();
-            ls.dedup();
-            if let Some(&max) = ls.last() {
-                num_labels = num_labels.max(max.index() + 1);
-            }
-        }
-        let mut label_offsets = Vec::with_capacity(n + 1);
-        label_offsets.push(0);
-        let mut total = 0usize;
-        for ls in &self.labels {
-            total += ls.len();
-            label_offsets.push(total);
-        }
-        let mut label_data = Vec::with_capacity(total);
-        for ls in &self.labels {
-            label_data.extend_from_slice(ls);
-        }
-
-        LabeledGraph::from_parts(offsets, adjacency, label_offsets, label_data, num_labels)
+    pub fn build(self) -> LabeledGraph {
+        let (offsets, adjacency) = pack_adjacency(self.num_nodes, self.edges);
+        let labels = crate::labels::pack_labels(
+            self.num_nodes,
+            self.labels
+                .iter()
+                .enumerate()
+                .flat_map(|(u, ls)| ls.iter().map(move |&t| (u, t))),
+        );
+        LabeledGraph::from_parts(offsets, adjacency, labels)
     }
+}
+
+/// Packs undirected edges on `n` nodes, each normalized so `u < v`, into
+/// CSR offsets and adjacency, deduplicating them.
+///
+/// Once the edges are sorted, the fill needs no per-node sort: node `x`
+/// receives its neighbors below it (from edges `(w, x)`, in ascending `w`)
+/// before its neighbors above it (from edges `(x, v)`, in ascending `v`),
+/// because every edge `(w, x)` with `w < x` sorts before every `(x, v)`.
+pub(crate) fn pack_adjacency(
+    n: usize,
+    mut edges: Vec<(NodeId, NodeId)>,
+) -> (Vec<usize>, Vec<NodeId>) {
+    edges.sort_unstable();
+    edges.dedup();
+    bucket(
+        n,
+        edges
+            .iter()
+            .flat_map(|&(u, v)| [(u.index(), v), (v.index(), u)]),
+    )
+}
+
+/// Counting sort of `(bucket, value)` entries into CSR form: offsets of
+/// length `n + 1`, and the values grouped by bucket, each bucket's in entry
+/// order. `entries` is walked twice, once to count and once to place.
+///
+/// # Panics
+/// Panics if an entry's bucket is not below `n`.
+pub(crate) fn bucket<T, I>(n: usize, entries: I) -> (Vec<usize>, Vec<T>)
+where
+    T: Copy + Default,
+    I: Iterator<Item = (usize, T)> + Clone,
+{
+    // `offsets[b + 2]` counts bucket `b`; after the prefix sum,
+    // `offsets[b + 1]` is `b`'s start and serves as its write cursor,
+    // which leaves it at `b`'s end, i.e. `b + 1`'s start.
+    let mut offsets = vec![0usize; n + 2];
+    for (b, _) in entries.clone() {
+        offsets[b + 2] += 1;
+    }
+    for i in 2..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut values = vec![T::default(); offsets[n + 1]];
+    for (b, value) in entries {
+        let cursor = &mut offsets[b + 1];
+        values[*cursor] = value;
+        *cursor += 1;
+    }
+    offsets.pop();
+    (offsets, values)
 }
 
 #[cfg(test)]

@@ -15,6 +15,16 @@
 
 use crate::{LabelId, NodeId};
 
+/// The label half of a [`LabeledGraph`], built apart from its adjacency by
+/// [`crate::labels::pack_labels`]: offsets of length `num_nodes + 1`, each
+/// node's labels sorted and deduplicated, and `num_labels` the largest
+/// label + 1 (0 if there are none).
+pub(crate) struct LabelCsr {
+    pub(crate) offsets: Vec<usize>,
+    pub(crate) data: Vec<LabelId>,
+    pub(crate) num_labels: usize,
+}
+
 /// An immutable undirected graph with labeled nodes, in CSR layout.
 ///
 /// Invariants (upheld by [`crate::GraphBuilder`] and checked by
@@ -41,27 +51,37 @@ pub struct LabeledGraph {
 impl LabeledGraph {
     /// Constructs a graph from raw CSR parts.
     ///
-    /// Intended for use by [`crate::GraphBuilder`]; prefer the builder unless
-    /// you already have validated CSR data.
+    /// Intended for use by [`crate::GraphBuilder`] and the readers in
+    /// [`crate::io`]; prefer the builder unless you already have validated
+    /// CSR data.
     ///
     /// # Panics
     /// Panics (in debug builds) if the parts violate the CSR invariants.
     pub(crate) fn from_parts(
         offsets: Vec<usize>,
         adjacency: Vec<NodeId>,
-        label_offsets: Vec<usize>,
-        label_data: Vec<LabelId>,
-        num_labels: usize,
+        labels: LabelCsr,
     ) -> Self {
         let g = LabeledGraph {
             offsets,
             adjacency,
-            label_offsets,
-            label_data,
-            num_labels,
+            label_offsets: labels.offsets,
+            label_data: labels.data,
+            num_labels: labels.num_labels,
         };
         debug_assert!(g.validate().is_ok(), "invalid CSR parts");
         g
+    }
+
+    /// A copy of this graph's adjacency carrying `labels` instead of its
+    /// own.
+    pub(crate) fn with_label_csr(&self, labels: LabelCsr) -> Self {
+        Self::from_parts(self.offsets.clone(), self.adjacency.clone(), labels)
+    }
+
+    /// This graph's adjacency, moved, carrying `labels` instead of its own.
+    pub(crate) fn into_label_csr(self, labels: LabelCsr) -> Self {
+        Self::from_parts(self.offsets, self.adjacency, labels)
     }
 
     /// Number of nodes `|V|`.

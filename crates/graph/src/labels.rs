@@ -9,7 +9,8 @@
 
 use rand::Rng;
 
-use crate::{LabelId, LabeledGraph, NodeId};
+use crate::csr::LabelCsr;
+use crate::{LabelId, LabeledGraph};
 
 /// Optional mapping from integer label ids to human-readable names, such as
 /// the paper's Table 3 (Pokec label → Slovak location).
@@ -148,17 +149,55 @@ pub fn degree_bucket_labels(g: &LabeledGraph, bounds: &[usize]) -> Vec<Vec<Label
 
 /// Applies a labels-by-node table to a graph, producing a new graph with the
 /// same structure and the given labels. (CSR graphs are immutable; this is
-/// the standard relabeling path.)
+/// the standard relabeling path.) The adjacency is copied as it is, not
+/// rebuilt.
 pub fn with_labels(g: &LabeledGraph, labels: &[Vec<LabelId>]) -> LabeledGraph {
     assert_eq!(labels.len(), g.num_nodes(), "one label set per node");
-    let mut b = crate::GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
-    for (u, v) in g.edges() {
-        b.add_edge(u, v);
+    g.with_label_csr(pack_labels(
+        g.num_nodes(),
+        labels
+            .iter()
+            .enumerate()
+            .flat_map(|(u, ls)| ls.iter().map(move |&t| (u, t))),
+    ))
+}
+
+/// Packs `(node, label)` entries, in any order and with repeats, into the
+/// label CSR of an `n`-node graph: each node's labels sorted and
+/// deduplicated. Every path that attaches labels to a graph (the builder,
+/// [`with_labels`] and the label-list reader) packs them here.
+///
+/// # Panics
+/// Panics if a node is not below `n`.
+pub(crate) fn pack_labels<I>(n: usize, entries: I) -> LabelCsr
+where
+    I: Iterator<Item = (usize, LabelId)> + Clone,
+{
+    let (mut offsets, mut data) = crate::builder::bucket(n, entries);
+    // Sort each node's run, then compact its distinct labels down to
+    // `kept`, which never passes the run being read.
+    let mut kept = 0;
+    let mut start = 0;
+    for end in offsets.iter_mut().skip(1) {
+        let run = *end;
+        data[start..run].sort_unstable();
+        let first = kept;
+        for i in start..run {
+            if kept == first || data[kept - 1] != data[i] {
+                data[kept] = data[i];
+                kept += 1;
+            }
+        }
+        *end = kept;
+        start = run;
     }
-    for (i, ls) in labels.iter().enumerate() {
-        b.set_labels(NodeId::from_index(i), ls);
+    data.truncate(kept);
+    let num_labels = data.iter().max().map_or(0, |t| t.index() + 1);
+    LabelCsr {
+        offsets,
+        data,
+        num_labels,
     }
-    b.build()
 }
 
 #[cfg(test)]
@@ -166,6 +205,7 @@ mod tests {
     use super::*;
     use crate::gen::barabasi_albert;
     use crate::ground_truth::{GroundTruth, TargetLabel};
+    use crate::NodeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -103,19 +103,18 @@ proptest! {
 
     #[test]
     fn io_roundtrip_preserves_graph(g in arb_graph()) {
-        // Skip graphs with trailing isolated max-id nodes: the edge-list
-        // format cannot express them (standard SNAP limitation).
         let mut edges = Vec::new();
         write_edge_list(&g, &mut edges).unwrap();
         let mut labels = Vec::new();
         write_labels(&g, &mut labels).unwrap();
         let g2 = read_edge_list(std::io::Cursor::new(&edges)).unwrap();
-        if g2.num_nodes() == g.num_nodes() {
-            let g2 = read_labels(std::io::Cursor::new(&labels), &g2).unwrap();
-            for u in g.nodes() {
-                prop_assert_eq!(g2.neighbors(u), g.neighbors(u));
-                prop_assert_eq!(g2.labels(u), g.labels(u));
-            }
+        let g2 = read_labels(std::io::Cursor::new(&labels), &g2).unwrap();
+        prop_assert_eq!(g2.num_nodes(), g.num_nodes());
+        prop_assert_eq!(g2.num_edges(), g.num_edges());
+        prop_assert_eq!(g2.num_labels(), g.num_labels());
+        for u in g.nodes() {
+            prop_assert_eq!(g2.neighbors(u), g.neighbors(u));
+            prop_assert_eq!(g2.labels(u), g.labels(u));
         }
     }
 
