@@ -96,7 +96,18 @@ impl QueryStack {
         };
         let faults = AdversarialOsn::with_resilience(shared, faults, self.retry, self.resilience);
         faults.set_clock_base(slice.start_tick);
-        let session = SliceSession::new(faults);
+        // Size the maps from the calls the slice can make, the budget plus
+        // burn-in within |V|, so that a map seldom grows: a sampled walk
+        // step costs a neighbor call and at least one profile call, and
+        // exploring a hub can overshoot the budget by the hub's degree in
+        // profile calls.
+        let num_nodes = shared.num_nodes();
+        let reach = query
+            .budget
+            .saturating_add(self.run_config.burn_in)
+            .min(num_nodes);
+        let labels = reach.saturating_mul(2).min(num_nodes);
+        let session = SliceSession::with_capacity(faults, reach / 2, labels);
         if let Some(b) = query.hard_budget {
             session.set_budget(b);
         }

@@ -792,13 +792,17 @@ impl<B: OsnBackend> AdversarialOsn<B> {
     /// Seeded per-attempt latency: base plus jitter in
     /// `[0, latency_jitter_ticks]`.
     fn attempt_latency(&self, kind: u64, node: u32, page: u64, attempt: u32) -> u64 {
-        let jitter = if self.cfg.latency_jitter_ticks == 0 {
+        let bound = self.cfg.latency_jitter_ticks;
+        let jitter = if bound == 0 {
             0
         } else {
             let h = fault_hash(self.cfg.seed, kind, node, page, attempt, SALT_LATENCY);
-            match self.cfg.latency_jitter_ticks.checked_add(1) {
-                Some(m) => h % m,
-                None => h, // jitter bound is u64::MAX: the hash already fits
+            // `bound + 1` a power of two (every preset's jitter is 3), or
+            // 2^64: the modulus is a mask, and no division is needed.
+            if bound & bound.wrapping_add(1) == 0 {
+                h & bound
+            } else {
+                h % (bound + 1)
             }
         };
         self.cfg.base_latency_ticks.saturating_add(jitter)
@@ -1531,6 +1535,24 @@ mod tests {
         let (_, cost) = adv.fetch_neighbors_cost(NodeId(0));
         assert_eq!(cost.ticks, u64::MAX, "latency must saturate, not wrap");
         assert!(cost.attempts >= 1);
+    }
+
+    #[test]
+    fn latency_jitter_is_the_hash_modulo_bound_plus_one() {
+        let g = star(4);
+        for bound in [1, 2, 3, 4, 5, 7, 8, 1000, 1023, u64::MAX - 1, u64::MAX] {
+            let cfg = FaultConfig {
+                latency_jitter_ticks: bound,
+                ..FaultConfig::clean(9)
+            };
+            let adv = AdversarialOsn::new(GraphOsn::new(&g), cfg, RetryPolicy::default());
+            for (node, attempt) in (0..4).flat_map(|n| (0..3).map(move |a| (n, a))) {
+                let h = fault_hash(9, KIND_LABELS, node, 2, attempt, SALT_LATENCY);
+                let want = bound.checked_add(1).map_or(h, |m| h % m);
+                let got = adv.attempt_latency(KIND_LABELS, node, 2, attempt);
+                assert_eq!(got, want, "bound {bound}, node {node}, attempt {attempt}");
+            }
+        }
     }
 
     #[test]

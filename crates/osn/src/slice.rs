@@ -54,6 +54,13 @@ struct Entry<'s, T> {
 
 type EntryMap<'s, T> = HashMap<u32, Entry<'s, T>, BuildHasherDefault<NodeKeyHasher>>;
 
+fn entry_map<'s, T>(capacity: usize) -> RefCell<EntryMap<'s, T>> {
+    RefCell::new(EntryMap::with_capacity_and_hasher(
+        capacity,
+        Default::default(),
+    ))
+}
+
 /// One slice's private, unbounded access cache over a shared backend,
 /// billed through a per-slice fault layer (see the [module docs](self)).
 ///
@@ -99,11 +106,18 @@ impl<'s, B: OsnBackend> SliceSession<'s, B> {
     /// be served during an endpoint's degraded window when the fault
     /// layer's [`crate::ResilienceConfig::serve_stale`] is set.
     pub fn new(faults: AdversarialOsn<&'s B>) -> Self {
+        SliceSession::with_capacity(faults, 0, 0)
+    }
+
+    /// Opens an empty session, as [`SliceSession::new`], whose neighbor
+    /// and label maps hold at least `neighbors` and `labels` entries
+    /// before they first grow.
+    pub fn with_capacity(faults: AdversarialOsn<&'s B>, neighbors: usize, labels: usize) -> Self {
         SliceSession {
             serve_stale: faults.resilience_config().serve_stale,
             faults,
-            neighbors: RefCell::default(),
-            labels: RefCell::default(),
+            neighbors: entry_map(neighbors),
+            labels: entry_map(labels),
             stale_served: Cell::new(0),
             acct: SessionAccounting::default(),
         }

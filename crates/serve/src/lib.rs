@@ -25,7 +25,9 @@
 //! * [`ShardedService::run_scheduled`] is the one executor: a serial
 //!   virtual-time loop per graph ([`scheduler`]), which an unstamped
 //!   workload runs as a plain batch and a [`SchedulePolicy`] turns
-//!   deadline-aware;
+//!   deadline-aware. Each shard's loops form up to `workers` jobs: the
+//!   calling thread runs the first and a scoped thread each of the
+//!   others, so a call that touches one graph spawns no thread;
 //! * shed and quota-rejected queries receive **anytime answers**: the
 //!   deterministic report answers them from the summary of their graph's
 //!   completed queries, and a query cancelled at its deadline before any

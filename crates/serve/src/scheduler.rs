@@ -48,9 +48,14 @@
 //! statuses, anytime answers, and [`SchedulingCounters`] — is therefore
 //! **bit-identical at any shard count and any worker count**; shards and
 //! workers only decide which OS thread hosts which graph's loop.
+//!
+//! Each shard splits its graph loops round-robin into up to `workers`
+//! jobs. The calling thread runs the first job and one scoped thread runs
+//! each of the others, so a call whose admitted tasks sit on one graph
+//! spawns no thread and a two-shard call spawns one.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::panic::resume_unwind;
 
 use labelcount_core::{
     EstimateError, Priority, QueryOutcome, QuerySpec, QueryStack, Schedule, Slice, SliceOutcome,
@@ -718,9 +723,11 @@ fn run_graph_loop<B: LoopBackend>(
 impl<'g> ShardedService<'g> {
     /// Runs a multi-tenant workload: virtual-time admission in
     /// `(arrival_tick, id)` order, then one serial discrete-event loop per
-    /// graph (distributed over shard threads and up to `workers` threads
-    /// per shard), then assembly in request-id order with
-    /// [`SchedulingCounters`] attached.
+    /// graph, then assembly in request-id order with
+    /// [`SchedulingCounters`] attached. Each shard's loops form up to
+    /// `workers` jobs; the calling thread runs the first job and a scoped
+    /// thread each of the others. A panic in any loop propagates with its
+    /// own payload.
     ///
     /// Requests carry their [`Schedule`]s; stamp them with
     /// [`crate::ServiceWorkloadBuilder::schedule`]. An unstamped workload
@@ -824,75 +831,68 @@ impl<'g> ShardedService<'g> {
             });
         }
 
-        // Distribute loops: a shard owns its graphs; within a shard, up to
-        // `workers` threads split the graph loops round-robin. Any split
-        // yields the same report — loops share nothing.
+        // Build the jobs: a shard owns its graphs; within a shard, up to
+        // `workers` jobs split the graph loops round-robin, each job owning
+        // its graphs' task lists. Any split yields the same report — loops
+        // share nothing.
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.router.shards()];
         for (gi, tasks) in graph_tasks.iter().enumerate() {
             if !tasks.is_empty() {
                 by_shard[self.graphs[gi].1].push(gi);
             }
         }
+        let workers = workers.max(1);
+        let mut jobs: Vec<Vec<(usize, Vec<QuerySpec>)>> = Vec::new();
+        for gis in by_shard.iter().filter(|gis| !gis.is_empty()) {
+            let buckets = workers.min(gis.len());
+            for b in 0..buckets {
+                let job = gis.iter().skip(b).step_by(buckets);
+                jobs.push(
+                    job.map(|&gi| (gi, std::mem::take(&mut graph_tasks[gi])))
+                        .collect(),
+                );
+            }
+        }
         let fault_root = replication_seed(seed, stream::GRAPH_FAULT);
         let replicates = policy.replicates as u64;
-        let task_slots: Vec<Mutex<Option<Vec<QuerySpec>>>> = graph_tasks
-            .into_iter()
-            .map(|t| Mutex::new(Some(t)))
-            .collect();
-        let slots: Vec<Mutex<Option<GraphLoopResult>>> =
-            (0..self.graphs.len()).map(|_| Mutex::new(None)).collect();
-        let workers = workers.max(1);
-        std::thread::scope(|scope| {
-            for gis in &by_shard {
-                if gis.is_empty() {
-                    continue;
-                }
-                // Round-robin the shard's graph loops over its workers.
-                let buckets = workers.min(gis.len());
-                for b in 0..buckets {
-                    let mine: Vec<usize> = gis.iter().copied().skip(b).step_by(buckets).collect();
-                    let slots = &slots;
-                    let task_slots = &task_slots;
-                    let stack = &stack;
-                    scope.spawn(move || {
-                        for gi in mine {
-                            let tasks = task_slots[gi]
-                                .lock()
-                                .unwrap()
-                                .take()
-                                .expect("each graph's tasks are taken once");
-                            let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
-                            let result = match &self.graphs[gi].2 {
-                                AnyEngine::Ram(e) => run_graph_loop(
-                                    e.backend(),
-                                    tasks,
-                                    stack,
-                                    fault_base,
-                                    replicates,
-                                ),
-                                AnyEngine::Paged(e) => run_graph_loop(
-                                    e.backend(),
-                                    tasks,
-                                    stack,
-                                    fault_base,
-                                    replicates,
-                                ),
-                                AnyEngine::Churn(e) => run_graph_loop(
-                                    e.backend(),
-                                    tasks,
-                                    stack,
-                                    fault_base,
-                                    replicates,
-                                ),
-                            };
-                            *slots[gi].lock().unwrap() = Some(result);
+        let run_job = |job: Vec<(usize, Vec<QuerySpec>)>| -> Vec<(usize, GraphLoopResult)> {
+            job.into_iter()
+                .map(|(gi, tasks)| {
+                    let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
+                    let result = match &self.graphs[gi].2 {
+                        AnyEngine::Ram(e) => {
+                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
                         }
-                    });
-                }
+                        AnyEngine::Paged(e) => {
+                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
+                        }
+                        AnyEngine::Churn(e) => {
+                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
+                        }
+                    };
+                    (gi, result)
+                })
+                .collect()
+        };
+        // Spawn a thread for every job but the first and run that one on
+        // the calling thread, so a call whose loops form one job spawns
+        // none. A spawned job that panicked re-raises its own payload.
+        let done = std::thread::scope(|scope| {
+            let run_job = &run_job;
+            let mut jobs = jobs.into_iter();
+            let own = jobs.next();
+            let spawned: Vec<_> = jobs.map(|job| scope.spawn(move || run_job(job))).collect();
+            let mut done = own.map(run_job).unwrap_or_default();
+            for handle in spawned {
+                done.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
             }
+            done
         });
-        let reports: Vec<Option<GraphLoopResult>> =
-            slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
+        let mut reports: Vec<Option<GraphLoopResult>> =
+            (0..self.graphs.len()).map(|_| None).collect();
+        for (gi, result) in done {
+            reports[gi] = Some(result);
+        }
 
         // Phase 3 — assemble in request-id order, merging loop counters in
         // registration order.
@@ -1015,6 +1015,10 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     fn fixture() -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1545,5 +1549,175 @@ mod tests {
         assert_eq!(outcomes[1].logical_calls, 4, "one call per replicate");
         // Non-finite answers stay out of the summary.
         assert_eq!(report.summary.count(), 1);
+    }
+
+    /// Records the thread that runs each of its slices, under its graph.
+    struct Placed {
+        graph: GraphKey,
+        seen: Arc<Mutex<Vec<(GraphKey, ThreadId)>>>,
+    }
+
+    impl Algorithm for Placed {
+        fn abbrev(&self) -> &'static str {
+            "placed"
+        }
+
+        fn estimate(
+            &self,
+            osn: &dyn OsnApi,
+            _: TargetLabel,
+            _: usize,
+            _: &RunConfig,
+            _: &mut dyn RngCore,
+        ) -> Result<f64, EstimateError> {
+            let here = std::thread::current().id();
+            self.seen.lock().unwrap().push((self.graph, here));
+            osn.neighbors(NodeId(0));
+            Ok(1.0)
+        }
+    }
+
+    /// An estimator that panics with a message naming its graph.
+    struct Explodes(GraphKey);
+
+    impl Algorithm for Explodes {
+        fn abbrev(&self) -> &'static str {
+            "explodes"
+        }
+
+        fn estimate(
+            &self,
+            _: &dyn OsnApi,
+            _: TargetLabel,
+            _: usize,
+            _: &RunConfig,
+            _: &mut dyn RngCore,
+        ) -> Result<f64, EstimateError> {
+            panic!("the estimator on graph {} exploded", self.0 .0)
+        }
+    }
+
+    fn six_keys() -> Vec<GraphKey> {
+        (0..6).map(GraphKey).collect()
+    }
+
+    /// Six graphs registered over two shards.
+    fn two_shards(g: &LabeledGraph) -> ShardedService<'_> {
+        let mut svc = ShardedService::new(2, 3);
+        for k in six_keys() {
+            svc.register(k, g);
+        }
+        svc
+    }
+
+    /// A clean stream over the six graphs that admits every request.
+    fn spread() -> ServiceWorkload {
+        ServiceWorkload::mixed_multi_tenant(
+            24,
+            &six_keys(),
+            2,
+            0.0,
+            TargetLabel::new(1.into(), 2.into()),
+            40,
+            13,
+            RunConfig::default(),
+        )
+    }
+
+    /// The `(graph, thread)` of every slice `wl` runs once each estimator
+    /// is swapped for a [`Placed`] one.
+    fn placements(
+        svc: &ShardedService<'_>,
+        mut wl: ServiceWorkload,
+        workers: usize,
+    ) -> Vec<(GraphKey, ThreadId)> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for r in &mut wl.requests {
+            r.query.algorithm = Box::new(Placed {
+                graph: r.graph,
+                seen: Arc::clone(&seen),
+            });
+        }
+        svc.run_scheduled(wl, workers);
+        let seen = seen.lock().unwrap().clone();
+        seen
+    }
+
+    #[test]
+    fn a_one_graph_call_runs_every_slice_on_the_calling_thread() {
+        let g = fixture();
+        let mut svc = ShardedService::new(2, 3);
+        svc.register(GraphKey(0), &g);
+        svc.register(GraphKey(1), &g);
+        let me = std::thread::current().id();
+        for workers in [1, 4] {
+            let seen = placements(&svc, batch(6), workers);
+            assert_eq!(seen.len(), 6, "one slice per query");
+            assert!(
+                seen.iter().all(|&(_, t)| t == me),
+                "a slice left the calling thread at workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_two_shard_one_worker_call_runs_one_shard_on_the_calling_thread() {
+        let g = fixture();
+        let svc = two_shards(&g);
+        let seen = placements(&svc, spread(), 1);
+        assert_eq!(seen.len(), 24, "every request is admitted");
+        let mut threads: [HashSet<ThreadId>; 2] = Default::default();
+        for (graph, t) in seen {
+            threads[svc.shard_of(graph)].insert(t);
+        }
+        assert!(
+            threads.iter().all(|t| t.len() == 1),
+            "each shard's loops run on one thread: {threads:?}"
+        );
+        let me = std::thread::current().id();
+        let hosted = threads.iter().filter(|t| t.contains(&me)).count();
+        assert_eq!(hosted, 1, "the caller hosts exactly one shard");
+    }
+
+    /// The message `wl` panics with, as `run_scheduled` re-raises it.
+    fn panic_message(svc: &ShardedService<'_>, wl: ServiceWorkload) -> String {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| svc.run_scheduled(wl, 1)))
+            .expect_err("the estimator panics");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        }
+    }
+
+    #[test]
+    fn an_estimator_panic_keeps_its_own_message_on_any_thread() {
+        let g = fixture();
+        // One graph: the calling thread hosts the loop.
+        let mut svc = ShardedService::new(1, 3);
+        svc.register(GraphKey(0), &g);
+        let mut wl = batch(3);
+        wl.requests[1].query.algorithm = Box::new(Explodes(GraphKey(0)));
+        assert_eq!(panic_message(&svc, wl), "the estimator on graph 0 exploded");
+        // Two shards: one loop runs on the calling thread and one on a
+        // spawned thread, so a panic on each shard in turn covers both.
+        let svc = two_shards(&g);
+        for shard in 0..2 {
+            let mut wl = spread();
+            let bad = wl
+                .requests
+                .iter()
+                .map(|r| r.graph)
+                .find(|&k| svc.shard_of(k) == shard)
+                .expect("both shards serve requests");
+            for r in wl.requests.iter_mut().filter(|r| r.graph == bad) {
+                r.query.algorithm = Box::new(Explodes(bad));
+            }
+            assert_eq!(
+                panic_message(&svc, wl),
+                format!("the estimator on graph {} exploded", bad.0)
+            );
+        }
     }
 }

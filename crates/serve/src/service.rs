@@ -5,7 +5,8 @@
 //! graphs, each owned by exactly one shard (consistent hashing over the
 //! [`GraphKey`]), one [`Engine`] — and therefore one shared L2 cache —
 //! per graph inside its owning shard. Shards share nothing at run time:
-//! a shard thread only ever touches the engines of its own graphs.
+//! every executor job holds graph loops of one shard, so the thread that
+//! runs it touches no other shard's engine.
 //!
 //! [`ServiceWorkload`] is the multi-tenant request stream. Running it
 //! ([`ShardedService::run_scheduled`], the service's one executor) has
@@ -16,7 +17,10 @@
 //!    limits ([`crate::admission`]);
 //! 2. **execution** — admitted requests become per-graph task lists; each
 //!    graph runs one serial virtual-time loop ([`crate::scheduler`]) over
-//!    its engine's backend, loops spread over the shard threads;
+//!    its engine's backend. Each shard's loops form up to `workers`
+//!    jobs; the calling thread runs the first job and a scoped thread
+//!    each of the others, so a call that touches one graph spawns no
+//!    thread;
 //! 3. **report** — outcomes re-assembled in request-id order, with
 //!    **anytime answers** for shed / quota-rejected requests taken from
 //!    their graph's deterministic summary.

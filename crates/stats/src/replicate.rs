@@ -6,7 +6,11 @@
 //! (stable scoped threads — no extra dependency) while keeping results
 //! **independent of the thread count**: replication `i` always receives
 //! [`replication_seed`]`(base_seed, i)`, and results are returned in
-//! replication order.
+//! replication order. The calling thread works as one of the
+//! replication threads.
+
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Derives the RNG seed for replication `i` from a base seed.
 ///
@@ -22,9 +26,11 @@ pub fn replication_seed(base_seed: u64, i: u64) -> u64 {
 /// Runs `reps` replications of `f` on up to `threads` worker threads and
 /// returns the results in replication order.
 ///
-/// `f` is called as `f(rep_index, seed)` with `seed =
-/// replication_seed(base_seed, rep_index)`; it must be `Sync` because
-/// multiple threads call it concurrently.
+/// The calling thread is one of the workers: it spawns `threads − 1`
+/// scoped threads and works the same queue of replication indices, so
+/// `threads = 1` spawns nothing. `f` is called as `f(rep_index, seed)`
+/// with `seed = replication_seed(base_seed, rep_index)`; it must be
+/// `Sync` because multiple threads call it concurrently.
 ///
 /// ```
 /// use labelcount_stats::replicate;
@@ -35,50 +41,36 @@ pub fn replication_seed(base_seed: u64, i: u64) -> u64 {
 /// ```
 ///
 /// # Panics
-/// Propagates panics from `f` (the scope joins all workers first).
+/// Propagates a panic from `f` with its own payload, once every worker
+/// has stopped.
 pub fn replicate<T, F>(reps: usize, threads: usize, base_seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, u64) -> T + Sync,
 {
     let threads = threads.max(1).min(reps.max(1));
-    if reps == 0 {
-        return Vec::new();
-    }
-    if threads == 1 {
-        return (0..reps)
-            .map(|i| f(i, replication_seed(base_seed, i as u64)))
-            .collect();
-    }
-
     // Hand out replication indices dynamically so stragglers don't idle
     // whole chunks (per-replication cost varies a lot across algorithms);
-    // each worker batches its results locally and merges under the lock
-    // once, at exit.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let collected: std::sync::Mutex<Vec<(usize, T)>> =
-        std::sync::Mutex::new(Vec::with_capacity(reps));
-    let f = &f;
-    let next_ref = &next;
-    let collected_ref = &collected;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= reps {
-                        break;
-                    }
-                    local.push((i, f(i, replication_seed(base_seed, i as u64))));
-                }
-                collected_ref.lock().unwrap().extend(local);
-            });
+    // each worker returns its results when the queue runs dry.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= reps {
+                return local;
+            }
+            local.push((i, f(i, replication_seed(base_seed, i as u64))));
         }
+    };
+    let mut pairs = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut pairs = work();
+        for handle in spawned {
+            pairs.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        pairs
     });
-
-    let mut pairs = collected.into_inner().unwrap();
     debug_assert_eq!(pairs.len(), reps);
     pairs.sort_by_key(|(i, _)| *i);
     pairs.into_iter().map(|(_, t)| t).collect()
@@ -125,6 +117,49 @@ mod tests {
     fn single_rep_works() {
         let out = replicate(1, 8, 5, |i, _| i);
         assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        let f = |i: usize, seed: u64| (i as u64) ^ seed;
+        let caller = std::thread::current().id();
+        // The first two replications wait for each other, so two workers
+        // run one of them each.
+        let arrived = Mutex::new(0usize);
+        let both = Condvar::new();
+        let threads = Mutex::new(HashSet::new());
+        let out = replicate(8, 2, 13, |i, seed| {
+            if i < 2 {
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                both.notify_all();
+                let wait = Duration::from_secs(10);
+                drop(both.wait_timeout_while(n, wait, |n| *n < 2).unwrap());
+            }
+            threads.lock().unwrap().insert(std::thread::current().id());
+            f(i, seed)
+        });
+        assert_eq!(out, replicate(8, 1, 13, f));
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2, "two workers at threads = 2");
+        assert!(threads.contains(&caller), "the caller is one of them");
+    }
+
+    #[test]
+    fn a_panic_keeps_its_own_payload() {
+        let payload = std::panic::catch_unwind(|| {
+            replicate(6, 3, 1, |i, _| {
+                assert_ne!(i, 4, "replication four failed");
+                i
+            })
+        })
+        .expect_err("replication 4 panics");
+        let message = payload.downcast::<String>().expect("a formatted message");
+        assert!(message.contains("replication four failed"), "{message}");
     }
 
     #[test]
