@@ -114,13 +114,6 @@ impl Schedule {
         self
     }
 
-    /// Sets the priority.
-    #[must_use = "returns the modified schedule"]
-    pub fn with_priority(mut self, priority: Priority) -> Schedule {
-        self.priority = priority;
-        self
-    }
-
     /// The absolute tick the deadline fires at, if any
     /// (`arrival + deadline`, saturating).
     pub fn deadline_tick(&self) -> Option<u64> {

@@ -5,8 +5,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use labelcount_core::algorithms;
 use labelcount_core::bounds::{all_bounds, ApproxParams};
-use labelcount_core::{algorithms, Algorithm};
 use labelcount_graph::ground_truth::all_pair_counts;
 
 use crate::datasets::{build, closest_pairs, Dataset, DatasetKind};
@@ -352,12 +352,6 @@ fn paper_e(kind: DatasetKind) -> &'static str {
         DatasetKind::OrkutLike => "1.17e8",
         DatasetKind::LiveJournalLike => "4.28e7",
     }
-}
-
-/// A trait-object-friendly view of the proposed algorithms used by
-/// figures (re-exported for the bench crate).
-pub fn proposed_algorithms() -> Vec<Box<dyn Algorithm>> {
-    algorithms::proposed()
 }
 
 #[cfg(test)]

@@ -84,11 +84,6 @@ impl GraphBuilder {
         self.edges.contains(&e)
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn num_edge_insertions(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds a single label to node `u` (duplicates collapse at build).
     ///
     /// # Panics

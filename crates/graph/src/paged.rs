@@ -736,9 +736,8 @@ impl EvictionPolicy {
 
 /// Sizing and policy knobs for a [`BufferPool`].
 ///
-/// Construct through [`PoolConfig::builder`] (or the
-/// [`PoolConfig::unbounded`] / [`PoolConfig::bounded`] shorthands, which
-/// delegate to it) and read through the accessor methods.
+/// Construct through [`PoolConfig::unbounded`] or [`PoolConfig::bounded`]
+/// and read through the accessor methods.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolConfig {
     frames: Option<usize>,
@@ -746,21 +745,18 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Starts a builder at the defaults (unbounded, LRU).
-    pub fn builder() -> PoolConfigBuilder {
-        PoolConfigBuilder {
-            cfg: PoolConfig::default(),
-        }
-    }
-
     /// An unbounded pool (every page read once, never evicted).
     pub fn unbounded() -> PoolConfig {
-        PoolConfig::builder().build()
+        PoolConfig::default()
     }
 
-    /// A bounded pool of `frames` frames under `policy`.
+    /// A bounded pool of `frames` frames (clamped to `>= 1`) under
+    /// `policy`.
     pub fn bounded(frames: usize, policy: EvictionPolicy) -> PoolConfig {
-        PoolConfig::builder().frames(frames).policy(policy).build()
+        PoolConfig {
+            frames: Some(frames.max(1)),
+            policy,
+        }
     }
 
     /// Frame budget: the target number of resident pages. `None` is
@@ -775,51 +771,6 @@ impl PoolConfig {
     /// Replacement policy for unpinned frames.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy
-    }
-}
-
-/// Builder for [`PoolConfig`] — the one supported construction path
-/// (mirrors `Workload::builder()` and `CacheConfig::builder()`).
-///
-/// ```
-/// use labelcount_graph::paged::{EvictionPolicy, PoolConfig};
-///
-/// let cfg = PoolConfig::builder()
-///     .frames(64)
-///     .policy(EvictionPolicy::Clock)
-///     .build();
-/// assert_eq!(cfg.frames(), Some(64));
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct PoolConfigBuilder {
-    cfg: PoolConfig,
-}
-
-impl PoolConfigBuilder {
-    /// Bounds the pool at `frames` resident pages (clamped to `>= 1`).
-    #[must_use = "returns the modified builder"]
-    pub fn frames(mut self, frames: usize) -> PoolConfigBuilder {
-        self.cfg.frames = Some(frames.max(1));
-        self
-    }
-
-    /// Removes the frame budget (the default).
-    #[must_use = "returns the modified builder"]
-    pub fn unbounded(mut self) -> PoolConfigBuilder {
-        self.cfg.frames = None;
-        self
-    }
-
-    /// Sets the replacement policy for unpinned frames.
-    #[must_use = "returns the modified builder"]
-    pub fn policy(mut self, policy: EvictionPolicy) -> PoolConfigBuilder {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> PoolConfig {
-        self.cfg
     }
 }
 
@@ -906,12 +857,6 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool over `file`, which must be exactly `num_pages` pages of
-    /// `page_size` bytes.
-    pub fn new(file: File, page_size: usize, num_pages: u64, cfg: PoolConfig) -> BufferPool {
-        BufferPool::with_store(Box::new(file), page_size, num_pages, cfg, None)
-    }
-
     /// A pool over an arbitrary [`PageStore`], optionally verifying every
     /// read against a per-page checksum table of [`page_checksum`] sums.
     pub fn with_store(
@@ -938,12 +883,6 @@ impl BufferPool {
                 quarantined: HashSet::new(),
             }),
         }
-    }
-
-    /// Whether reads are verified against a checksum table (always, for
-    /// the pool of a [`PagedGraph`]).
-    pub fn verifies_checksums(&self) -> bool {
-        self.checksums.is_some()
     }
 
     /// Verifies one page's bytes against the table (vacuously true

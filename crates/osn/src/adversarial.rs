@@ -573,16 +573,6 @@ impl<B: OsnBackend> AdversarialOsn<B> {
         &self.inner
     }
 
-    /// The fault model in force.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Snapshot of the aggregate fault accounting.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
@@ -597,21 +587,6 @@ impl<B: OsnBackend> AdversarialOsn<B> {
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
             breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets the fault accounting (the fault pattern itself is a pure
-    /// function of the seed and is unaffected).
-    pub fn reset_fault_stats(&self) {
-        self.attempts.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.rate_limited.store(0, Ordering::Relaxed);
-        self.transient_errors.store(0, Ordering::Relaxed);
-        self.extra_pages.store(0, Ordering::Relaxed);
-        self.retries_exhausted.store(0, Ordering::Relaxed);
-        self.latency_ticks.store(0, Ordering::Relaxed);
-        self.bursts.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.breaker_fast_fails.store(0, Ordering::Relaxed);
     }
 
     /// Whether a burst starts in window `window` of endpoint `kind` — a

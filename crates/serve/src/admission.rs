@@ -520,11 +520,6 @@ impl AdmissionState {
                 .map_or(limit.capacity, |(_, b)| b.tokens),
         )
     }
-
-    /// Remaining quota for `tenant` (`None` when unmetered).
-    pub fn quota_remaining(&mut self, tenant: TenantId) -> Option<u64> {
-        self.remaining_for(tenant)
-    }
 }
 
 #[cfg(test)]

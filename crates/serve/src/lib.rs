@@ -25,9 +25,11 @@
 //! * [`ShardedService::run_scheduled`] is the one executor: a serial
 //!   virtual-time loop per graph ([`scheduler`]), which an unstamped
 //!   workload runs as a plain batch and a [`SchedulePolicy`] turns
-//!   deadline-aware. Each shard's loops form up to `workers` jobs: the
-//!   calling thread runs the first and a scoped thread each of the
-//!   others, so a call that touches one graph spawns no thread;
+//!   deadline-aware. The loops run on one
+//!   [`replicate`](fn@labelcount_stats::replicate) pool of up to `workers`
+//!   workers per shard, the calling thread among them, and any worker
+//!   takes any shard's waiting loop, so a call that touches one graph
+//!   spawns no thread;
 //! * shed and quota-rejected queries receive **anytime answers**: the
 //!   deterministic report answers them from the summary of their graph's
 //!   completed queries, and a query cancelled at its deadline before any
@@ -46,8 +48,8 @@
 //! 2. every slice of an admitted query runs in its own
 //!    [`QueryStack`](labelcount_core::QueryStack) with seeds derived from
 //!    (service seed, graph key, query id, replicate) on its graph's
-//!    virtual clock — the shard that hosts it only decides *where* the
-//!    work runs;
+//!    virtual clock — neither its shard nor the thread that runs it
+//!    enters the answer;
 //! 3. the report aggregates in query-id order, and each graph's loop
 //!    accumulates its cancellation fallback in its own completion order,
 //!    on its own virtual timeline.

@@ -47,21 +47,22 @@
 //! derive their seeds from the graph key alone. The [`ServiceReport`] —
 //! statuses, anytime answers, and [`SchedulingCounters`] — is therefore
 //! **bit-identical at any shard count and any worker count**; shards and
-//! workers only decide which OS thread hosts which graph's loop.
+//! workers only decide how many OS threads run the graphs' loops.
 //!
-//! Each shard splits its graph loops round-robin into up to `workers`
-//! jobs. The calling thread runs the first job and one scoped thread runs
-//! each of the others, so a call whose admitted tasks sit on one graph
-//! spawns no thread and a two-shard call spawns one.
+//! The graph loops of a call run on one [`replicate`](fn@replicate) pool
+//! whose size is the sum over shards of `min(workers, the shard's
+//! loops)`. The calling thread is one of its workers, and a worker that
+//! finishes a loop takes the next waiting one of any shard. So a call
+//! whose admitted tasks sit on one graph spawns no thread, and a
+//! two-shard call at one worker spawns one.
 
 use std::collections::VecDeque;
-use std::panic::resume_unwind;
 
 use labelcount_core::{
     EstimateError, Priority, QueryOutcome, QuerySpec, QueryStack, Schedule, Slice, SliceOutcome,
 };
 use labelcount_osn::{ChurnOsn, ChurnView, GraphOsn, OsnBackend, PagedGraphOsn};
-use labelcount_stats::{replication_seed, RunningStats};
+use labelcount_stats::{replicate, replication_seed, RunningStats};
 
 use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
 use crate::router::{GraphKey, TenantId};
@@ -316,8 +317,8 @@ impl GraphLoopResult {
 }
 
 /// Live execution state of one admitted query inside a graph loop.
-struct TaskState {
-    spec: QuerySpec,
+struct TaskState<'a> {
+    spec: &'a QuerySpec,
     next_rep: u64,
     stats: RunningStats,
     last_err: Option<EstimateError>,
@@ -328,8 +329,8 @@ struct TaskState {
     finished: Option<TaskStatus>,
 }
 
-impl TaskState {
-    fn new(spec: QuerySpec) -> TaskState {
+impl<'a> TaskState<'a> {
+    fn new(spec: &'a QuerySpec) -> TaskState<'a> {
         TaskState {
             spec,
             next_rep: 0,
@@ -402,7 +403,7 @@ impl TaskState {
     ) -> (u64, bool) {
         let slice = stack.run(
             shared,
-            &self.spec,
+            self.spec,
             Slice {
                 fault_seed: replication_seed(
                     replication_seed(fault_base, self.spec.id),
@@ -645,12 +646,12 @@ impl LoopBackend for ChurnOsn {
 /// [`LoopBackend::view`] opened after that iteration's batches.
 fn run_graph_loop<B: LoopBackend>(
     backend: &B,
-    tasks: Vec<QuerySpec>,
+    tasks: &[QuerySpec],
     stack: &QueryStack,
     fault_base: u64,
     replicates: u64,
 ) -> GraphLoopResult {
-    let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
+    let mut tasks: Vec<TaskState> = tasks.iter().map(TaskState::new).collect();
     let mut index = EventIndex::new(&tasks);
     let mut counters = LoopCounters::default();
     // The finite answers of completed tasks, in completion order: what a
@@ -724,10 +725,11 @@ impl<'g> ShardedService<'g> {
     /// Runs a multi-tenant workload: virtual-time admission in
     /// `(arrival_tick, id)` order, then one serial discrete-event loop per
     /// graph, then assembly in request-id order with
-    /// [`SchedulingCounters`] attached. Each shard's loops form up to
-    /// `workers` jobs; the calling thread runs the first job and a scoped
-    /// thread each of the others. A panic in any loop propagates with its
-    /// own payload.
+    /// [`SchedulingCounters`] attached. The loops run on one
+    /// [`replicate`](fn@replicate) pool of `Σ min(workers, the shard's
+    /// loops)` workers over the shards, the calling thread among them, and
+    /// any worker takes any shard's waiting loop. A panic in any loop
+    /// propagates with its own payload.
     ///
     /// Requests carry their [`Schedule`]s; stamp them with
     /// [`crate::ServiceWorkloadBuilder::schedule`]. An unstamped workload
@@ -781,7 +783,7 @@ impl<'g> ShardedService<'g> {
         }
 
         // Phase 2 — per-graph task lists (id order) and one event loop per
-        // graph, distributed over the shard fleet.
+        // graph, all on one pool.
         let ServiceWorkload {
             requests,
             seed,
@@ -831,68 +833,35 @@ impl<'g> ShardedService<'g> {
             });
         }
 
-        // Build the jobs: a shard owns its graphs; within a shard, up to
-        // `workers` jobs split the graph loops round-robin, each job owning
-        // its graphs' task lists. Any split yields the same report — loops
-        // share nothing.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.router.shards()];
+        // The pool has up to `workers` workers per shard, no more than the
+        // shard has loops. Any worker runs any graph's whole loop: loops
+        // share nothing, so which worker runs which changes no report.
+        let mut shard_loops = vec![0usize; self.router.shards()];
         for (gi, tasks) in graph_tasks.iter().enumerate() {
-            if !tasks.is_empty() {
-                by_shard[self.graphs[gi].1].push(gi);
-            }
+            shard_loops[self.graphs[gi].1] += usize::from(!tasks.is_empty());
         }
-        let workers = workers.max(1);
-        let mut jobs: Vec<Vec<(usize, Vec<QuerySpec>)>> = Vec::new();
-        for gis in by_shard.iter().filter(|gis| !gis.is_empty()) {
-            let buckets = workers.min(gis.len());
-            for b in 0..buckets {
-                let job = gis.iter().skip(b).step_by(buckets);
-                jobs.push(
-                    job.map(|&gi| (gi, std::mem::take(&mut graph_tasks[gi])))
-                        .collect(),
-                );
-            }
-        }
+        let threads = shard_loops.iter().map(|&l| l.min(workers.max(1))).sum();
         let fault_root = replication_seed(seed, stream::GRAPH_FAULT);
         let replicates = policy.replicates as u64;
-        let run_job = |job: Vec<(usize, Vec<QuerySpec>)>| -> Vec<(usize, GraphLoopResult)> {
-            job.into_iter()
-                .map(|(gi, tasks)| {
-                    let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
-                    let result = match &self.graphs[gi].2 {
-                        AnyEngine::Ram(e) => {
-                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
-                        }
-                        AnyEngine::Paged(e) => {
-                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
-                        }
-                        AnyEngine::Churn(e) => {
-                            run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
-                        }
-                    };
-                    (gi, result)
+        let reports: Vec<Option<GraphLoopResult>> =
+            replicate(self.graphs.len(), threads, 0, |gi, _| {
+                let tasks = &graph_tasks[gi];
+                if tasks.is_empty() {
+                    return None;
+                }
+                let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
+                Some(match &self.graphs[gi].2 {
+                    AnyEngine::Ram(e) => {
+                        run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
+                    }
+                    AnyEngine::Paged(e) => {
+                        run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
+                    }
+                    AnyEngine::Churn(e) => {
+                        run_graph_loop(e.backend(), tasks, &stack, fault_base, replicates)
+                    }
                 })
-                .collect()
-        };
-        // Spawn a thread for every job but the first and run that one on
-        // the calling thread, so a call whose loops form one job spawns
-        // none. A spawned job that panicked re-raises its own payload.
-        let done = std::thread::scope(|scope| {
-            let run_job = &run_job;
-            let mut jobs = jobs.into_iter();
-            let own = jobs.next();
-            let spawned: Vec<_> = jobs.map(|job| scope.spawn(move || run_job(job))).collect();
-            let mut done = own.map(run_job).unwrap_or_default();
-            for handle in spawned {
-                done.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-            done
-        });
-        let mut reports: Vec<Option<GraphLoopResult>> =
-            (0..self.graphs.len()).map(|_| None).collect();
-        for (gi, result) in done {
-            reports[gi] = Some(result);
-        }
+            });
 
         // Phase 3 — assemble in request-id order, merging loop counters in
         // registration order.
@@ -943,32 +912,25 @@ impl<'g> ShardedService<'g> {
                         },
                     }
                 }
-                Decided::Known(gi, AdmissionDecision::Shed { backlog }) => {
-                    shed += 1;
+                Decided::Known(gi, rejected) => {
                     if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
                         per_tenant.push((p.tenant, 0));
                     }
-                    ServiceStatus::Shed {
-                        backlog,
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::QuotaExhausted) => {
-                    quota_exhausted += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::QuotaExhausted {
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::Throttled) => {
-                    quota_throttled += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Throttled {
-                        anytime: anytime(gi),
+                    let anytime = anytime(gi);
+                    match rejected {
+                        AdmissionDecision::Shed { backlog } => {
+                            shed += 1;
+                            ServiceStatus::Shed { backlog, anytime }
+                        }
+                        AdmissionDecision::QuotaExhausted => {
+                            quota_exhausted += 1;
+                            ServiceStatus::QuotaExhausted { anytime }
+                        }
+                        AdmissionDecision::Throttled => {
+                            quota_throttled += 1;
+                            ServiceStatus::Throttled { anytime }
+                        }
+                        AdmissionDecision::Admitted { .. } => unreachable!("matched above"),
                     }
                 }
             };
@@ -1015,10 +977,11 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::panic::AssertUnwindSafe;
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Condvar, Mutex};
     use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn fixture() -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1263,12 +1226,12 @@ mod tests {
     /// arrival.
     fn scanning_graph_loop<B: OsnBackend>(
         shared: &B,
-        tasks: Vec<QuerySpec>,
+        tasks: &[QuerySpec],
         stack: &QueryStack,
         fault_base: u64,
         replicates: u64,
     ) -> GraphLoopResult {
-        let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
+        let mut tasks: Vec<TaskState> = tasks.iter().map(TaskState::new).collect();
         let mut counters = LoopCounters::default();
         let mut completed = RunningStats::new();
         let mut clock = 0u64;
@@ -1410,9 +1373,9 @@ mod tests {
                 retry: RetryPolicy::default(),
                 resilience: ResilienceConfig::default(),
             };
-            let tasks = || hand_set(seed, &schedules);
-            let indexed = run_graph_loop(&osn, tasks(), &stack, seed, replicates);
-            let scanning = scanning_graph_loop(&osn, tasks(), &stack, seed, replicates);
+            let tasks = hand_set(seed, &schedules);
+            let indexed = run_graph_loop(&osn, &tasks, &stack, seed, replicates);
+            let scanning = scanning_graph_loop(&osn, &tasks, &stack, seed, replicates);
             prop_assert_eq!(fingerprints(&indexed), fingerprints(&scanning));
             prop_assert_eq!(indexed.counters, scanning.counters);
             prop_assert_eq!(indexed.summary.count(), scanning.summary.count());
@@ -1467,7 +1430,7 @@ mod tests {
                 at(Priority::Low, Some(a_done)), // X
             ],
         );
-        let result = run_graph_loop(&osn, tasks, &stack, fault_base, replicates);
+        let result = run_graph_loop(&osn, &tasks, &stack, fault_base, replicates);
 
         let done = |id: u64| match result.status_of(id) {
             TaskStatus::Done(q) => *q.estimate.as_ref().expect("task completes"),
@@ -1660,23 +1623,118 @@ mod tests {
         }
     }
 
+    /// Which worker runs which loop is up to the pool, so this pins only
+    /// that a loop stays on one thread and that a call uses no more
+    /// threads than `min(workers, the shard's loops)` summed over shards.
     #[test]
-    fn a_two_shard_one_worker_call_runs_one_shard_on_the_calling_thread() {
+    fn each_loop_runs_on_one_thread_and_a_call_on_at_most_its_shards_workers() {
         let g = fixture();
         let svc = two_shards(&g);
-        let seen = placements(&svc, spread(), 1);
-        assert_eq!(seen.len(), 24, "every request is admitted");
-        let mut threads: [HashSet<ThreadId>; 2] = Default::default();
-        for (graph, t) in seen {
-            threads[svc.shard_of(graph)].insert(t);
+        for workers in [1, 2] {
+            let seen = placements(&svc, spread(), workers);
+            assert_eq!(seen.len(), 24, "every request is admitted");
+            let mut by_graph: HashMap<GraphKey, HashSet<ThreadId>> = HashMap::new();
+            for &(graph, t) in &seen {
+                by_graph.entry(graph).or_default().insert(t);
+            }
+            assert!(
+                by_graph.values().all(|t| t.len() == 1),
+                "a loop ran on two threads at workers={workers}: {by_graph:?}"
+            );
+            let mut shard_loops = [0usize; 2];
+            for &graph in by_graph.keys() {
+                shard_loops[svc.shard_of(graph)] += 1;
+            }
+            let most: usize = shard_loops.iter().map(|&l| l.min(workers)).sum();
+            let threads: HashSet<ThreadId> = seen.iter().map(|&(_, t)| t).collect();
+            assert!(
+                threads.len() <= most,
+                "{} threads at workers={workers}, at most {most}",
+                threads.len()
+            );
         }
-        assert!(
-            threads.iter().all(|t| t.len() == 1),
-            "each shard's loops run on one thread: {threads:?}"
-        );
-        let me = std::thread::current().id();
-        let hosted = threads.iter().filter(|t| t.contains(&me)).count();
-        assert_eq!(hosted, 1, "the caller hosts exactly one shard");
+    }
+
+    /// Lets graph A's estimator wait, once, until a slice of graph B
+    /// starts.
+    #[derive(Default)]
+    struct Gate {
+        b_started: Mutex<bool>,
+        signal: Condvar,
+        /// Whether A's wait ran out; `None` until A waited.
+        a_timed_out: Mutex<Option<bool>>,
+    }
+
+    /// A's estimator (`waits`) or B's, both over one [`Gate`].
+    struct Rendezvous {
+        gate: Arc<Gate>,
+        waits: bool,
+    }
+
+    impl Algorithm for Rendezvous {
+        fn abbrev(&self) -> &'static str {
+            "rendezvous"
+        }
+
+        fn estimate(
+            &self,
+            osn: &dyn OsnApi,
+            _: TargetLabel,
+            _: usize,
+            _: &RunConfig,
+            _: &mut dyn RngCore,
+        ) -> Result<f64, EstimateError> {
+            let gate = &self.gate;
+            if self.waits {
+                let mut timed_out = gate.a_timed_out.lock().unwrap();
+                if timed_out.is_none() {
+                    let started = gate.b_started.lock().unwrap();
+                    let wait = Duration::from_secs(5);
+                    let (started, result) = gate
+                        .signal
+                        .wait_timeout_while(started, wait, |started| !*started)
+                        .unwrap();
+                    drop(started);
+                    *timed_out = Some(result.timed_out());
+                }
+            } else {
+                *gate.b_started.lock().unwrap() = true;
+                gate.signal.notify_all();
+            }
+            osn.neighbors(NodeId(0));
+            Ok(1.0)
+        }
+    }
+
+    /// A and B are the first two keys of one shard, and the other shard
+    /// has a loop too, so a one-worker call runs two workers. While A's
+    /// loop waits for B, the other worker must take B.
+    #[test]
+    fn an_idle_worker_takes_a_waiting_loop_of_another_shard() {
+        let g = fixture();
+        let svc = two_shards(&g);
+        let keys = six_keys();
+        let on = |shard: usize| -> Vec<GraphKey> {
+            let on_shard = keys.iter().filter(|&&k| svc.shard_of(k) == shard);
+            on_shard.copied().collect()
+        };
+        let shard = (0..2).find(|&s| on(s).len() >= 2).expect("six keys");
+        let (a, b) = (on(shard)[0], on(shard)[1]);
+        assert!(!on(1 - shard).is_empty(), "the other shard has a loop");
+        let mut wl = spread();
+        let gate = Arc::new(Gate::default());
+        for r in wl.requests.iter_mut() {
+            if r.graph == a || r.graph == b {
+                r.query.algorithm = Box::new(Rendezvous {
+                    gate: Arc::clone(&gate),
+                    waits: r.graph == a,
+                });
+            }
+        }
+        let report = svc.run_scheduled(wl, 1);
+        assert_eq!(report.serving.admitted, 24, "every request is admitted");
+        let timed_out = *gate.a_timed_out.lock().unwrap();
+        assert_eq!(timed_out, Some(false), "A waited out its 5 s for B");
     }
 
     /// The message `wl` panics with, as `run_scheduled` re-raises it.
@@ -1700,8 +1758,9 @@ mod tests {
         let mut wl = batch(3);
         wl.requests[1].query.algorithm = Box::new(Explodes(GraphKey(0)));
         assert_eq!(panic_message(&svc, wl), "the estimator on graph 0 exploded");
-        // Two shards: one loop runs on the calling thread and one on a
-        // spawned thread, so a panic on each shard in turn covers both.
+        // Two shards: two workers, the caller and a spawned thread, share
+        // the loops, so the loop that explodes may run on either. Each
+        // shard explodes in turn.
         let svc = two_shards(&g);
         for shard in 0..2 {
             let mut wl = spread();

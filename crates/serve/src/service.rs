@@ -5,8 +5,7 @@
 //! graphs, each owned by exactly one shard (consistent hashing over the
 //! [`GraphKey`]), one [`Engine`] — and therefore one shared L2 cache —
 //! per graph inside its owning shard. Shards share nothing at run time:
-//! every executor job holds graph loops of one shard, so the thread that
-//! runs it touches no other shard's engine.
+//! a graph's loop touches only its own engine, whichever worker runs it.
 //!
 //! [`ServiceWorkload`] is the multi-tenant request stream. Running it
 //! ([`ShardedService::run_scheduled`], the service's one executor) has
@@ -17,10 +16,11 @@
 //!    limits ([`crate::admission`]);
 //! 2. **execution** — admitted requests become per-graph task lists; each
 //!    graph runs one serial virtual-time loop ([`crate::scheduler`]) over
-//!    its engine's backend. Each shard's loops form up to `workers`
-//!    jobs; the calling thread runs the first job and a scoped thread
-//!    each of the others, so a call that touches one graph spawns no
-//!    thread;
+//!    its engine's backend. The loops run on one
+//!    [`replicate`](fn@labelcount_stats::replicate) pool of up to
+//!    `workers` workers per shard (no more than the shard's loops), the
+//!    calling thread among them; any worker takes any shard's waiting
+//!    loop, and a call that touches one graph spawns no thread;
 //! 3. **report** — outcomes re-assembled in request-id order, with
 //!    **anytime answers** for shed / quota-rejected requests taken from
 //!    their graph's deterministic summary.

@@ -8,6 +8,12 @@
 //! [`replication_seed`]`(base_seed, i)`, and results are returned in
 //! replication order. The calling thread works as one of the
 //! replication threads.
+//!
+//! It is the library's one pool of threads. Besides the experiment
+//! sweeps, `Engine::estimate_replicated` runs its replicates on it,
+//! `run_workload` its queries, `GroundTruth::compute_parallel` its
+//! chunks, and `ShardedService::run_scheduled` its graph loops (one unit
+//! per registered graph, each a serial virtual-time event loop).
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};

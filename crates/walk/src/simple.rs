@@ -47,15 +47,6 @@ impl<N: Copy> SimpleWalk<N> {
         }
     }
 
-    /// Starts a walk at a random state of `g`.
-    pub fn from_random_start<G, R>(g: &G, rng: &mut R) -> Self
-    where
-        G: WalkableGraph<Node = N> + ?Sized,
-        R: Rng + ?Sized,
-    {
-        SimpleWalk::new(g.random_node(rng))
-    }
-
     /// Number of steps taken so far (including burn-in).
     pub fn steps_taken(&self) -> u64 {
         self.steps
